@@ -8,4 +8,4 @@ a small numpy autodiff core.
 
 __version__ = "0.1.0"
 
-from .tensor import Tensor, Tape, backward, no_grad, set_default_dtype  # noqa: F401
+from .tensor import Tensor, Tape, backward, no_grad  # noqa: F401

@@ -35,30 +35,56 @@ class CheckResult:
         return f"[{status}] {self.name}: max err {self.max_err:.3e} (tol {self.tolerance:.0e})"
 
 
-def _fd_check(forward: Callable[[], Tensor], inputs: list[Tensor], h: float = 1e-5) -> float:
-    """Worst relative error between tape gradients and central differences."""
+def finite_diff_grads(forward: Callable[[], Tensor], inputs: list[Tensor],
+                      h: float = 1e-5) -> list[np.ndarray]:
+    """Central-difference gradients of a scalar-valued ``forward()``.
+
+    ``forward`` must rebuild its graph from the current contents of the
+    tensors in ``inputs`` (their .data is perturbed in place and restored).
+    Returns one array per input, same shapes.
+    """
+    grads = []
+    with T.no_grad():
+        for t in inputs:
+            g = np.zeros_like(t.data)
+            flat = t.data.reshape(-1)
+            gflat = g.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                f_plus = float(forward().data)
+                flat[i] = orig - h
+                f_minus = float(forward().data)
+                flat[i] = orig
+                gflat[i] = (f_plus - f_minus) / (2.0 * h)
+            grads.append(g)
+    return grads
+
+
+def autodiff_grads(forward: Callable[[], Tensor], inputs: list[Tensor]) -> list[np.ndarray]:
+    """Gradients of scalar ``forward()`` via the tape."""
     T.fresh_tape()
     for t in inputs:
         t.grad = None
     loss = forward()
     T.backward(loss)
-    ad = [t.grad.copy() for t in inputs]
-    worst = 0.0
-    with T.no_grad():
-        for t, a in zip(inputs, ad):
-            flat = t.data.reshape(-1)
-            aflat = a.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                up = float(forward().data)
-                flat[i] = orig - h
-                down = float(forward().data)
-                flat[i] = orig
-                fd = (up - down) / (2.0 * h)
-                worst = max(worst, abs(aflat[i] - fd) / max(1.0, abs(fd)))
+    grads = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in inputs]
     T.fresh_tape()
-    return worst
+    return grads
+
+
+def max_rel_err(a, b) -> float:
+    """max |a-b| / max(1, |b|), elementwise."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+
+
+def _fd_check(forward: Callable[[], Tensor], inputs: list[Tensor], h: float = 1e-5) -> float:
+    """Worst relative error between tape gradients and central differences."""
+    ad = autodiff_grads(forward, inputs)
+    fd = finite_diff_grads(forward, inputs, h)
+    return max(max_rel_err(a, f) for a, f in zip(ad, fd))
 
 
 def _grad_checks() -> list[CheckResult]:
@@ -130,7 +156,6 @@ def _pipeline_fd_check(n_params: int = 5, tol: float = 1e-3) -> CheckResult:
     """Full model loss vs central differences on randomly chosen parameters."""
     from . import data as D
 
-    T.set_default_dtype("f64")
     cfg = RunConfig(variant="multimodal", input_resolution=32, heatmap_resolution=32,
                     seed=5, p_drop=0.0)
     samples = D.generate_dataset(
@@ -297,14 +322,9 @@ def _exhaustive_ap(scores, labels) -> float:
 def run_checks(suite: str) -> list[CheckResult]:
     if suite not in ("grad", "oracle", "all"):
         raise ValueError(f"unknown suite {suite!r}")
-    prev = T.get_default_dtype()
-    T.set_default_dtype("f64")  # finite differences need full precision
-    try:
-        results = []
-        if suite in ("grad", "all"):
-            results.extend(_grad_checks())
-        if suite in ("oracle", "all"):
-            results.extend(_oracle_checks())
-        return results
-    finally:
-        T.set_default_dtype("f64" if prev == np.float64 else "f32")
+    results = []
+    if suite in ("grad", "all"):
+        results.extend(_grad_checks())
+    if suite in ("oracle", "all"):
+        results.extend(_oracle_checks())
+    return results

@@ -7,7 +7,6 @@ failure, 3 data or checkpoint error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 

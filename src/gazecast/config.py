@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -75,6 +77,11 @@ class RunConfig:
             raise ConfigError(f"p_drop {self.p_drop} outside [0,1)")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The numpy dtype ``precision`` names; models and features use it."""
+        return np.dtype(np.float32 if self.precision == "f32" else np.float64)
 
     # -- variant-derived structure ------------------------------------
 

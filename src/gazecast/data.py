@@ -594,24 +594,14 @@ def read_dataset(path) -> list[SceneSample]:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                samples.append(_sample_from_record(json.loads(line), path))
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{manifest}:{line_no}: invalid JSON ({exc})") from exc
-            images = {}
-            for m, rel in rec["files"].items():
-                full = os.path.join(path, rel)
-                if not os.path.exists(full):
-                    raise DatasetError(f"{path}: manifest references missing file {rel}")
-                images[m] = read_tensor(full)
-            samples.append(SceneSample(
-                images=images,
-                head_box=HeadBox(*rec["head_box"]),
-                eye=EyePoint(rec["eye"]["x"], rec["eye"]["y"], rec["eye"]["source"]),
-                gaze_points=[tuple(p) for p in rec["gaze_points"]],
-                in_frame=int(rec["in_frame"]),
-                oracle_gaze_dir=GazeVector2D(*rec["oracle_gaze_dir"]),
-                sample_id=int(rec["sample_id"]),
-            ))
+            except (KeyError, TypeError, ValueError, AttributeError, DomainError) as exc:
+                # a missing key, a value of the wrong type or out of range
+                raise DatasetError(
+                    f"{manifest}:{line_no}: malformed record ({type(exc).__name__}: {exc})"
+                ) from exc
     tensor_dir = os.path.join(path, TENSOR_DIR)
     n_files = len(os.listdir(tensor_dir)) if os.path.isdir(tensor_dir) else 0
     expected = sum(len(s.images) for s in samples)
@@ -620,6 +610,24 @@ def read_dataset(path) -> list[SceneSample]:
             f"{path}: manifest lists {expected} tensor files but directory has {n_files}"
         )
     return samples
+
+
+def _sample_from_record(rec: dict, path) -> SceneSample:
+    images = {}
+    for m, rel in rec["files"].items():
+        full = os.path.join(path, rel)
+        if not os.path.exists(full):
+            raise DatasetError(f"{path}: manifest references missing file {rel}")
+        images[m] = read_tensor(full)
+    return SceneSample(
+        images=images,
+        head_box=HeadBox(*rec["head_box"]),
+        eye=EyePoint(rec["eye"]["x"], rec["eye"]["y"], rec["eye"]["source"]),
+        gaze_points=[tuple(p) for p in rec["gaze_points"]],
+        in_frame=int(rec["in_frame"]),
+        oracle_gaze_dir=GazeVector2D(*rec["oracle_gaze_dir"]),
+        sample_id=int(rec["sample_id"]),
+    )
 
 
 def train_test_split(samples: list[SceneSample], fraction: float,
@@ -636,6 +644,16 @@ def train_test_split(samples: list[SceneSample], fraction: float,
     return train, test
 
 
+def resize_nearest(img: np.ndarray, out_res: int) -> np.ndarray:
+    """Nearest-neighbor resize of a (C, H, W) image to (C, out_res, out_res)."""
+    h, w = img.shape[-2:]
+    if (h, w) == (out_res, out_res):
+        return img
+    rows = np.floor((np.arange(out_res) + 0.5) * h / out_res).astype(int)
+    cols = np.floor((np.arange(out_res) + 0.5) * w / out_res).astype(int)
+    return img[:, rows][:, :, cols]
+
+
 def crop_head(sample: SceneSample, source: str = "raw", crop_resolution: int = 64) -> np.ndarray:
     """Axis-aligned head crop of a modality, nearest-resized to a square."""
     img = sample.modality(source)
@@ -645,7 +663,4 @@ def crop_head(sample: SceneSample, source: str = "raw", crop_resolution: int = 6
     x1 = max(x0 + 1, min(int(math.ceil(box.x_max * res)), res))
     y0 = max(0, min(int(math.floor(box.y_min * res)), res - 1))
     y1 = max(y0 + 1, min(int(math.ceil(box.y_max * res)), res))
-    crop = img[:, y0:y1, x0:x1]
-    rows = np.floor((np.arange(crop_resolution) + 0.5) * crop.shape[1] / crop_resolution).astype(int)
-    cols = np.floor((np.arange(crop_resolution) + 0.5) * crop.shape[2] / crop_resolution).astype(int)
-    return crop[:, rows][:, :, cols]
+    return resize_nearest(img[:, y0:y1, x0:x1], crop_resolution)

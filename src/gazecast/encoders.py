@@ -9,7 +9,7 @@ else, so the ablation differs from the default only in those parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -12,7 +12,7 @@ uniform white noise; the attention loss later pushes its weight to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

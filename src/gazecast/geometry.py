@@ -12,7 +12,7 @@ annotations and resolutions, never on image pixels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,13 +129,13 @@ def cone_batch(gaze: Tensor, eyes: np.ndarray, h: int, w: int,
     dx = cx[None] - eyes[:, 0, None, None]  # (N, h, w)
     dy = cy[None] - eyes[:, 1, None, None]
     dist = np.hypot(dx, dy)
-    eye_hot = np.zeros((n, h, w))
+    eye_hot = np.zeros((n, h, w), dtype=gaze.dtype)
     for k in range(n):
         i, j = containing_pixel(eyes[k, 0], eyes[k, 1], h, w)
         eye_hot[k, i, j] = 1.0
     safe = np.where(dist > 0.0, dist, 1.0)
-    ux = Tensor(dx / safe)
-    uy = Tensor(dy / safe)
+    ux = Tensor(dx / safe, dtype=gaze.dtype)
+    uy = Tensor(dy / safe, dtype=gaze.dtype)
 
     gx = T.reshape(gaze[:, 0], (n, 1, 1))
     gy = T.reshape(gaze[:, 1], (n, 1, 1))
@@ -169,7 +169,7 @@ def render_head_mask(box: HeadBox, h: int, w: int) -> Tensor:
     inside = (
         (cx >= box.x_min) & (cx <= box.x_max) & (cy >= box.y_min) & (cy <= box.y_max)
     )
-    return Tensor(inside.astype(T.get_default_dtype()).reshape(1, h, w))
+    return Tensor(inside.reshape(1, h, w))
 
 
 def make_gt_heatmap(points: list[tuple[float, float]], h: int, w: int,

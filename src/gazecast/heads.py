@@ -111,12 +111,7 @@ def loss_gaze(pred: Tensor, target: Tensor, sample_mask: np.ndarray | None = Non
     sq = T.mul(diff, diff)
     if sample_mask is None:
         return T.tmean(sq)
-    count = float(sample_mask.sum())
-    if count == 0.0:
-        return T.scale(T.tsum(sq), 0.0)
-    per_pixel = float(np.prod(pred.shape[1:]))
-    m = sample_mask.reshape((-1,) + (1,) * (pred.ndim - 1)).astype(pred.dtype)
-    return T.scale(T.tsum(T.mul(sq, Tensor(m))), 1.0 / (count * per_pixel))
+    return _masked_mean(sq, sample_mask)
 
 
 def loss_dir(pred_dir: Tensor, target_dir: Tensor,
@@ -129,10 +124,18 @@ def loss_dir(pred_dir: Tensor, target_dir: Tensor,
     one_minus = T.sub(Tensor(np.ones(cos.shape, dtype=cos.dtype)), cos)
     if cos.ndim == 0 or sample_mask is None:
         return T.tmean(one_minus) if cos.ndim else one_minus
+    return _masked_mean(one_minus, sample_mask)
+
+
+def _masked_mean(values: Tensor, sample_mask: np.ndarray) -> Tensor:
+    """Mean of ``values`` over the samples (leading axis) whose 0/1 mask is
+    set; an all-masked batch gives 0 and keeps the graph connected."""
     count = float(sample_mask.sum())
     if count == 0.0:
-        return T.scale(T.tsum(one_minus), 0.0)
-    return T.scale(T.tsum(T.mul(one_minus, Tensor(sample_mask.astype(cos.dtype)))), 1.0 / count)
+        return T.scale(T.tsum(values), 0.0)
+    per_sample = float(np.prod(values.shape[1:]))
+    m = sample_mask.reshape((-1,) + (1,) * (values.ndim - 1)).astype(values.dtype)
+    return T.scale(T.tsum(T.mul(values, Tensor(m))), 1.0 / (count * per_sample))
 
 
 def loss_io(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -148,7 +151,7 @@ def loss_att(weights: Tensor, plan: DropoutPlan, modalities: tuple[str, ...]) ->
     """Sum of attention weights of dropped modalities (batch mean); exactly
     zero when the plan is empty."""
     if not plan.dropped:
-        return Tensor(np.zeros(()))
+        return Tensor(np.zeros((), dtype=weights.dtype))
     picked = None
     for idx, m in enumerate(modalities):
         if m in plan.dropped:

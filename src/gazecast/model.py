@@ -12,13 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from . import tensor as T
 from .config import RunConfig
-from .data import SceneSample, crop_head
+from .data import SceneSample, crop_head, resize_nearest
 from .encoders import EncoderConfig, GazeSubnet, SceneExtractor, concat_modality_inputs
-from .errors import CheckpointError
 from .fusion import (AttentionFusion, DropoutPlan, EMPTY_PLAN, LateFusionInject,
-                     apply_dropout, fuse)
+                     apply_dropout)
 from .geometry import cone_batch, make_gt_heatmap, render_head_mask
 from .heads import HeatmapHead, InOutHead, LossBreakdown, loss_att, loss_dir, loss_gaze, loss_io, total_loss
 from .tensor import Tensor
@@ -52,25 +50,15 @@ class ForwardResult:
     inout: Tensor | None           # (N,) or None when the head is disabled
 
 
-def _resize_nearest(img: np.ndarray, out_res: int) -> np.ndarray:
-    """Nearest-neighbor resize of a (C, H, W) image to (C, out, out)."""
-    h, w = img.shape[-2:]
-    if (h, w) == (out_res, out_res):
-        return img
-    rows = np.floor((np.arange(out_res) + 0.5) * h / out_res).astype(int)
-    cols = np.floor((np.arange(out_res) + 0.5) * w / out_res).astype(int)
-    return img[:, rows][:, :, cols]
-
-
 def sample_features(sample: SceneSample, cfg: RunConfig) -> dict:
     """Per-sample constant arrays; reads only the variant's modalities.
 
     Modality images are nearest-resized to the configured input resolution
     when the dataset was rendered at a different one.
     """
-    dt = T.get_default_dtype()
+    dt = cfg.dtype
     feats = {
-        "images": {m: _resize_nearest(sample.modality(m), cfg.input_resolution).astype(dt)
+        "images": {m: resize_nearest(sample.modality(m), cfg.input_resolution).astype(dt)
                    for m in cfg.modalities},
         "crop": crop_head(sample, cfg.head_crop_source, cfg.input_resolution).astype(dt),
         "eye": np.array([sample.eye.x, sample.eye.y]),
@@ -84,10 +72,10 @@ def sample_features(sample: SceneSample, cfg: RunConfig) -> dict:
         hm = make_gt_heatmap(sample.gaze_points, cfg.heatmap_resolution,
                              cfg.heatmap_resolution, cfg.sigma)
         feats["gt_heatmap"] = hm.image.data.astype(dt)
-        feats["gt_dir"] = sample.oracle_gaze_dir.xy
+        feats["gt_dir"] = sample.oracle_gaze_dir.xy.astype(dt)
     else:
         feats["gt_heatmap"] = np.zeros((1, cfg.heatmap_resolution, cfg.heatmap_resolution), dtype=dt)
-        feats["gt_dir"] = np.array([1.0, 0.0])  # masked out of the loss
+        feats["gt_dir"] = np.array([1.0, 0.0], dtype=dt)  # masked out of the loss
     return feats
 
 
@@ -109,7 +97,6 @@ def build_batch(samples: list[SceneSample], cfg: RunConfig,
 
 class GazeTargetModel(nn.Module):
     def __init__(self, cfg: RunConfig):
-        T.set_default_dtype(cfg.precision)
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA11CE)))
         enc_cfg = EncoderConfig(
             input_resolution=cfg.input_resolution,
@@ -134,6 +121,9 @@ class GazeTargetModel(nn.Module):
                                         bounded=cfg.heatmap_bounded)
         if cfg.inout_head:
             self.inout = InOutHead(enc_cfg, rng)
+        # layers initialize in float64; precision is applied once, here
+        for p in self.parameters():
+            p.data = p.data.astype(cfg.dtype, copy=False)
 
     def forward(self, batch: Batch, plan: DropoutPlan = EMPTY_PLAN) -> ForwardResult:
         cfg = self.cfg
@@ -168,34 +158,16 @@ class GazeTargetModel(nn.Module):
             combined=combined, weights=weights, inout=inout,
         )
 
-    def load_partial(self, state: dict[str, np.ndarray]) -> list[str]:
-        """Copy every same-named parameter from ``state``; used to seed a
-        multimodal model from single-modality checkpoints."""
-        own = dict(self.named_parameters())
-        loaded = []
-        for name, arr in state.items():
-            if name not in own:
-                continue
-            p = own[name]
-            if tuple(arr.shape) != p.shape:
-                raise CheckpointError(
-                    f"init checkpoint shape mismatch for {name}: "
-                    f"{tuple(arr.shape)} vs {p.shape}"
-                )
-            p.data = arr.astype(p.data.dtype).copy()
-            loaded.append(name)
-        return loaded
-
 
 def compute_losses(result: ForwardResult, batch: Batch, cfg: RunConfig,
                    plan: DropoutPlan = EMPTY_PLAN) -> LossBreakdown:
     mask = batch.in_frame
     gaze_l = loss_gaze(result.heatmap, Tensor(batch.gt_heatmaps), mask)
     dir_l = loss_dir(result.direction, Tensor(batch.gt_dirs), mask)
-    io_l = loss_io(result.inout, batch.in_frame) if result.inout is not None \
-        else Tensor(np.zeros(()))
+    zero = Tensor(np.zeros((), dtype=cfg.dtype))
+    io_l = loss_io(result.inout, batch.in_frame) if result.inout is not None else zero
     att_l = loss_att(result.weights, plan, cfg.modalities) if result.weights is not None \
-        else Tensor(np.zeros(()))
+        else zero
     return total_loss(gaze_l, dir_l, io_l, att_l,
                       lambda_gaze=cfg.lambda_gaze, lambda_dir=cfg.lambda_dir,
                       lambda_io=cfg.lambda_io, lambda_att=cfg.lambda_att)

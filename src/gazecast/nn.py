@@ -1,4 +1,8 @@
-"""Layer containers, parameter initialization, and the AdamW optimizer."""
+"""Layer containers, parameter initialization, and the AdamW optimizer.
+
+Layers initialize their parameters in float64; the model that owns them
+casts them to its configured precision.
+"""
 
 from __future__ import annotations
 
@@ -73,7 +77,7 @@ class Module:
 
 def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(T.get_default_dtype())
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class Conv2d(Module):
@@ -91,7 +95,7 @@ class Conv2d(Module):
         self.weight = Tensor(
             kaiming_uniform(rng, (out_channels, in_channels, k, k), fan_in), requires_grad=True
         )
-        self.bias = Tensor(np.zeros(out_channels, dtype=T.get_default_dtype()), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
         self.stride = stride
         self.padding = padding
 
@@ -104,7 +108,7 @@ class Linear(Module):
         self.weight = Tensor(
             kaiming_uniform(rng, (out_features, in_features), in_features), requires_grad=True
         )
-        self.bias = Tensor(np.zeros(out_features, dtype=T.get_default_dtype()), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)
@@ -158,7 +162,3 @@ class AdamW:
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data = p.data - lr * update
-
-
-# Backwards-friendly alias: the optimizer object is its own state record.
-AdamWState = AdamW

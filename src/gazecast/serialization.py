@@ -59,7 +59,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, str]:
         pos += 4
         if len(buf) < pos + n:
             raise CheckpointError(f"{path}: truncated string field")
-        s = buf[pos : pos + n].decode()
+        try:
+            s = buf[pos : pos + n].decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: string field is not valid UTF-8 ({exc})") from exc
         pos += n
         return s
 

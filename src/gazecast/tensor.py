@@ -5,8 +5,10 @@ Design: eager numpy forward passes; every differentiable op appends a node
 the loss gradient and replays the tape in reverse, visiting each node once.
 Execution order is a valid topological order, so no sorting is needed.
 
-Precision is float64 by default so finite-difference checks are meaningful;
-float32 can be selected globally via ``set_default_dtype`` for speed.
+Precision comes from the data and the model config, never from process
+state: a tensor keeps the float32 or float64 dtype of the array it wraps
+(anything else becomes float64, so finite-difference checks are
+meaningful), and a model casts its parameters to ``RunConfig.precision``.
 
 The tape is confined to a single thread for its forward+backward lifetime.
 Tensors themselves are safe to share across threads once produced.
@@ -14,29 +16,12 @@ Tensors themselves are safe to share across threads once produced.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError, TapeError
-
-_DTYPE_NAMES = {"f64": np.float64, "f32": np.float32}
-_default_dtype = np.float64
-
-
-def set_default_dtype(name: str) -> None:
-    """Select the dtype new tensors are created with: 'f64' or 'f32'."""
-    global _default_dtype
-    if name not in _DTYPE_NAMES:
-        raise ValueError(f"unknown dtype {name!r}, expected 'f64' or 'f32'")
-    _default_dtype = _DTYPE_NAMES[name]
-
-
-def get_default_dtype() -> np.dtype:
-    return np.dtype(_default_dtype)
-
 
 class Tape:
     """Ordered record of executed differentiable operations.
@@ -54,10 +39,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    @property
-    def used(self) -> bool:
-        return self._used
 
     def reset(self) -> None:
         self._nodes.clear()
@@ -94,7 +75,8 @@ def no_grad():
 class Tensor:
     """A dense array plus optional gradient buffer.
 
-    ``data`` is a contiguous numpy array (float64 or float32). ``grad`` has
+    ``data`` is a contiguous numpy array (float64 or float32): float input
+    keeps its dtype, anything else becomes float64. ``grad`` has
     the same shape as ``data`` once populated by ``backward``. Tensors are
     treated as immutable after the forward pass that produced them; only
     optimizers mutate ``data`` in place, between tapes.
@@ -103,9 +85,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else _default_dtype)
+        arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float64, np.float32):
-            arr = arr.astype(_default_dtype)
+            arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None

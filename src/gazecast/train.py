@@ -13,7 +13,7 @@ from .config import RunConfig
 from .data import SceneSample
 from .errors import GazecastError
 from .fusion import EMPTY_PLAN, sample_dropout_plan
-from .model import Batch, GazeTargetModel, build_batch, compute_losses, sample_features
+from .model import GazeTargetModel, build_batch, compute_losses, sample_features
 
 CSV_HEADER = "step,loss_gaze,loss_dir,loss_io,loss_att,loss_total"
 
@@ -27,10 +27,9 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
                 csv_path=None, log=None) -> GazeTargetModel:
     """Train a fresh model on ``samples`` for cfg.epochs; deterministic
     given (cfg, samples)."""
-    T.set_default_dtype(cfg.precision)
     model = GazeTargetModel(cfg)
     for state in init_states or []:
-        model.load_partial(state)
+        model.load_state_dict(state, strict=False)
 
     optimizer = nn.AdamW(
         model.parameters(), learning_rate=cfg.learning_rate,

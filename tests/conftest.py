@@ -1,58 +1,15 @@
-import numpy as np
 import pytest
 
 from gazecast import tensor as T
+from gazecast.checks import autodiff_grads, finite_diff_grads, max_rel_err  # noqa: F401
 
 
 @pytest.fixture(autouse=True)
 def clean_tape():
-    """Each test starts from an empty tape and default precision."""
-    T.set_default_dtype("f64")
+    """Each test starts from an empty tape."""
     T.fresh_tape()
     yield
     T.fresh_tape()
-
-
-def finite_diff_grads(forward, inputs, h=1e-5):
-    """Central-difference gradients of a scalar-valued ``forward()``.
-
-    ``forward`` must rebuild its graph from the current contents of the
-    tensors in ``inputs`` (their .data is perturbed in place). Returns one
-    array per input, same shapes.
-    """
-    grads = []
-    with T.no_grad():
-        for t in inputs:
-            g = np.zeros_like(t.data)
-            flat = t.data.reshape(-1)
-            gflat = g.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                f_plus = float(forward().data)
-                flat[i] = orig - h
-                f_minus = float(forward().data)
-                flat[i] = orig
-                gflat[i] = (f_plus - f_minus) / (2.0 * h)
-            grads.append(g)
-    return grads
-
-
-def autodiff_grads(forward, inputs):
-    """Gradients of scalar ``forward()`` via the tape."""
-    T.fresh_tape()
-    for t in inputs:
-        t.grad = None
-    loss = forward()
-    T.backward(loss)
-    return [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in inputs]
-
-
-def max_rel_err(a, b):
-    """max |a-b| / max(1, |b|), elementwise."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
 
 
 def gradcheck(forward, inputs, h=1e-5, tol=1e-4):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -174,6 +175,33 @@ def test_eval_corrupt_checkpoint_is_data_error(workspace, tmp_path):
     bad.write_bytes(bytes(raw))
     assert main(["eval", "--ckpt", str(bad), "--data", str(workspace / "data"),
                  "--report", str(tmp_path / "r.json")]) == 3
+
+
+def test_eval_non_utf8_config_hash_is_data_error(workspace, tmp_path):
+    bad = tmp_path / "bad.ckpt"
+    raw = bytearray((workspace / "model.ckpt").read_bytes())
+    raw[12] = 0xFF  # first byte of the config-hash string: never valid UTF-8
+    bad.write_bytes(bytes(raw))
+    assert main(["eval", "--ckpt", str(bad), "--data", str(workspace / "data"),
+                 "--report", str(tmp_path / "r.json")]) == 3
+
+
+@pytest.mark.parametrize("field,value", [("files", None), ("head_box", [0.5, 0.5, 0.1, 0.1])])
+def test_malformed_manifest_record_is_data_error(workspace, tmp_path, capsys, field, value):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    manifest = data / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    rec = json.loads(lines[1])
+    if value is None:
+        del rec[field]
+    else:
+        rec[field] = value
+    lines[1] = json.dumps(rec)
+    manifest.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--data", str(data),
+                 "--report", str(tmp_path / "r.json")]) == 3
+    assert "manifest.jsonl:2:" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(tmp_path):

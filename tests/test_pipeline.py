@@ -91,6 +91,22 @@ def test_inout_variant_trains(tiny_sets):
     assert all(d.inout_score is not None for d in dumps)
 
 
+@pytest.mark.parametrize("first,second", [("f64", "f32"), ("f32", "f64")])
+def test_model_precision_does_not_leak(tiny_sets, first, second):
+    """Building a model of another precision leaves a model's outputs alone."""
+    plain, _ = tiny_sets
+    dtype = {"f64": np.float64, "f32": np.float32}[first]
+    cfg = small_cfg("multimodal", precision=first)
+    model = GazeTargetModel(cfg)
+    assert all(p.dtype == dtype for p in model.parameters())
+    with T.no_grad():
+        before = model(build_batch(plain[:4], cfg)).heatmap.data
+        GazeTargetModel(small_cfg("multimodal", precision=second))
+        after = model(build_batch(plain[:4], cfg)).heatmap.data
+    assert before.dtype == after.dtype == dtype
+    np.testing.assert_array_equal(after, before)
+
+
 def test_training_is_deterministic(tiny_sets):
     plain, _ = tiny_sets
     cfg = small_cfg("multimodal", epochs=2)
@@ -108,7 +124,7 @@ def test_init_from_single_modality_checkpoint(tiny_sets):
 
     cfg = small_cfg("multimodal")
     model = GazeTargetModel(cfg)
-    loaded = model.load_partial(single_state)
+    loaded = model.load_state_dict(single_state, strict=False)
     assert any(name.startswith("extractors.raw.") for name in loaded)
     for name, param in model.named_parameters():
         if name in single_state:

@@ -10,6 +10,12 @@ from gazecast.errors import DomainError, ShapeMismatchError, TapeError
 from gazecast.tensor import Tensor
 
 
+def test_tensor_keeps_float_dtype_and_widens_the_rest():
+    assert Tensor(np.ones(3, dtype=np.float32)).dtype == np.float32
+    assert Tensor(np.ones(3, dtype=np.float64)).dtype == np.float64
+    assert Tensor(np.arange(3)).dtype == np.float64
+
+
 def test_conv2d_all_ones_sums_kernel():
     x = Tensor(np.ones((1, 1, 3, 3)))
     w = Tensor(np.ones((1, 1, 3, 3)))
