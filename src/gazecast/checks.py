@@ -68,9 +68,7 @@ def autodiff_grads(forward: Callable[[], Tensor], inputs: list[Tensor]) -> list[
         t.grad = None
     loss = forward()
     T.backward(loss)
-    grads = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in inputs]
-    T.fresh_tape()
-    return grads
+    return [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in inputs]
 
 
 def max_rel_err(a, b) -> float:
@@ -191,7 +189,6 @@ def _pipeline_fd_check(n_params: int = 5, tol: float = 1e-3) -> CheckResult:
         fd = (up - down) / (2.0 * h)
         ad = p.grad.reshape(-1)[idx]
         worst = max(worst, abs(ad - fd) / max(1.0, abs(fd)))
-    T.fresh_tape()
     return CheckResult("pipeline_loss_fd", worst < tol, worst, tol)
 
 

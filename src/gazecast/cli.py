@@ -14,7 +14,7 @@ import numpy as np
 
 from . import data as D
 from . import tensor as T
-from .config import RunConfig, config_from_text, load_config, parse_config_lines
+from .config import RunConfig, config_from_text, load_config, parse_config_lines, typed_fields
 from .errors import CheckpointError, ConfigError, DatasetError, GazecastError
 from .evaluate import evaluate_model
 from .geometry import write_pgm
@@ -29,13 +29,13 @@ EXIT_CHECK = 2
 EXIT_DATA = 3
 
 _SCENE_KEYS = {
-    "scene.n_objects": ("n_objects", int),
-    "scene.n_people": ("n_people", int),
-    "scene.depth_layers": ("depth_layers", int),
-    "scene.resolution": ("resolution", int),
-    "scene.target_rule": ("target_rule", str),
-    "scene.p_out_of_frame": ("p_out_of_frame", float),
-    "scene.seed": ("rng_seed", int),
+    "scene.n_objects": "n_objects",
+    "scene.n_people": "n_people",
+    "scene.depth_layers": "depth_layers",
+    "scene.resolution": "resolution",
+    "scene.target_rule": "target_rule",
+    "scene.p_out_of_frame": "p_out_of_frame",
+    "scene.seed": "rng_seed",
 }
 
 
@@ -43,12 +43,7 @@ def _load_scene_spec(path, seed_override=None) -> D.SceneSpec:
     kwargs = {}
     if path:
         with open(path) as f:
-            raw = parse_config_lines(f)
-        for key, val in raw.items():
-            if key not in _SCENE_KEYS:
-                raise ConfigError(f"unknown scene key {key!r}")
-            attr, cast = _SCENE_KEYS[key]
-            kwargs[attr] = cast(val)
+            kwargs = typed_fields(parse_config_lines(f), _SCENE_KEYS, D.SceneSpec)
     if seed_override is not None:
         kwargs["rng_seed"] = seed_override
     return D.SceneSpec(**kwargs)
@@ -87,7 +82,10 @@ def cmd_train(args) -> int:
 
 def _load_model(ckpt_path) -> tuple[GazeTargetModel, RunConfig]:
     state, config_hash, config_text = load_checkpoint(ckpt_path)
-    cfg = config_from_text(config_text)
+    try:
+        cfg = config_from_text(config_text)
+    except ConfigError as exc:
+        raise CheckpointError(f"{ckpt_path}: bad embedded config: {exc}") from exc
     if cfg.config_hash() != config_hash:
         raise CheckpointError(f"{ckpt_path}: config hash mismatch "
                               f"({config_hash} vs {cfg.config_hash()})")

@@ -161,34 +161,48 @@ _KEYMAP = {
     "metrics.binarization_radius": "binarization_radius",
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
-
-def _parse_value(attr: str, raw: str):
-    kind = _FIELD_TYPES[attr]
+def _parse_value(kind: str, raw: str):
+    """Parse ``raw`` as a dataclass field annotated ``kind``."""
     raw = raw.strip()
-    if attr == "stage_channels":
+    if kind == "tuple[int, ...]":
         try:
             return tuple(int(v) for v in raw.split(","))
         except ValueError as exc:
-            raise ConfigError(f"bad channel list {raw!r}") from exc
-    if kind == "bool" or kind is bool:
+            raise ConfigError(f"bad integer list {raw!r}") from exc
+    if kind == "bool":
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"bad boolean {raw!r}")
-    if kind == "int" or kind is int:
+    if kind == "int":
         try:
             return int(raw)
         except ValueError as exc:
             raise ConfigError(f"bad integer {raw!r}") from exc
-    if kind == "float" or kind is float:
+    if kind == "float":
         try:
             return float(raw)
         except ValueError as exc:
             raise ConfigError(f"bad float {raw!r}") from exc
     return raw
+
+
+def typed_fields(raw: dict[str, str], keymap: dict[str, str], cls) -> dict:
+    """Keyword arguments for dataclass ``cls`` from 'key = value' pairs.
+
+    ``keymap`` maps each file key to a field name; an unknown key or a value
+    that does not parse as its field's type raises ConfigError.
+    """
+    kinds = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for key, val in raw.items():
+        if key not in keymap:
+            raise ConfigError(f"unknown config key {key!r}")
+        attr = keymap[key]
+        kwargs[attr] = _parse_value(kinds[attr], val)
+    return kwargs
 
 
 def parse_config_lines(lines) -> dict[str, str]:
@@ -213,17 +227,9 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig
             raw.update(parse_config_lines(f))
     if overrides:
         raw.update(overrides)
-    kwargs = {}
-    for key, val in raw.items():
-        if key not in _KEYMAP:
-            raise ConfigError(f"unknown config key {key!r}")
-        attr = _KEYMAP[key]
-        kwargs[attr] = _parse_value(attr, val)
-    return RunConfig(**kwargs)
+    return RunConfig(**typed_fields(raw, _KEYMAP, RunConfig))
 
 
 def config_from_text(text: str) -> RunConfig:
     """Rebuild a config from its canonical serialization (checkpoints)."""
-    raw = parse_config_lines(text.splitlines())
-    kwargs = {_KEYMAP[k]: _parse_value(_KEYMAP[k], v) for k, v in raw.items()}
-    return RunConfig(**kwargs)
+    return RunConfig(**typed_fields(parse_config_lines(text.splitlines()), _KEYMAP, RunConfig))

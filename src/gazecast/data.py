@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +36,8 @@ from .errors import DatasetError, DomainError
 from .geometry import EyePoint, GazeVector2D, HeadBox
 from .tensor import read_tensor, write_tensor
 
-MODALITY_READS: Counter = Counter()
-
 IN_CONE_COS = 0.5          # checker threshold: candidate counts as "in cone"
 CLEAR_MARGIN_COS = 0.35    # generator keeps non-targets below this
-
-
-def reset_modality_reads() -> None:
-    MODALITY_READS.clear()
 
 
 @dataclass
@@ -112,10 +105,10 @@ class SceneSample:
     layout: SceneLayout | None = None  # generation-time only, never serialized
 
     def modality(self, name: str) -> np.ndarray:
-        """Instrumented accessor; privacy configurations must never hit 'raw'."""
+        """Checked accessor: a modality the sample lacks raises DatasetError,
+        so a privacy configuration runs on samples that hold no raw image."""
         if name not in self.images:
             raise DatasetError(f"sample {self.sample_id} has no modality {name!r}")
-        MODALITY_READS[name] += 1
         return self.images[name]
 
     @property

@@ -19,8 +19,9 @@ class DomainError(GazecastError):
 
 
 class TapeError(GazecastError):
-    """Misuse of the autodiff tape: non-scalar loss, double backward
-    without a reset, or a loss that was never recorded."""
+    """Misuse of the autodiff tape: non-scalar loss, or a loss that is not
+    on the calling thread's tape (already replayed, built under no_grad or
+    on another thread)."""
 
 
 class GradError(GazecastError):

@@ -69,7 +69,8 @@ def evaluate_model(model: GazeTargetModel, samples: list[SceneSample],
 
     def run_batch(chunk: list[SceneSample]) -> list[SampleDump]:
         batch = build_batch(chunk, cfg)
-        result = model(batch, plan)
+        with T.no_grad():
+            result = model(batch, plan)
         rows = []
         for k, sample in enumerate(chunk):
             if oracle_heatmaps:
@@ -98,14 +99,11 @@ def evaluate_model(model: GazeTargetModel, samples: list[SceneSample],
         return rows
 
     workers = worker_count()
-    # recording is disabled around the whole map: the flag is process-global,
-    # so toggling it inside worker threads would race
-    with T.no_grad():
-        if workers > 1 and len(batches) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_batch = list(pool.map(run_batch, batches))
-        else:
-            per_batch = [run_batch(b) for b in batches]
+    if workers > 1 and len(batches) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_batch = list(pool.map(run_batch, batches))
+    else:
+        per_batch = [run_batch(b) for b in batches]
 
     dumps = [row for rows in per_batch for row in rows]
     evals = [

@@ -70,10 +70,9 @@ class AttentionFusion(nn.Module):
     """Soft-selection across modalities; see module docstring for the steps."""
 
     def __init__(self, cfg: EncoderConfig, modalities: tuple[str, ...],
-                 rng: np.random.Generator, map_channels: int | None = None):
-        d_in = map_channels if map_channels is not None else cfg.feature_channels
+                 rng: np.random.Generator):
         self.modalities = tuple(modalities)
-        self.transforms = {m: nn.Conv2d(d_in, cfg.feature_channels, 1, rng)
+        self.transforms = {m: nn.Conv2d(cfg.feature_channels, cfg.feature_channels, 1, rng)
                            for m in self.modalities}
         self.embedders = {m: ModalityEmbedder(cfg, rng) for m in self.modalities}
         self.projection = nn.Linear(cfg.embedding_size * len(self.modalities),
@@ -129,7 +128,6 @@ class LateFusionInject(nn.Module):
     back to the original channel count with a 1x1 conv."""
 
     def __init__(self, map_channels: int, rng: np.random.Generator):
-        self.map_channels = map_channels
         self.project = nn.Conv2d(map_channels + 2, map_channels, 1, rng)
 
     def forward(self, fmap: Tensor, cone: Tensor, mask: Tensor) -> Tensor:
@@ -143,13 +141,6 @@ class LateFusionInject(nn.Module):
         mask_small = T.avg_pool2d(mask, ch // h)
         stacked = T.concat([fmap, cone_small, mask_small], axis=1)
         return self.project(stacked)
-
-    def inject_channels(self, fmap: Tensor, cone: Tensor, mask: Tensor) -> Tensor:
-        """Concatenation only (pre-projection), exposed for shape tests."""
-        h, w = fmap.shape[-2:]
-        cone_small = T.avg_pool2d(cone, cone.shape[-2] // h)
-        mask_small = T.avg_pool2d(mask, mask.shape[-2] // h)
-        return T.concat([fmap, cone_small, mask_small], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,27 @@
 """Dense n-dimensional arrays with tape-based reverse-mode differentiation.
 
 Design: eager numpy forward passes; every differentiable op appends a node
-(output tensor, backward closure) to a global tape. ``backward(loss)`` seeds
-the loss gradient and replays the tape in reverse, visiting each node once.
-Execution order is a valid topological order, so no sorting is needed.
+(output tensor, backward closure) to the calling thread's tape.
+``backward(loss)`` seeds the loss gradient, replays that tape in reverse,
+visiting each node once, and empties it. Execution order is a valid
+topological order, so no sorting is needed.
 
 Precision comes from the data and the model config, never from process
 state: a tensor keeps the float32 or float64 dtype of the array it wraps
 (anything else becomes float64, so finite-difference checks are
 meaningful), and a model casts its parameters to ``RunConfig.precision``.
 
-The tape is confined to a single thread for its forward+backward lifetime.
-Tensors themselves are safe to share across threads once produced.
+Each thread records onto its own tape and has its own ``no_grad`` switch,
+so threads may run forward and backward passes concurrently. A loss can
+only be backpropagated on the thread that built it. Tensors are safe to
+share across threads once produced, but gradients accumulate into leaf
+tensors without locking: threads that run backward at the same time need
+their own leaves.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -23,53 +29,51 @@ import numpy as np
 
 from .errors import DomainError, ShapeMismatchError, TapeError
 
-class Tape:
-    """Ordered record of executed differentiable operations.
+
+class Tape(threading.local):
+    """Ordered record of the differentiable operations executed on the
+    current thread.
 
     Nodes are (output tensor, backward closure) pairs appended during the
-    forward pass. A tape may be replayed backward exactly once; call
-    ``reset()`` before reusing it.
+    forward pass while ``recording`` is on. ``backward`` replays and empties
+    the tape; ``reset()`` drops a graph that will not be replayed.
     """
-
-    __slots__ = ("_nodes", "_used")
 
     def __init__(self) -> None:
         self._nodes: list[tuple[Tensor, object]] = []
-        self._used = False
+        self.recording = True
 
     def __len__(self) -> int:
         return len(self._nodes)
 
     def reset(self) -> None:
         self._nodes.clear()
-        self._used = False
 
 
 _TAPE = Tape()
-_grad_enabled = True
 
 
 def tape() -> Tape:
-    """The process-global tape that ops record onto."""
+    """The calling thread's tape, which ops record onto."""
     return _TAPE
 
 
 def fresh_tape() -> Tape:
-    """Reset the global tape and return it (start of a training step)."""
+    """Empty the calling thread's tape and return it."""
     _TAPE.reset()
     return _TAPE
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (evaluation-only forwards)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording on the calling thread inside the block
+    (evaluation-only forwards)."""
+    prev = _TAPE.recording
+    _TAPE.recording = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _TAPE.recording = prev
 
 
 class Tensor:
@@ -194,7 +198,7 @@ def _make(data: np.ndarray, requires_grad: bool) -> Tensor:
 
 
 def _record(out: Tensor, fn) -> None:
-    if out.requires_grad and _grad_enabled:
+    if out.requires_grad and _TAPE.recording:
         _TAPE._nodes.append((out, fn))
 
 
@@ -219,22 +223,26 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of every requires_grad tensor reachable from loss.
+    """Populate gradients of every requires_grad tensor reachable from loss,
+    then empty the tape.
 
-    The loss must be a scalar produced through recorded operations. A second
-    call without ``fresh_tape()``/``tape().reset()`` raises TapeError.
+    The loss must be a scalar recorded on the calling thread's tape. A loss
+    already replayed, built under ``no_grad`` or built on another thread is
+    not on it and raises TapeError.
     """
     if loss.size != 1:
         raise TapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
-        raise TapeError("loss does not require grad; nothing was recorded")
-    if _TAPE._used:
-        raise TapeError("tape already replayed; reset it before calling backward again")
-    _TAPE._used = True
+    nodes = _TAPE._nodes
+    if not any(out is loss for out, _ in reversed(nodes)):
+        raise TapeError("loss is not on this thread's tape: it was already replayed, "
+                        "built under no_grad or built on another thread")
     loss.grad = np.ones_like(loss.data)
-    for out, fn in reversed(_TAPE._nodes):
-        if out.grad is not None:
-            fn(out.grad)
+    try:
+        for out, fn in reversed(nodes):
+            if out.grad is not None:
+                fn(out.grad)
+    finally:
+        nodes.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
                 plan = EMPTY_PLAN
                 if cfg.effective_p_drop > 0.0:
                     plan = sample_dropout_plan(cfg.modalities, cfg.effective_p_drop, plan_rng)
-                T.fresh_tape()
                 result = model(batch, plan)
                 losses = compute_losses(result, batch, cfg, plan)
                 total = losses.total_value

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from gazecast import tensor as T
@@ -19,3 +21,10 @@ def gradcheck(forward, inputs, h=1e-5, tol=1e-4):
     worst = max(max_rel_err(a, f) for a, f in zip(ad, fd))
     assert worst < tol, f"gradient mismatch: max relative error {worst:.3e} >= {tol}"
     return worst
+
+
+def without_raw(samples):
+    """Copies of ``samples`` whose images hold only depth and pose, as a
+    privacy-sensitive dataset would."""
+    return [dataclasses.replace(s, images={m: s.images[m] for m in ("depth", "pose")})
+            for s in samples]

@@ -8,7 +8,9 @@ import shutil
 import numpy as np
 import pytest
 
+from conftest import without_raw
 from gazecast.cli import main
+from gazecast.data import read_dataset, write_dataset
 from gazecast.geometry import read_pgm
 
 
@@ -17,7 +19,8 @@ def dir_hash(path):
     for root, _, files in sorted(os.walk(path)):
         for name in sorted(files):
             h.update(name.encode())
-            h.update(open(os.path.join(root, name), "rb").read())
+            with open(os.path.join(root, name), "rb") as f:
+                h.update(f.read())
     return h.hexdigest()
 
 
@@ -57,9 +60,11 @@ def test_gen_deterministic_hash(tmp_path):
     assert dir_hash(tmp_path / "a") == dir_hash(tmp_path / "b")
 
 
-def test_gen_rejects_bad_spec(tmp_path):
+@pytest.mark.parametrize("spec", ["scene.bogus = 1\n", "scene.n_objects = abc\n"],
+                         ids=["unknown-key", "bad-value"])
+def test_gen_rejects_bad_spec(tmp_path, spec):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("scene.bogus = 1\n")
+    bad.write_text(spec)
     assert main(["gen", "--spec", str(bad), "--out", str(tmp_path / "x"), "--count", "1"]) == 1
 
 
@@ -184,6 +189,43 @@ def test_eval_non_utf8_config_hash_is_data_error(workspace, tmp_path):
     bad.write_bytes(bytes(raw))
     assert main(["eval", "--ckpt", str(bad), "--data", str(workspace / "data"),
                  "--report", str(tmp_path / "r.json")]) == 3
+
+
+@pytest.mark.parametrize("old,new", [(b"data.sigma", b"eata.sigma"),
+                                     (b"data.sigma = 3.0", b"data.sigma = 3.x")],
+                         ids=["key", "value"])
+def test_eval_corrupt_checkpoint_config_is_data_error(workspace, tmp_path, old, new):
+    bad = tmp_path / "bad.ckpt"
+    raw = (workspace / "model.ckpt").read_bytes()
+    assert raw.count(old) == 1
+    bad.write_bytes(raw.replace(old, new))
+    assert main(["eval", "--ckpt", str(bad), "--data", str(workspace / "data"),
+                 "--report", str(tmp_path / "r.json")]) == 3
+
+
+def test_privacy_variant_runs_on_raw_free_data(workspace, tmp_path):
+    data = tmp_path / "data"
+    write_dataset(without_raw(read_dataset(workspace / "data")), data)
+    assert not [n for n in os.listdir(data / "tensors") if n.endswith("_raw.gzt")]
+    common = ("model.input_resolution = 32\nmodel.heatmap_resolution = 32\n"
+              "model.precision = f32\ntrain.batch_size = 10\n")
+    cfg = tmp_path / "privacy.cfg"
+    cfg.write_text("model.variant = privacy\ntrain.epochs = 1\n" + common)
+    ckpt = tmp_path / "privacy.ckpt"
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(ckpt)]) == 0
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                 "--report", str(tmp_path / "r.json"), "--dump", str(tmp_path / "d.jsonl")]) == 0
+    assert main(["infer", "--ckpt", str(ckpt), "--data", str(data),
+                 "--sample", "2", "--render", str(tmp_path / "render")]) == 0
+
+    # a variant that needs the raw image fails with a data error instead
+    image_cfg = tmp_path / "image.cfg"
+    image_cfg.write_text("model.variant = image_only\ntrain.epochs = 0\n" + common)
+    image_ckpt = tmp_path / "image.ckpt"
+    assert main(["train", "--config", str(image_cfg), "--data", str(workspace / "data"),
+                 "--out", str(image_ckpt)]) == 0
+    assert main(["eval", "--ckpt", str(image_ckpt), "--data", str(data),
+                 "--report", str(tmp_path / "r2.json")]) == 3
 
 
 @pytest.mark.parametrize("field,value", [("files", None), ("head_box", [0.5, 0.5, 0.1, 0.1])])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import without_raw
 from gazecast import data as D
 from gazecast.errors import DatasetError
 
@@ -186,11 +187,9 @@ def test_crop_head_pose_source_has_only_skeleton(mixed_samples):
     assert set(np.round(np.unique(crop), 6)) <= pose_values
 
 
-def test_modality_read_counter(mixed_samples):
-    D.reset_modality_reads()
-    s = mixed_samples[0]
-    s.modality("depth")
-    D.crop_head(s, "pose", 32)
-    assert D.MODALITY_READS["depth"] == 1
-    assert D.MODALITY_READS["pose"] == 1
-    assert D.MODALITY_READS["raw"] == 0
+def test_raw_free_sample_serves_privacy_modalities(mixed_samples):
+    s = without_raw(mixed_samples[:1])[0]
+    np.testing.assert_array_equal(s.modality("depth"), mixed_samples[0].images["depth"])
+    assert D.crop_head(s, "pose", 32).shape == (3, 32, 32)
+    with pytest.raises(DatasetError):
+        s.modality("raw")

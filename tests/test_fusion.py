@@ -208,9 +208,12 @@ def test_late_fusion_inject_shapes_and_constant_cone():
     fmap = Tensor(rng.normal(size=(2, D, 16, 16)))
     cone = Tensor(np.full((2, 1, 64, 64), 0.25))
     mask = Tensor(rng.random((2, 1, 64, 64)))
-    stacked = inject.inject_channels(fmap, cone, mask)
-    assert stacked.shape == (2, D + 2, 16, 16)
-    np.testing.assert_allclose(stacked.data[:, D], 0.25, atol=1e-12)
-    assert inject(fmap, cone, mask).shape == (2, D, 16, 16)
+    # project input channel D (the pooled cone) onto output channel 0
+    inject.project.weight.data[:] = 0.0
+    inject.project.weight.data[0, D] = 1.0
+    inject.project.bias.data[:] = 0.0
+    out = inject(fmap, cone, mask)
+    assert out.shape == (2, D, 16, 16)
+    np.testing.assert_allclose(out.data[:, 0], 0.25, atol=1e-12)
     with pytest.raises(ShapeMismatchError):
         inject(fmap, Tensor(np.zeros((2, 1, 60, 60))), mask)

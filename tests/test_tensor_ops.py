@@ -1,5 +1,8 @@
 """Forward-value contracts of the tensor core ops."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +150,62 @@ def test_double_backward_needs_reset():
     T.fresh_tape()
     loss2 = T.tsum(T.mul(x, x))
     T.backward(loss2)  # fine after reset
+
+
+def test_backward_rejects_loss_built_under_no_grad():
+    x = Tensor([1.0], requires_grad=True)
+    with T.no_grad():
+        loss = T.tsum(T.mul(x, x))
+    with pytest.raises(TapeError):
+        T.backward(loss)
+
+
+def test_threads_keep_their_own_tape():
+    """More threads than cores interleave forward, no_grad and backward at a
+    tiny switch interval; every gradient equals the single-thread one."""
+    rng = np.random.default_rng(23)
+    x0 = rng.normal(size=(2, 3, 8, 8))
+    w0 = rng.normal(size=(4, 3, 3, 3))
+
+    def step(with_no_grad_forward):
+        x = Tensor(x0.copy(), requires_grad=True)
+        w = Tensor(w0.copy(), requires_grad=True)
+        y = T.conv2d(x, w, padding=1)
+        if with_no_grad_forward:
+            with T.no_grad():
+                T.conv2d(x, w, padding=1)
+        T.backward(T.tsum(T.mul(y, y)))
+        return x.grad, w.grad, len(T.tape())
+
+    ref = step(False)
+    results = [[] for _ in range(8)]
+    errors = []
+
+    def worker(k):
+        try:
+            for _ in range(20):
+                results[k].append(step(k % 2 == 1))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    for per_thread in results:
+        assert len(per_thread) == 20
+        for x_grad, w_grad, left in per_thread:
+            np.testing.assert_array_equal(x_grad, ref[0])
+            np.testing.assert_array_equal(w_grad, ref[1])
+            assert left == 0
 
 
 def test_grad_accumulates_across_uses():
