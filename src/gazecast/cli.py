@@ -46,10 +46,15 @@ def _load_scene_spec(path, seed_override=None) -> D.SceneSpec:
             kwargs = typed_fields(parse_config_lines(f), _SCENE_KEYS, D.SceneSpec)
     if seed_override is not None:
         kwargs["rng_seed"] = seed_override
-    return D.SceneSpec(**kwargs)
+    try:
+        return D.SceneSpec(**kwargs)
+    except DatasetError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def cmd_gen(args) -> int:
+    if args.count < 0:
+        raise ConfigError(f"--count must be >= 0, got {args.count}")
     spec = _load_scene_spec(args.spec, args.seed)
     samples = D.generate_dataset(spec, args.count)
     D.write_dataset(samples, args.out)
@@ -97,6 +102,8 @@ def _load_model(ckpt_path) -> tuple[GazeTargetModel, RunConfig]:
 def cmd_eval(args) -> int:
     model, cfg = _load_model(args.ckpt)
     samples = D.read_dataset(args.data)
+    if not samples:
+        raise DatasetError(f"{args.data}: dataset is empty")
     report, dumps = evaluate_model(model, samples, cfg, oracle_heatmaps=args.oracle)
     with open(args.report, "w") as f:
         f.write(report.to_json() + "\n")
@@ -112,10 +119,10 @@ def cmd_eval(args) -> int:
 
 def cmd_infer(args) -> int:
     model, cfg = _load_model(args.ckpt)
-    samples = {s.sample_id: s for s in D.read_dataset(args.data)}
-    if args.sample not in samples:
+    found = D.read_dataset(args.data, sample_id=args.sample)
+    if not found:
         raise DatasetError(f"sample {args.sample} not in {args.data}")
-    sample = samples[args.sample]
+    sample = found[-1]  # a repeated id resolves to its last record
     batch = build_batch([sample], cfg)
     with T.no_grad():
         result = model(batch)

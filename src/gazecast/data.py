@@ -576,18 +576,30 @@ def write_dataset(samples: list[SceneSample], path) -> None:
         f.write("\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_dataset(path) -> list[SceneSample]:
+def read_dataset(path, sample_id: int | None = None) -> list[SceneSample]:
+    """Read a dataset directory written by ``write_dataset``.
+
+    Every manifest record is parsed and field-checked, every file it names
+    must exist and the tensor directory must hold exactly those files. All
+    samples are returned with their tensors decoded; given ``sample_id``,
+    only the samples with that id are decoded and returned.
+    """
     manifest = os.path.join(path, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise DatasetError(f"{path}: missing {MANIFEST_NAME}")
     samples = []
+    expected = 0
     with open(manifest) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                samples.append(_sample_from_record(json.loads(line), path))
+                rec = json.loads(line)
+                sample = _sample_from_record(rec, path, sample_id)
+                expected += len(rec["files"])
+                if sample_id is None or sample.sample_id == sample_id:
+                    samples.append(sample)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{manifest}:{line_no}: invalid JSON ({exc})") from exc
             except (KeyError, TypeError, ValueError, AttributeError, DomainError) as exc:
@@ -597,7 +609,6 @@ def read_dataset(path) -> list[SceneSample]:
                 ) from exc
     tensor_dir = os.path.join(path, TENSOR_DIR)
     n_files = len(os.listdir(tensor_dir)) if os.path.isdir(tensor_dir) else 0
-    expected = sum(len(s.images) for s in samples)
     if n_files != expected:
         raise DatasetError(
             f"{path}: manifest lists {expected} tensor files but directory has {n_files}"
@@ -605,13 +616,18 @@ def read_dataset(path) -> list[SceneSample]:
     return samples
 
 
-def _sample_from_record(rec: dict, path) -> SceneSample:
+def _sample_from_record(rec: dict, path, decode_id: int | None) -> SceneSample:
+    """One checked manifest record. Its tensors are decoded when
+    ``decode_id`` is None or its sample id; otherwise ``images`` stays empty."""
+    sample_id = int(rec["sample_id"])
+    decode = decode_id is None or decode_id == sample_id
     images = {}
     for m, rel in rec["files"].items():
         full = os.path.join(path, rel)
         if not os.path.exists(full):
             raise DatasetError(f"{path}: manifest references missing file {rel}")
-        images[m] = read_tensor(full)
+        if decode:
+            images[m] = read_tensor(full)
     return SceneSample(
         images=images,
         head_box=HeadBox(*rec["head_box"]),
@@ -619,7 +635,7 @@ def _sample_from_record(rec: dict, path) -> SceneSample:
         gaze_points=[tuple(p) for p in rec["gaze_points"]],
         in_frame=int(rec["in_frame"]),
         oracle_gaze_dir=GazeVector2D(*rec["oracle_gaze_dir"]),
-        sample_id=int(rec["sample_id"]),
+        sample_id=sample_id,
     )
 
 

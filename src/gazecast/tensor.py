@@ -526,79 +526,29 @@ def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-# Convolutions run in NHWC internally. Stride-1 kernels use one wide GEMM
-# over the whole padded image (all taps at once, accumulated via shifted
-# slices); strided kernels fall back to one GEMM per tap on subsampled
-# slabs. Both are far cheaper than materializing im2col windows.
+# Convolutions stay in NCHW. At stride 1 each padded image is viewed as a
+# (C, Hp*Wp) matrix, in which kernel tap (i, j) is the contiguous slice that
+# starts at i*Wp + j: the output is accumulated with one GEMM per tap at the
+# padded row pitch Wp, then the Wp - Wo junk columns of each row are
+# dropped. The gradients embed the output gradient at that pitch with zero
+# junk columns and use the same slices. The taps run over blocks of images
+# whose padded input fits in about _CONV_BLOCK_BYTES, so that all taps of a
+# block read it from cache. Strided kernels gather their subsampled taps
+# into an im2col buffer (kh*kw/stride**2 of the padded input) and contract
+# it with one GEMM per image.
+
+_CONV_BLOCK_BYTES = 1 << 20
 
 
-def _taps(kh: int, kw: int):
-    return [(t, i, j) for t, (i, j) in enumerate((i, j) for i in range(kh) for j in range(kw))]
-
-
-def _conv2d_forward(xp: np.ndarray, weight: np.ndarray, stride: int,
-                    ho: int, wo: int) -> np.ndarray:
-    """xp: padded NHWC input; returns NHWC output (no bias)."""
-    n, hp, wp, c = xp.shape
-    k, _, kh, kw = weight.shape
-    w = weight.astype(xp.dtype, copy=False)
-    if stride == 1:
-        # (N*Hp*Wp, C) @ (C, taps*K), then accumulate shifted slices
-        wide = w.transpose(2, 3, 0, 1).reshape(kh * kw * k, c).T
-        contrib = (xp.reshape(-1, c) @ wide).reshape(n, hp, wp, kh * kw, k)
-        out = np.zeros((n, ho, wo, k), dtype=xp.dtype)
-        for t, i, j in _taps(kh, kw):
-            out += contrib[:, i : i + ho, j : j + wo, t, :]
-        return out
-    out = np.zeros((n * ho * wo, k), dtype=xp.dtype)
-    for t, i, j in _taps(kh, kw):
-        slab = xp[:, i : i + ho * stride : stride, j : j + wo * stride : stride, :]
-        out += slab.reshape(-1, c) @ w[:, :, i, j].T
-    return out.reshape(n, ho, wo, k)
-
-
-def _conv2d_weight_grad(xp: np.ndarray, g_flat: np.ndarray, stride: int,
-                        ho: int, wo: int, kh: int, kw: int, c: int) -> np.ndarray:
-    n, hp, wp, _ = xp.shape
-    k = g_flat.shape[1]
-    if stride == 1 and kh * kw > 1:
-        # embed the output grad at each tap offset, contract in one GEMM
-        gbig = np.zeros((n, hp, wp, kh * kw, k), dtype=xp.dtype)
-        g = g_flat.reshape(n, ho, wo, k)
-        for t, i, j in _taps(kh, kw):
-            gbig[:, i : i + ho, j : j + wo, t, :] = g
-        flat = xp.reshape(-1, c).T @ gbig.reshape(-1, kh * kw * k)  # (C, taps*K)
-        return flat.reshape(c, kh * kw, k).transpose(2, 0, 1).reshape(k, c, kh, kw)
-    dw = np.empty((k, c, kh, kw), dtype=xp.dtype)
-    for t, i, j in _taps(kh, kw):
-        slab = xp[:, i : i + ho * stride : stride, j : j + wo * stride : stride, :]
-        dw[:, :, i, j] = g_flat.T @ slab.reshape(-1, c)
-    return dw
-
-
-def _conv2d_input_grad(g_flat: np.ndarray, weight: np.ndarray, x_shape, stride: int,
-                       padding: int, ho: int, wo: int) -> np.ndarray:
-    """g_flat: (N*Ho*Wo, K); returns NCHW gradient for the input."""
-    n, c, h, w = x_shape
-    k, _, kh, kw = weight.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    wt = weight.astype(g_flat.dtype, copy=False)
-    dxp = np.zeros((n, hp, wp, c), dtype=g_flat.dtype)
-    if stride == 1 and kh * kw > 1:
-        wide = wt.transpose(2, 3, 0, 1).reshape(kh * kw, k, c)
-        wide = np.ascontiguousarray(wide.transpose(1, 0, 2)).reshape(k, kh * kw * c)
-        spread = (g_flat @ wide).reshape(n, ho, wo, kh * kw, c)
-        for t, i, j in _taps(kh, kw):
-            dxp[:, i : i + ho, j : j + wo, :] += spread[:, :, :, t, :]
-    else:
-        for t, i, j in _taps(kh, kw):
-            contrib = g_flat @ wt[:, :, i, j]
-            dxp[:, i : i + ho * stride : stride, j : j + wo * stride : stride, :] += (
-                contrib.reshape(n, ho, wo, c)
-            )
-    if padding:
-        dxp = dxp[:, padding:-padding, padding:-padding, :]
-    return np.ascontiguousarray(dxp.transpose(0, 3, 1, 2))
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """(N, C*kh*kw, Ho*Wo) gather of the strided taps of a padded NCHW input."""
+    n, c = xp.shape[:2]
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + ho * stride : stride,
+                                  j : j + wo * stride : stride]
+    return cols.reshape(n, c * kh * kw, ho * wo)
 
 
 def conv2d(
@@ -628,25 +578,67 @@ def conv2d(
 
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    xp = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1))
+    xp = x.data
     if padding:
-        xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    y = _conv2d_forward(xp, weight.data, stride, ho, wo)
+        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    hp, wp = xp.shape[2:]
+    wt = weight.data.astype(xp.dtype, copy=False)
+    if stride == 1:
+        # tap (i, j) reads xf[:, :, s : s + span] with s = i * wp + j; the
+        # last tap's slice ends exactly at the last padded pixel
+        span = (ho - 1) * wp + wo
+        xf = xp.reshape(n, c, hp * wp)
+        taps = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
+        nb = max(1, _CONV_BLOCK_BYTES // (c * hp * wp * xp.itemsize))
+        blocks = [slice(b, b + nb) for b in range(0, n, nb)]
+        acc = np.zeros((n, k, ho * wp), dtype=xp.dtype)
+        for blk in blocks:
+            for i, j, s in taps:
+                acc[blk, :, :span] += wt[:, :, i, j] @ xf[blk, :, s : s + span]
+        y = np.ascontiguousarray(acc.reshape(n, k, ho, wp)[:, :, :, :wo])
+    else:
+        cols = _im2col(xp, kh, kw, stride, ho, wo)
+        y = (wt.reshape(k, -1) @ cols).reshape(n, k, ho, wo)
     if bias is not None:
-        y += bias.data
-    y = np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+        y += bias.data[:, None, None]
 
     req = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
     out = _make(y, req)
 
     def fn(g):
-        g_flat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, k)
-        if weight.requires_grad:
-            _accum(weight, _conv2d_weight_grad(xp, g_flat, stride, ho, wo, kh, kw, c))
         if bias is not None and bias.requires_grad:
-            _accum(bias, g_flat.sum(axis=0))
+            _accum(bias, g.sum(axis=(0, 2, 3)))
+        if stride == 1:
+            gp = np.zeros((n, k, ho, wp), dtype=g.dtype)
+            gp[:, :, :, :wo] = g
+            gf = gp.reshape(n, k, ho * wp)[:, :, :span]
+            if weight.requires_grad:
+                dw = np.zeros((k, c, kh, kw), dtype=g.dtype)
+                for blk in blocks:
+                    gt = gf[blk].transpose(0, 2, 1)
+                    for i, j, s in taps:
+                        dw[:, :, i, j] += (xf[blk, :, s : s + span] @ gt).sum(axis=0).T
+                _accum(weight, dw)
+            if x.requires_grad:
+                dxf = np.zeros((n, c, hp * wp), dtype=g.dtype)
+                for blk in blocks:
+                    for i, j, s in taps:
+                        dxf[blk, :, s : s + span] += wt[:, :, i, j].T @ gf[blk]
+                dxp = dxf.reshape(n, c, hp, wp)
+        else:
+            gf = g.reshape(n, k, ho * wo)
+            if weight.requires_grad:
+                dw = (cols @ gf.transpose(0, 2, 1)).sum(axis=0)
+                _accum(weight, dw.T.reshape(k, c, kh, kw))
+            if x.requires_grad:
+                dcols = (wt.reshape(k, -1).T @ gf).reshape(n, c, kh, kw, ho, wo)
+                dxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
+                for i in range(kh):
+                    for j in range(kw):
+                        dxp[:, :, i : i + ho * stride : stride,
+                            j : j + wo * stride : stride] += dcols[:, :, i, j]
         if x.requires_grad:
-            _accum(x, _conv2d_input_grad(g_flat, weight.data, x.shape, stride, padding, ho, wo))
+            _accum(x, np.ascontiguousarray(dxp[:, :, padding : padding + h, padding : padding + w]))
 
     _record(out, fn)
     return out

@@ -60,8 +60,14 @@ def test_gen_deterministic_hash(tmp_path):
     assert dir_hash(tmp_path / "a") == dir_hash(tmp_path / "b")
 
 
-@pytest.mark.parametrize("spec", ["scene.bogus = 1\n", "scene.n_objects = abc\n"],
-                         ids=["unknown-key", "bad-value"])
+def test_gen_negative_count_is_usage_error(tmp_path):
+    assert main(["gen", "--out", str(tmp_path / "neg"), "--count", "-1"]) == 1
+    assert not (tmp_path / "neg").exists()
+
+
+@pytest.mark.parametrize("spec", ["scene.bogus = 1\n", "scene.n_objects = abc\n",
+                                  "scene.resolution = 16\n"],
+                         ids=["unknown-key", "bad-value", "out-of-range"])
 def test_gen_rejects_bad_spec(tmp_path, spec):
     bad = tmp_path / "bad.cfg"
     bad.write_text(spec)
@@ -165,6 +171,12 @@ def test_infer_renders_pgm(workspace, tmp_path):
                  "--data", str(workspace / "data"),
                  "--sample", "2", "--render", str(render)]) == 0
     assert (render / "overlay.pgm").read_bytes() == overlay1
+
+
+def test_eval_empty_dataset_is_data_error(workspace, tmp_path):
+    assert main(["gen", "--out", str(tmp_path / "empty"), "--count", "0"]) == 0
+    assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--data", str(tmp_path / "empty"),
+                 "--report", str(tmp_path / "r.json")]) == 3
 
 
 def test_infer_missing_sample(workspace, tmp_path):

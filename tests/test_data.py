@@ -1,5 +1,7 @@
 """Scene generator oracle consistency, dataset round-trips, and head crops."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,43 @@ def test_dataset_roundtrip_bit_exact(tmp_path, mixed_samples):
         assert got.oracle_gaze_dir == orig.oracle_gaze_dir
         for m in orig.images:
             np.testing.assert_array_equal(got.images[m], orig.images[m])
+
+
+def test_read_one_sample_decodes_only_it(tmp_path, mixed_samples, monkeypatch):
+    D.write_dataset(mixed_samples[:5], tmp_path)
+    full = D.read_dataset(tmp_path)
+    decoded = []
+    read_tensor = D.read_tensor
+
+    def counting_read(path):
+        decoded.append(os.path.basename(path))
+        return read_tensor(path)
+
+    monkeypatch.setattr(D, "read_tensor", counting_read)
+    (got,) = D.read_dataset(tmp_path, sample_id=3)
+    assert sorted(decoded) == sorted(f"00000003_{m}.gzt" for m in full[3].images)
+    assert got.sample_id == 3 and got.head_box == full[3].head_box
+    for m, img in full[3].images.items():
+        np.testing.assert_array_equal(got.images[m], img)
+    assert D.read_dataset(tmp_path, sample_id=999) == []
+
+
+def test_read_one_sample_keeps_manifest_wide_checks(tmp_path, mixed_samples):
+    D.write_dataset(mixed_samples[:3], tmp_path)
+    (tmp_path / "tensors" / "00000002_depth.gzt").unlink()
+    with pytest.raises(DatasetError, match="missing file"):
+        D.read_dataset(tmp_path, sample_id=0)
+    D.write_dataset(mixed_samples[:3], tmp_path)
+    extra = tmp_path / "tensors" / "99999999_raw.gzt"
+    extra.write_bytes((tmp_path / "tensors" / "00000000_raw.gzt").read_bytes())
+    with pytest.raises(DatasetError, match="tensor files"):
+        D.read_dataset(tmp_path, sample_id=0)
+    extra.unlink()
+    manifest = tmp_path / D.MANIFEST_NAME
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines[:2] + ['{"sample_id": 2}']) + "\n")
+    with pytest.raises(DatasetError, match="manifest.jsonl:3:"):
+        D.read_dataset(tmp_path, sample_id=0)
 
 
 def test_empty_dataset_roundtrip(tmp_path):

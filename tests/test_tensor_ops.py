@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,73 @@ def test_conv2d_output_shape_formula():
     w = Tensor(np.zeros((4, 3, 3, 3)))
     out = T.conv2d(x, w, stride=2, padding=1)
     assert out.shape == (1, 4, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1)
+
+
+def _conv_reference(x, w, b, stride, padding, r):
+    """Direct loops over output pixels in float64: the output and the
+    gradients of ``sum(output * r)`` with respect to x, w and b."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    k, _, kh, kw = w.shape
+    ho = (xp.shape[2] - kh) // stride + 1
+    wo = (xp.shape[3] - kw) // stride + 1
+    y = np.zeros((x.shape[0], k, ho, wo))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for oy in range(ho):
+        for ox in range(wo):
+            rows = slice(oy * stride, oy * stride + kh)
+            cols = slice(ox * stride, ox * stride + kw)
+            y[:, :, oy, ox] = np.einsum("nchw,kchw->nk", xp[:, :, rows, cols], w) + b
+            dw += np.einsum("nk,nchw->kchw", r[:, :, oy, ox], xp[:, :, rows, cols])
+            dxp[:, :, rows, cols] += np.einsum("nk,kchw->nchw", r[:, :, oy, ox], w)
+    h, wd = x.shape[2:]
+    return y, dxp[:, :, padding : padding + h, padding : padding + wd], dw, r.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("kernel", [(1, 1), (1, 3), (3, 3)], ids=["1x1", "1x3", "3x3"])
+def test_conv2d_matches_direct_loops(kernel, stride, padding, batch, dtype, monkeypatch):
+    # stride-1 blocks of two images: batch 3 ends in a partial block
+    image_bytes = 2 * (7 + 2 * padding) * (10 + 2 * padding) * np.dtype(dtype).itemsize
+    monkeypatch.setattr(T, "_CONV_BLOCK_BYTES", 2 * image_bytes)
+    rng = np.random.default_rng(stride * 100 + padding * 10 + batch)
+    x = rng.normal(size=(batch, 2, 7, 10)).astype(dtype)
+    w = rng.normal(size=(3, 2) + kernel).astype(dtype)
+    b = rng.normal(size=3).astype(dtype)
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = T.conv2d(xt, wt, bt, stride=stride, padding=padding)
+    r = rng.normal(size=out.shape)
+    T.backward(T.tsum(T.mul(out, Tensor(r.astype(dtype)))))
+
+    expected = _conv_reference(x.astype(np.float64), w.astype(np.float64),
+                               b.astype(np.float64), stride, padding, r)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for got, want in zip((out.data, xt.grad, wt.grad, bt.grad), expected):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+
+def test_conv2d_forward_peak_memory_stays_near_its_arrays():
+    """A no_grad forward of HeatmapHead.conv1's shape (b16, 32->16, 64x64,
+    f32) allocates less than twice its input plus output bytes."""
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(16, 32, 64, 64)).astype(np.float32))
+    w = Tensor(rng.normal(size=(16, 32, 3, 3)).astype(np.float32))
+    b = Tensor(np.zeros(16, dtype=np.float32))
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = T.conv2d(x, w, b, padding=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (x.data.nbytes + out.data.nbytes)
 
 
 def test_conv2d_channel_mismatch_names_dims():
