@@ -107,7 +107,6 @@ def _grad_checks() -> list[CheckResult]:
     u = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
     ru = Tensor(rng.normal(size=(1, 2, 6, 6)))
     add("upsample_nearest", lambda: T.tsum(T.mul(T.upsample_nearest(u, 2), ru)), [u])
-    add("upsample_bilinear", lambda: T.tsum(T.mul(T.upsample_bilinear(u, 2), ru)), [u])
 
     ap = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
     rp = Tensor(rng.normal(size=(1, 2, 2, 2)))
@@ -145,6 +144,14 @@ def _grad_checks() -> list[CheckResult]:
     sel = (probe > 1e-3) & (probe < 1.0 - 1e-9)
     rc = Tensor(rng.normal(size=(1, 1, 12, 12)) * sel)
     add("gaze_cone", lambda: T.tsum(T.mul(G.cone_batch(gaze, eyes, 12, 12), rc)), [gaze])
+
+    ux = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
+    uw = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
+    ub = Tensor(rng.normal(size=3), requires_grad=True)
+    ruc = Tensor(rng.normal(size=(1, 3, 6, 6)))
+    add("upsample_conv2d",
+        lambda: T.tsum(T.mul(T.upsample_conv2d(ux, uw, ub, factor=2, padding=1), ruc)),
+        [ux, uw, ub])
 
     results.append(_pipeline_fd_check())
     return results

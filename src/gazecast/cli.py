@@ -20,7 +20,7 @@ from .evaluate import evaluate_model
 from .geometry import write_pgm
 from .heads import argmax_point
 from .model import GazeTargetModel, build_batch
-from .serialization import load_checkpoint, save_checkpoint
+from .serialization import atomic_write, load_checkpoint, save_checkpoint
 from .train import TrainingDivergedError, train_model
 
 EXIT_OK = 0
@@ -105,10 +105,10 @@ def cmd_eval(args) -> int:
     if not samples:
         raise DatasetError(f"{args.data}: dataset is empty")
     report, dumps = evaluate_model(model, samples, cfg, oracle_heatmaps=args.oracle)
-    with open(args.report, "w") as f:
+    with atomic_write(args.report) as f:
         f.write(report.to_json() + "\n")
     if args.dump:
-        with open(args.dump, "w") as f:
+        with atomic_write(args.dump) as f:
             for d in dumps:
                 f.write(d.to_json() + "\n")
     print(f"evaluated {report.n_samples} samples: AUC {report.auc:.4f}, "

@@ -42,7 +42,6 @@ class RunConfig:
     feature_channels: int = 32
     embedding_size: int = 64
     stage_channels: tuple[int, ...] = (16, 32, 64, 128)
-    upsample_mode: str = "nearest"
     heatmap_bounded: bool = True
     inout_head: bool = False
     aperture: float = math.pi
@@ -64,19 +63,19 @@ class RunConfig:
     seed: int = 0
     # data / metrics
     sigma: float = 3.0
-    binarization_radius: float = 9.0
+    binarization_radius: float | None = None   # None: 3 * sigma
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; one of {VARIANTS}")
-        if self.upsample_mode not in ("nearest", "bilinear"):
-            raise ConfigError(f"upsample mode {self.upsample_mode!r} not nearest|bilinear")
         if self.precision not in ("f64", "f32"):
             raise ConfigError(f"precision {self.precision!r} not f64|f32")
         if not (0.0 <= self.p_drop < 1.0):
             raise ConfigError(f"p_drop {self.p_drop} outside [0,1)")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if self.binarization_radius is None:
+            object.__setattr__(self, "binarization_radius", 3.0 * self.sigma)
 
     @property
     def dtype(self) -> np.dtype:
@@ -139,7 +138,6 @@ _KEYMAP = {
     "model.feature_channels": "feature_channels",
     "model.embedding_size": "embedding_size",
     "model.stage_channels": "stage_channels",
-    "model.upsample": "upsample_mode",
     "model.heatmap_bounded": "heatmap_bounded",
     "model.inout_head": "inout_head",
     "model.aperture": "aperture",
@@ -165,6 +163,7 @@ _KEYMAP = {
 def _parse_value(kind: str, raw: str):
     """Parse ``raw`` as a dataclass field annotated ``kind``."""
     raw = raw.strip()
+    kind = kind.removesuffix(" | None")
     if kind == "tuple[int, ...]":
         try:
             return tuple(int(v) for v in raw.split(","))

@@ -42,12 +42,13 @@ class LossBreakdown:
 
 
 class HeatmapHead(nn.Module):
-    """Parameter-free upsampling to heatmap resolution followed by a conv
-    stack (d -> d/2 -> d/4 -> 1), sigmoid-bounded by default."""
+    """Parameter-free nearest upsampling to heatmap resolution followed by a
+    conv stack (d -> d/2 -> d/4 -> 1), sigmoid-bounded by default. The
+    upsample is folded into the first conv, which runs at the feature
+    resolution."""
 
     def __init__(self, cfg: EncoderConfig, heatmap_resolution: int,
-                 rng: np.random.Generator, upsample: str = "nearest",
-                 bounded: bool = True):
+                 rng: np.random.Generator, bounded: bool = True):
         d = cfg.feature_channels
         self.factor = heatmap_resolution // cfg.feature_resolution
         if self.factor * cfg.feature_resolution != heatmap_resolution:
@@ -55,17 +56,14 @@ class HeatmapHead(nn.Module):
                 f"heatmap resolution {heatmap_resolution} is not a multiple of "
                 f"feature resolution {cfg.feature_resolution}"
             )
-        self.upsample = upsample
         self.bounded = bounded
         self.conv1 = nn.Conv2d(d, d // 2, 3, rng, padding=1)
         self.conv2 = nn.Conv2d(d // 2, d // 4, 3, rng, padding=1)
         self.conv3 = nn.Conv2d(d // 4, 1, 3, rng, padding=1)
 
     def forward(self, fmap: Tensor) -> Tensor:
-        up = (T.upsample_bilinear if self.upsample == "bilinear" else T.upsample_nearest)(
-            fmap, self.factor
-        )
-        x = T.relu(self.conv1(up))
+        c1 = self.conv1
+        x = T.relu(T.upsample_conv2d(fmap, c1.weight, c1.bias, self.factor, c1.padding))
         x = T.relu(self.conv2(x))
         x = self.conv3(x)
         return T.sigmoid(x) if self.bounded else x

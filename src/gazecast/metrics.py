@@ -1,11 +1,11 @@
 """Evaluation metrics: heatmap AUC, gaze-point distances, average precision.
 
 AUC compares the predicted heatmap against a binarized ground truth: pixels
-within ``binarization_radius`` (default 3*sigma) pixels of any annotated
-point are positive. The ROC sweeps every distinct predicted value, so the
-area is exact, not binned. Distances live in the unit square (range
-[0, sqrt(2)]). AP uses step interpolation with descending scores, ties
-broken by original index.
+within ``binarization_radius`` pixels of any annotated point are positive
+(the run config sets the radius: 3*sigma unless given). The ROC sweeps
+every distinct predicted value, so the area is exact, not binned. Distances
+live in the unit square (range [0, sqrt(2)]). AP uses step interpolation
+with descending scores, ties broken by original index.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ class MetricsReport:
     min_dist: float
     ap: float | None
     n_samples: int
+    binarization_radius: float
     config_hash: str = ""
-    binarization_radius: float = 9.0
     ap_interpolation: str = "step"
     attention_means: dict[str, float] | None = None
 
@@ -83,7 +83,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def auc_score(pred_heatmap: np.ndarray, gt_points: list[tuple[float, float]],
-              radius: float = 9.0) -> float | None:
+              radius: float) -> float | None:
     """Heatmap AUC against the binarized ground truth; None (with a warning)
     when the mask degenerates to a single class."""
     if not gt_points:
@@ -137,8 +137,8 @@ class SampleEval:
     inout_score: float | None = None
 
 
-def aggregate(per_sample: list[SampleEval], config_hash: str = "",
-              binarization_radius: float = 9.0) -> MetricsReport:
+def aggregate(per_sample: list[SampleEval], binarization_radius: float,
+              config_hash: str = "") -> MetricsReport:
     """AUC/distances averaged over in-frame samples; AP over all samples."""
     if not per_sample:
         raise DomainError("cannot aggregate an empty evaluation set")

@@ -117,7 +117,6 @@ class GazeTargetModel(nn.Module):
         if cfg.fusion_enabled:
             self.fusion = AttentionFusion(enc_cfg, cfg.modalities, rng)
         self.heatmap_head = HeatmapHead(enc_cfg, cfg.heatmap_resolution, rng,
-                                        upsample=cfg.upsample_mode,
                                         bounded=cfg.heatmap_bounded)
         if cfg.inout_head:
             self.inout = InOutHead(enc_cfg, rng)

@@ -10,11 +10,17 @@ Layout (all integers little-endian):
 
 The embedded config text lets evaluation rebuild the exact model without a
 separate config file; the hash ties every derived number back to a run.
+
+Checkpoints, reports and loss curves are written through ``atomic_write``,
+so a reader sees either the previous file or the complete new one.
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -22,6 +28,28 @@ from .errors import CheckpointError
 from .tensor import tensor_from_bytes, tensor_to_bytes
 
 _MAGIC = b"GZCK"
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Yield a file open for writing in ``mode``. It is a temporary file in
+    the directory of ``path`` that replaces ``path`` when the block ends
+    normally; if the block raises, it is removed and ``path`` is untouched.
+
+    This guards against a failed or interrupted process, not a power loss:
+    the data is not fsync'ed.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{secrets.token_hex(6)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def save_checkpoint(path, named_arrays: dict[str, np.ndarray], config_hash: str,
@@ -38,7 +66,7 @@ def save_checkpoint(path, named_arrays: dict[str, np.ndarray], config_hash: str,
         chunks.append(struct.pack("<I", len(nb)))
         chunks.append(nb)
         chunks.append(tensor_to_bytes(arr))
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(b"".join(chunks))
 
 

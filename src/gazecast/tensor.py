@@ -532,12 +532,36 @@ def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
 # padded row pitch Wp, then the Wp - Wo junk columns of each row are
 # dropped. The gradients embed the output gradient at that pitch with zero
 # junk columns and use the same slices. The taps run over blocks of images
-# whose padded input fits in about _CONV_BLOCK_BYTES, so that all taps of a
-# block read it from cache. Strided kernels gather their subsampled taps
-# into an im2col buffer (kh*kw/stride**2 of the padded input) and contract
-# it with one GEMM per image.
+# whose per-image working set fits in about _CONV_BLOCK_BYTES, so that all
+# taps of a block read it from cache. Strided kernels gather their
+# subsampled taps into an im2col buffer (kh*kw/stride**2 of the padded
+# input) and contract it with one GEMM per image.
+#
+# upsample_conv2d folds a nearest upsample by f into the stride-1 conv that
+# follows it. Per axis, output row f*q + a (phase a) reads, through tap i,
+# input row q + (a + i - p) // f. Each input offset (dy, dx) is one flat
+# slice of the padded input, as above, and one GEMM whose weight stacks
+# the folded (K, C) kernels of every phase that reads that offset: the sum
+# of the taps that land there. A 3x3 kernel at f = 4 makes 36 phase taps at
+# the input resolution instead of 9 taps at f*f times as many pixels.
+#
+# A product whose contraction has length 1, such as the input gradient of a
+# conv with one output channel, runs as a broadcast multiply: the same
+# bits, without the slow numpy matmul loop for that shape.
 
 _CONV_BLOCK_BYTES = 1 << 20
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, as a broadcast multiply when the contraction has length 1."""
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
+def _image_blocks(n: int, image_bytes: int) -> list[slice]:
+    """Runs of consecutive images whose working sets of ``image_bytes``
+    each fit in about _CONV_BLOCK_BYTES together (at least one image)."""
+    nb = max(1, _CONV_BLOCK_BYTES // image_bytes)
+    return [slice(b, b + nb) for b in range(0, n, nb)]
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
@@ -551,6 +575,22 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> 
     return cols.reshape(n, c * kh * kw, ho * wo)
 
 
+def _conv_shapes(op: str, x: Tensor, weight: Tensor, bias: Tensor | None):
+    """(N, C, H, W, K, kh, kw) of a conv's NCHW input and [K, C, kh, kw]
+    kernel, after checking that the operands fit together."""
+    if x.ndim != 4 or weight.ndim != 4:
+        raise ShapeMismatchError(
+            f"{op}: input rank {x.ndim} and weight rank {weight.ndim}, both must be 4"
+        )
+    n, c, h, w = x.shape
+    k, cw, kh, kw = weight.shape
+    if c != cw:
+        raise ShapeMismatchError(f"{op}: input channels {c} != weight channels {cw}")
+    if bias is not None and bias.shape != (k,):
+        raise ShapeMismatchError(f"{op}: bias shape {bias.shape} != ({k},)")
+    return n, c, h, w, k, kh, kw
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -559,16 +599,7 @@ def conv2d(
     padding: int = 0,
 ) -> Tensor:
     """2-D cross-correlation over NCHW input with an [K, C, kh, kw] kernel."""
-    if x.ndim != 4 or weight.ndim != 4:
-        raise ShapeMismatchError(
-            f"conv2d: input rank {x.ndim} and weight rank {weight.ndim}, both must be 4"
-        )
-    n, c, h, w = x.shape
-    k, cw, kh, kw = weight.shape
-    if c != cw:
-        raise ShapeMismatchError(f"conv2d: input channels {c} != weight channels {cw}")
-    if bias is not None and bias.shape != (k,):
-        raise ShapeMismatchError(f"conv2d: bias shape {bias.shape} != ({k},)")
+    n, c, h, w, k, kh, kw = _conv_shapes("conv2d", x, weight, bias)
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise ShapeMismatchError(
             f"conv2d: kernel ({kh},{kw}) exceeds padded input ({h + 2 * padding},{w + 2 * padding})"
@@ -589,16 +620,15 @@ def conv2d(
         span = (ho - 1) * wp + wo
         xf = xp.reshape(n, c, hp * wp)
         taps = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
-        nb = max(1, _CONV_BLOCK_BYTES // (c * hp * wp * xp.itemsize))
-        blocks = [slice(b, b + nb) for b in range(0, n, nb)]
+        blocks = _image_blocks(n, c * hp * wp * xp.itemsize)
         acc = np.zeros((n, k, ho * wp), dtype=xp.dtype)
         for blk in blocks:
             for i, j, s in taps:
-                acc[blk, :, :span] += wt[:, :, i, j] @ xf[blk, :, s : s + span]
+                acc[blk, :, :span] += _mm(wt[:, :, i, j], xf[blk, :, s : s + span])
         y = np.ascontiguousarray(acc.reshape(n, k, ho, wp)[:, :, :, :wo])
     else:
         cols = _im2col(xp, kh, kw, stride, ho, wo)
-        y = (wt.reshape(k, -1) @ cols).reshape(n, k, ho, wo)
+        y = _mm(wt.reshape(k, -1), cols).reshape(n, k, ho, wo)
     if bias is not None:
         y += bias.data[:, None, None]
 
@@ -617,21 +647,21 @@ def conv2d(
                 for blk in blocks:
                     gt = gf[blk].transpose(0, 2, 1)
                     for i, j, s in taps:
-                        dw[:, :, i, j] += (xf[blk, :, s : s + span] @ gt).sum(axis=0).T
+                        dw[:, :, i, j] += _mm(xf[blk, :, s : s + span], gt).sum(axis=0).T
                 _accum(weight, dw)
             if x.requires_grad:
                 dxf = np.zeros((n, c, hp * wp), dtype=g.dtype)
                 for blk in blocks:
                     for i, j, s in taps:
-                        dxf[blk, :, s : s + span] += wt[:, :, i, j].T @ gf[blk]
+                        dxf[blk, :, s : s + span] += _mm(wt[:, :, i, j].T, gf[blk])
                 dxp = dxf.reshape(n, c, hp, wp)
         else:
             gf = g.reshape(n, k, ho * wo)
             if weight.requires_grad:
-                dw = (cols @ gf.transpose(0, 2, 1)).sum(axis=0)
+                dw = _mm(cols, gf.transpose(0, 2, 1)).sum(axis=0)
                 _accum(weight, dw.T.reshape(k, c, kh, kw))
             if x.requires_grad:
-                dcols = (wt.reshape(k, -1).T @ gf).reshape(n, c, kh, kw, ho, wo)
+                dcols = _mm(wt.reshape(k, -1).T, gf).reshape(n, c, kh, kw, ho, wo)
                 dxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
                 for i in range(kh):
                     for j in range(kw):
@@ -639,6 +669,111 @@ def conv2d(
                             j : j + wo * stride : stride] += dcols[:, :, i, j]
         if x.requires_grad:
             _accum(x, np.ascontiguousarray(dxp[:, :, padding : padding + h, padding : padding + w]))
+
+    _record(out, fn)
+    return out
+
+
+def _phase_offsets(k: int, factor: int, padding: int, dtype):
+    """One axis of an upsample-then-conv: for each input offset d, in
+    increasing order, the phases that read it as a slice (they are
+    consecutive) and their (phases, k) 0/1 matrix of the taps that land on d."""
+    d = (np.arange(factor)[:, None] + np.arange(k) - padding) // factor
+    out = []
+    for off in range(d.min(), d.max() + 1):
+        phases = np.flatnonzero((d == off).any(axis=1))
+        sel = slice(phases[0], phases[-1] + 1)
+        out.append((off, sel, (d[sel] == off).astype(dtype)))
+    return out
+
+
+def upsample_conv2d(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor | None = None,
+    factor: int = 1,
+    padding: int = 0,
+) -> Tensor:
+    """``conv2d(upsample_nearest(x, factor), weight, bias, padding=padding)``
+    computed at the input resolution, without the upsampled tensor."""
+    n, c, h, w, k, kh, kw = _conv_shapes("upsample_conv2d", x, weight, bias)
+    if factor < 1:
+        raise ValueError("upsample factor must be >= 1")
+    f = int(factor)
+    ho, wo = h * f + 2 * padding - kh + 1, w * f + 2 * padding - kw + 1
+    if ho < 1 or wo < 1:
+        raise ShapeMismatchError(
+            f"upsample_conv2d: kernel ({kh},{kw}) exceeds padded upsampled input "
+            f"({h * f + 2 * padding},{w * f + 2 * padding})"
+        )
+
+    # output row f*q + a for q < hq; rows past ho are computed, then cut
+    hq, wq = -(-ho // f), -(-wo // f)
+    rows = _phase_offsets(kh, f, padding, x.dtype)
+    cols = _phase_offsets(kw, f, padding, x.dtype)
+    top, left = max(0, -rows[0][0]), max(0, -cols[0][0])
+    # one spare bottom row lets every offset's slice span hq full rows
+    bottom = max(0, hq + rows[-1][0] - h) + 1
+    right = max(0, wq + cols[-1][0] - w)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (top, bottom), (left, right)))
+    hp, wp = xp.shape[2:]
+    span = hq * wp
+    xf = xp.reshape(n, c, hp * wp)
+    wt = weight.data.astype(xp.dtype, copy=False)
+    # per offset: slice start, phase slices, tap matrices, stacked (P*K, C) kernel
+    taps = []
+    for dy, pa, ty in rows:
+        for dx, pb, tx in cols:
+            ws = np.einsum("ai,bj,kcij->abkc", ty, tx, wt).reshape(-1, c)
+            taps.append(((dy + top) * wp + dx + left, pa, pb, ty, tx, ws))
+    blocks = _image_blocks(n, max(c * hp * wp, f * f * k * span) * xp.itemsize)
+
+    y6 = np.empty((n, k, hq, f, wq, f), dtype=xp.dtype)
+    for blk in blocks:
+        nb = min(blk.stop, n) - blk.start
+        acc = np.zeros((nb, f, f, k, span), dtype=xp.dtype)
+        for s, pa, pb, _, _, ws in taps:
+            phases = acc[:, pa, pb]
+            phases += _mm(ws, xf[blk, :, s : s + span]).reshape(phases.shape)
+        y6[blk] = acc.reshape(nb, f, f, k, hq, wp)[..., :wq].transpose(0, 3, 4, 1, 5, 2)
+    y = y6.reshape(n, k, hq * f, wq * f)
+    if (hq * f, wq * f) != (ho, wo):
+        y = np.ascontiguousarray(y[:, :, :ho, :wo])
+    if bias is not None:
+        y += bias.data[:, None, None]
+
+    req = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
+    out = _make(y, req)
+
+    def fn(g):
+        if bias is not None and bias.requires_grad:
+            _accum(bias, g.sum(axis=(0, 2, 3)))
+        if (hq * f, wq * f) != (ho, wo):
+            g = np.pad(g, ((0, 0), (0, 0), (0, hq * f - ho), (0, wq * f - wo)))
+        g6 = g.reshape(n, k, hq, f, wq, f)
+        dws = [np.zeros_like(t[-1]) for t in taps] if weight.requires_grad else []
+        dxf = np.zeros((n, c, hp * wp), dtype=g.dtype) if x.requires_grad else None
+        for blk in blocks:
+            nb = min(blk.stop, n) - blk.start
+            gp = np.zeros((nb, f, f, k, hq, wp), dtype=g.dtype)
+            gp[..., :wq] = g6[blk].transpose(0, 3, 5, 1, 2, 4)
+            gp = gp.reshape(nb, f, f, k, span)
+            for t, (s, pa, pb, _, _, ws) in enumerate(taps):
+                gs = gp[:, pa, pb].reshape(nb, -1, span)
+                if weight.requires_grad:
+                    dws[t] += _mm(xf[blk, :, s : s + span], gs.transpose(0, 2, 1)).sum(axis=0).T
+                if x.requires_grad:
+                    dxf[blk, :, s : s + span] += _mm(ws.T, gs)
+        if weight.requires_grad:
+            # each folded kernel's gradient goes back to the taps it sums
+            dw = np.zeros_like(wt)
+            for (_, _, _, ty, tx, _), dws_t in zip(taps, dws):
+                folded = dws_t.reshape(len(ty), len(tx), k, c)
+                dw += np.einsum("ai,bj,abkc->kcij", ty, tx, folded)
+            _accum(weight, dw)
+        if x.requires_grad:
+            dxp = dxf.reshape(n, c, hp, wp)
+            _accum(x, np.ascontiguousarray(dxp[:, :, top : top + h, left : left + w]))
 
     _record(out, fn)
     return out
@@ -657,43 +792,6 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
 
     def fn(g):
         _accum(x, g.reshape(n, c, h, f, w, f).sum(axis=(3, 5)))
-
-    _record(out, fn)
-    return out
-
-
-def _bilinear_axis(src: int, dst: int):
-    pos = (np.arange(dst) + 0.5) * (src / dst) - 0.5
-    i0 = np.floor(pos).astype(int)
-    frac = pos - i0
-    i0c = np.clip(i0, 0, src - 1)
-    i1c = np.clip(i0 + 1, 0, src - 1)
-    return i0c, i1c, 1.0 - frac, frac
-
-
-def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
-    """Bilinear upsampling (half-pixel centers); config alternative to nearest."""
-    if factor < 1:
-        raise ValueError("upsample factor must be >= 1")
-    n, c, h, w = x.shape
-    i0, i1, wi0, wi1 = _bilinear_axis(h, h * factor)
-    j0, j1, wj0, wj1 = _bilinear_axis(w, w * factor)
-    d = x.data
-    top = d[:, :, i0][:, :, :, j0] * wj0 + d[:, :, i0][:, :, :, j1] * wj1
-    bot = d[:, :, i1][:, :, :, j0] * wj0 + d[:, :, i1][:, :, :, j1] * wj1
-    y = top * wi0[:, None] + bot * wi1[:, None]
-    out = _make(y, x.requires_grad)
-
-    def fn(g):
-        dx = np.zeros_like(x.data)
-        for ii, wi in ((i0, wi0), (i1, wi1)):
-            for jj, wj in ((j0, wj0), (j1, wj1)):
-                part = g * (wi[:, None] * wj)
-                # scatter-add along both spatial axes
-                tmp = np.zeros((n, c, h, g.shape[3]), dtype=g.dtype)
-                np.add.at(tmp, (slice(None), slice(None), ii), part)
-                np.add.at(dx, (slice(None), slice(None), slice(None), jj), tmp)
-        _accum(x, dx)
 
     _record(out, fn)
     return out

@@ -1,5 +1,6 @@
 """Training loop: deterministic shuffling, per-batch dropout plans, AdamW
-steps, and a plain-text loss CSV (step, components, total)."""
+steps, and a plain-text loss CSV (step, components, total), written when
+training completes."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from .data import SceneSample
 from .errors import GazecastError
 from .fusion import EMPTY_PLAN, sample_dropout_plan
 from .model import GazeTargetModel, build_batch, compute_losses, sample_features
+from .serialization import atomic_write
 
 CSV_HEADER = "step,loss_gaze,loss_dir,loss_io,loss_att,loss_total"
 
@@ -40,9 +42,7 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
     plan_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2)))
 
     feature_cache = [sample_features(s, cfg) for s in samples]
-    csv_file = open(csv_path, "w") if csv_path else None
-    if csv_file:
-        csv_file.write(CSV_HEADER + "\n")
+    csv_rows = [CSV_HEADER]
 
     step = 0
     try:
@@ -65,15 +65,13 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
                 optimizer.step()
                 optimizer.zero_grad()
                 step += 1
-                if csv_file:
-                    csv_file.write(
-                        f"{step},{losses.gaze!r},{losses.direction!r},"
-                        f"{losses.inout!r},{losses.attention!r},{total!r}\n"
-                    )
+                csv_rows.append(f"{step},{losses.gaze!r},{losses.direction!r},"
+                                f"{losses.inout!r},{losses.attention!r},{total!r}")
             if log:
                 log(f"epoch {epoch + 1}/{cfg.epochs}: loss {total:.6f}")
     finally:
-        if csv_file:
-            csv_file.close()
         T.fresh_tape()
+    if csv_path:
+        with atomic_write(csv_path) as f:
+            f.write("\n".join(csv_rows) + "\n")
     return model

@@ -11,7 +11,10 @@ import pytest
 from conftest import without_raw
 from gazecast.cli import main
 from gazecast.data import read_dataset, write_dataset
+from gazecast.evaluate import SampleDump
+from gazecast.errors import DatasetError
 from gazecast.geometry import read_pgm
+from gazecast.serialization import load_checkpoint, save_checkpoint
 
 
 def dir_hash(path):
@@ -213,6 +216,61 @@ def test_eval_corrupt_checkpoint_config_is_data_error(workspace, tmp_path, old, 
     bad.write_bytes(raw.replace(old, new))
     assert main(["eval", "--ckpt", str(bad), "--data", str(workspace / "data"),
                  "--report", str(tmp_path / "r.json")]) == 3
+
+
+def test_run_config_with_removed_upsample_key_is_usage_error(workspace, tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("model.upsample = nearest\ntrain.epochs = 0\n")
+    assert main(["train", "--config", str(cfg), "--data", str(workspace / "data"),
+                 "--out", str(tmp_path / "x.ckpt")]) == 1
+    assert "model.upsample" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_checkpoint_with_removed_upsample_key_is_data_error(workspace, tmp_path, capsys):
+    """A checkpoint written before the key was removed: its config text
+    carries the key, under a hash that matches that text."""
+    state, _, text = load_checkpoint(workspace / "model.ckpt")
+    old_text = "".join(sorted(text.splitlines(keepends=True) + ["model.upsample = nearest\n"]))
+    old_hash = hashlib.sha256(old_text.encode()).hexdigest()[:16]
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(old, state, old_hash, old_text)
+    assert main(["eval", "--ckpt", str(old), "--data", str(workspace / "data"),
+                 "--report", str(tmp_path / "r.json")]) == 3
+    assert "model.upsample" in capsys.readouterr().err
+
+
+def test_eval_reports_radius_derived_from_sigma(workspace, tmp_path):
+    cfg = tmp_path / "sigma.cfg"
+    cfg.write_text("model.input_resolution = 32\nmodel.heatmap_resolution = 32\n"
+                   "model.precision = f32\ntrain.epochs = 0\ndata.sigma = 2\n")
+    ckpt = tmp_path / "sigma.ckpt"
+    assert main(["train", "--config", str(cfg), "--data", str(workspace / "data"),
+                 "--out", str(ckpt)]) == 0
+    report = tmp_path / "r.json"
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "data"),
+                 "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["binarization_radius"] == 6.0
+
+
+def test_eval_dump_that_fails_midway_keeps_previous_dump(workspace, tmp_path, monkeypatch):
+    dump = tmp_path / "d.jsonl"
+    dump.write_text("previous\n")
+    written = []
+    to_json = SampleDump.to_json
+
+    def fail_on_third(self):
+        if len(written) == 2:
+            raise DatasetError("disk went away")
+        written.append(self.sample_id)
+        return to_json(self)
+
+    monkeypatch.setattr(SampleDump, "to_json", fail_on_third)
+    assert main(["eval", "--ckpt", str(workspace / "model.ckpt"),
+                 "--data", str(workspace / "data"),
+                 "--report", str(tmp_path / "r.json"), "--dump", str(dump)]) == 3
+    assert written and dump.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "r.json"]
 
 
 def test_privacy_variant_runs_on_raw_free_data(workspace, tmp_path):

@@ -51,16 +51,6 @@ def test_grad_upsample_nearest():
     gradcheck(forward, [x])
 
 
-def test_grad_upsample_bilinear():
-    x = _t((1, 2, 4, 4))
-    r = Tensor(RNG.normal(size=(1, 2, 8, 8)))
-
-    def forward():
-        return T.tsum(T.mul(T.upsample_bilinear(x, 2), r))
-
-    gradcheck(forward, [x])
-
-
 def test_grad_avg_pool():
     x = _t((2, 2, 8, 8))
     r = Tensor(RNG.normal(size=(2, 2, 2, 2)))

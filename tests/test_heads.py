@@ -29,11 +29,6 @@ def test_heatmap_head_unbounded_option():
     assert out.data.min() < 0.0 or out.data.max() > 1.0
 
 
-def test_heatmap_head_bilinear_option():
-    head = H.HeatmapHead(CFG, 64, np.random.default_rng(0), upsample="bilinear")
-    assert head(Tensor(np.zeros((1, D, 16, 16)))).shape == (1, 1, 64, 64)
-
-
 def test_heatmap_gradient_reaches_feature_map():
     head = H.HeatmapHead(CFG, 64, np.random.default_rng(2))
     fmap = Tensor(np.random.default_rng(3).normal(size=(1, D, 16, 16)), requires_grad=True)

@@ -71,8 +71,8 @@ def test_auc_invariant_under_monotone_transform():
     rng = np.random.default_rng(2)
     img = rng.random((32, 32))
     pts = [(0.3, 0.6)]
-    a = M.auc_score(img, pts)
-    b = M.auc_score(np.exp(3.0 * img) + 7.0, pts)
+    a = M.auc_score(img, pts, radius=9.0)
+    b = M.auc_score(np.exp(3.0 * img) + 7.0, pts, radius=9.0)
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -137,9 +137,9 @@ def test_ap_invariant_appending_zero_score_negative(pairs):
 
 def test_aggregate_single_sample_and_duplicates():
     s = M.SampleEval(in_frame=True, auc=0.9, min_dist=0.1, avg_dist=0.2, inout_score=0.8)
-    r1 = M.aggregate([s])
+    r1 = M.aggregate([s], 9.0)
     assert (r1.auc, r1.min_dist, r1.avg_dist) == (0.9, 0.1, 0.2)
-    r2 = M.aggregate([s, s, s])
+    r2 = M.aggregate([s, s, s], 9.0)
     assert r2.auc == pytest.approx(0.9)
     assert r2.min_dist == pytest.approx(0.1)
     assert r2.avg_dist == pytest.approx(0.2)
@@ -154,7 +154,7 @@ def test_aggregate_min_leq_avg():
         samples.append(
             M.SampleEval(in_frame=True, auc=0.5, min_dist=float(d[0]), avg_dist=float(d.mean()))
         )
-    rep = M.aggregate(samples)
+    rep = M.aggregate(samples, 9.0)
     assert rep.min_dist <= rep.avg_dist
 
 
@@ -162,7 +162,7 @@ def test_aggregate_out_of_frame_contract():
     outs = [M.SampleEval(in_frame=False, inout_score=0.3),
             M.SampleEval(in_frame=False, inout_score=0.9)]
     with pytest.raises(DomainError):
-        M.aggregate(outs)
+        M.aggregate(outs, 9.0)
     # AP itself is still computable across the same set
     assert M.average_precision([0.3, 0.9, 0.7], [0, 0, 1]) > 0.0
 
@@ -173,7 +173,7 @@ def test_aggregate_ap_over_all_samples():
         M.SampleEval(in_frame=False, inout_score=0.2),
         M.SampleEval(in_frame=True, auc=0.6, min_dist=0.3, avg_dist=0.4, inout_score=0.7),
     ]
-    rep = M.aggregate(samples)
+    rep = M.aggregate(samples, 9.0)
     assert rep.ap == M.average_precision([0.9, 0.2, 0.7], [1, 0, 1])
     assert rep.n_samples == 3
     # distances averaged over in-frame only

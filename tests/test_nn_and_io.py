@@ -6,7 +6,7 @@ import pytest
 from gazecast import nn
 from gazecast import tensor as T
 from gazecast.errors import CheckpointError, DatasetError, GradError
-from gazecast.serialization import load_checkpoint, save_checkpoint
+from gazecast.serialization import atomic_write, load_checkpoint, save_checkpoint
 from gazecast.tensor import Tensor
 
 
@@ -153,3 +153,21 @@ def test_checkpoint_corrupt_and_mismatch(tmp_path):
     bad_state["conv.weight"] = np.zeros((1, 1, 1, 1))
     with pytest.raises(CheckpointError, match="shape"):
         net.load_state_dict(bad_state)
+
+
+def test_atomic_write_that_raises_keeps_previous_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {}, "h", "old")
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="midway"):
+        with atomic_write(path, "wb") as f:
+            f.write(b"GZCK partial record")
+            f.flush()
+            raise RuntimeError("failed midway")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    with atomic_write(path) as f:
+        f.write("new")
+    assert path.read_text() == "new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]

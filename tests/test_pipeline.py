@@ -48,6 +48,17 @@ def test_config_file_parsing(tmp_path):
         load_config(p)
 
 
+def test_binarization_radius_follows_sigma_unless_set(tmp_path):
+    assert RunConfig().binarization_radius == 9.0
+    assert RunConfig(sigma=2.0).binarization_radius == 6.0
+    assert RunConfig(sigma=2.0, binarization_radius=4.5).binarization_radius == 4.5
+    p = tmp_path / "run.cfg"
+    p.write_text("data.sigma = 2\n")
+    cfg = load_config(p)
+    assert cfg.binarization_radius == 6.0
+    assert config_from_text(cfg.to_text()) == cfg
+
+
 def test_variant_constraints():
     assert RunConfig(variant="no_modrop", p_drop=0.3).effective_p_drop == 0.0
     assert RunConfig(variant="image_only", p_drop=0.3).effective_p_drop == 0.0

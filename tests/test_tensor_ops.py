@@ -70,15 +70,24 @@ def _conv_reference(x, w, b, stride, padding, r):
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("padding", [0, 1, 2])
 @pytest.mark.parametrize("stride", [1, 2, 3])
-@pytest.mark.parametrize("kernel", [(1, 1), (1, 3), (3, 3)], ids=["1x1", "1x3", "3x3"])
-def test_conv2d_matches_direct_loops(kernel, stride, padding, batch, dtype, monkeypatch):
+# (C, K) = (1, K) and (C, 1) make contractions of length 1: the forward
+# tap products with C = 1, the input-gradient ones with K = 1
+@pytest.mark.parametrize(
+    "kernel,channels",
+    [((1, 1), (2, 3)), ((1, 3), (2, 3)), ((3, 3), (2, 3)),
+     ((1, 1), (1, 3)), ((3, 3), (1, 3)), ((3, 3), (2, 1))],
+    ids=["1x1", "1x3", "3x3", "1x1-C1", "3x3-C1", "3x3-K1"],
+)
+def test_conv2d_matches_direct_loops(kernel, channels, stride, padding, batch, dtype,
+                                     monkeypatch):
+    c, k = channels
     # stride-1 blocks of two images: batch 3 ends in a partial block
-    image_bytes = 2 * (7 + 2 * padding) * (10 + 2 * padding) * np.dtype(dtype).itemsize
+    image_bytes = c * (7 + 2 * padding) * (10 + 2 * padding) * np.dtype(dtype).itemsize
     monkeypatch.setattr(T, "_CONV_BLOCK_BYTES", 2 * image_bytes)
     rng = np.random.default_rng(stride * 100 + padding * 10 + batch)
-    x = rng.normal(size=(batch, 2, 7, 10)).astype(dtype)
-    w = rng.normal(size=(3, 2) + kernel).astype(dtype)
-    b = rng.normal(size=3).astype(dtype)
+    x = rng.normal(size=(batch, c, 7, 10)).astype(dtype)
+    w = rng.normal(size=(k, c) + kernel).astype(dtype)
+    b = rng.normal(size=k).astype(dtype)
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
     out = T.conv2d(xt, wt, bt, stride=stride, padding=padding)
     r = rng.normal(size=out.shape)
@@ -110,6 +119,79 @@ def test_conv2d_forward_peak_memory_stays_near_its_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2 * (x.data.nbytes + out.data.nbytes)
+
+
+def _two_images_per_block(monkeypatch) -> list[int]:
+    """Size every conv block to two images, so that batch 3 ends in a
+    partial block; returns the batch sizes blocked so far."""
+    blocks, seen = T._image_blocks, []
+
+    def two_per_block(n, image_bytes):
+        monkeypatch.setattr(T, "_CONV_BLOCK_BYTES", 2 * image_bytes)
+        seen.append(n)
+        return blocks(n, image_bytes)
+
+    monkeypatch.setattr(T, "_image_blocks", two_per_block)
+    return seen
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("kernel,padding", [(1, 0), (1, 1), (3, 0), (3, 1)],
+                         ids=["1x1-p0", "1x1-p1", "3x3-p0", "3x3-p1"])
+@pytest.mark.parametrize("factor", [1, 2, 3, 4])
+def test_upsample_conv2d_matches_upsample_then_conv(factor, kernel, padding, batch, dtype,
+                                                    monkeypatch):
+    seen = _two_images_per_block(monkeypatch)
+    rng = np.random.default_rng(factor * 100 + kernel * 10 + padding * 2 + batch)
+    x = rng.normal(size=(batch, 3, 3, 5)).astype(dtype)
+    w = rng.normal(size=(2, 3, kernel, kernel)).astype(dtype)
+    b = rng.normal(size=2).astype(dtype)
+
+    def run(forward):
+        xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        out = forward(xt, wt, bt)
+        r = np.random.default_rng(1).normal(size=out.shape).astype(dtype)
+        T.backward(T.tsum(T.mul(out, Tensor(r))))
+        return out.data, xt.grad, wt.grad, bt.grad
+
+    got = run(lambda xt, wt, bt: T.upsample_conv2d(xt, wt, bt, factor, padding))
+    assert seen == [batch]
+    want = run(lambda xt, wt, bt: T.conv2d(T.upsample_nearest(xt, factor), wt, bt,
+                                            padding=padding))
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for g, ref in zip(got, want):
+        assert g.dtype == dtype and g.shape == ref.shape
+        assert g.flags.c_contiguous
+        np.testing.assert_allclose(g, ref, rtol=0, atol=tol * np.abs(ref).max())
+
+
+def test_upsample_conv2d_forward_peak_memory_stays_near_its_arrays():
+    """A no_grad fold of HeatmapHead.conv1's shape (b16, 32->16, 16x16 to
+    64x64, f32) allocates less than twice its input plus output bytes."""
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(16, 32, 16, 16)).astype(np.float32))
+    w = Tensor(rng.normal(size=(16, 32, 3, 3)).astype(np.float32))
+    b = Tensor(np.zeros(16, dtype=np.float32))
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = T.upsample_conv2d(x, w, b, factor=4, padding=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (16, 16, 64, 64)
+    assert peak < 2 * (x.data.nbytes + out.data.nbytes)
+
+
+def test_upsample_conv2d_rejects_bad_shapes():
+    x = Tensor(np.zeros((1, 3, 2, 2)))
+    with pytest.raises(ShapeMismatchError, match="3.*2"):
+        T.upsample_conv2d(x, Tensor(np.zeros((4, 2, 3, 3))), factor=2)
+    with pytest.raises(ShapeMismatchError):
+        T.upsample_conv2d(x, Tensor(np.zeros((4, 3, 5, 5))), factor=2)
 
 
 def test_conv2d_channel_mismatch_names_dims():
