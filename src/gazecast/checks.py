@@ -85,76 +85,107 @@ def _fd_check(forward: Callable[[], Tensor], inputs: list[Tensor], h: float = 1e
     return max(max_rel_err(a, f) for a, f in zip(ad, fd))
 
 
+_GRAD_TOL = 1e-4
+
+Draw = Callable[[np.random.Generator], np.ndarray]
+
+
+def _normal(*shape: int, scale: float = 1.0, shift: float = 0.0) -> Draw:
+    return lambda rng: rng.normal(size=shape) * scale + shift
+
+
+def _away_from_zero(*shape: int) -> Draw:
+    """Random signs times magnitudes in [0.5, 2): no input near a ReLU kink."""
+    return lambda rng: rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.5, 2.0, shape)
+
+
+def _distinct(*shape: int) -> Draw:
+    """Increasing values plus small noise: every channel has a unique max."""
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        base = np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
+        return base + rng.uniform(0.1, 0.3, size=shape)
+    return draw
+
+
+def _unit_gaze(rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=2)
+    return (g / np.linalg.norm(g)).reshape(1, 2)
+
+
+def _interior(y: np.ndarray) -> np.ndarray:
+    """Cone pixels away from its zero boundary and from the eye pixel."""
+    return (y > 1e-3) & (y < 1.0 - 1e-9)
+
+
+@dataclass(frozen=True)
+class GradCase:
+    """One finite-difference case: ``sum(op(*inputs) * r)`` against central
+    differences, for inputs drawn by ``draws`` and a random ``r`` of the
+    output's shape (restricted to ``mask(output)`` where ``op`` has kinks)."""
+
+    name: str
+    op: Callable[..., Tensor]
+    draws: tuple[Draw, ...]
+    mask: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def run(self) -> CheckResult:
+        rng = np.random.default_rng(20240)
+        inputs = [Tensor(draw(rng), requires_grad=True) for draw in self.draws]
+        with T.no_grad():
+            y = self.op(*inputs).data
+        r = rng.normal(size=y.shape)
+        if self.mask is not None:
+            r = r * self.mask(y)
+        r = Tensor(r)
+        err = _fd_check(lambda: T.tsum(T.mul(self.op(*inputs), r)), inputs)
+        return CheckResult(self.name, err < _GRAD_TOL, err, _GRAD_TOL)
+
+
+_EYES = np.array([[0.45, 0.55]])
+
+# Every differentiable op, at each input shape it is checked with.
+GRAD_CASES = (
+    GradCase("conv2d", lambda x, w, b: T.conv2d(x, w, b, padding=1),
+             (_normal(2, 3, 6, 6), _normal(4, 3, 3, 3, scale=0.5), _normal(4))),
+    GradCase("conv2d_weight_and_input", lambda x, w, b: T.conv2d(x, w, b, padding=1),
+             (_normal(2, 3, 8, 8), _normal(4, 3, 3, 3, scale=0.5), _normal(4))),
+    GradCase("conv2d_no_padding", lambda x, w, b: T.conv2d(x, w, b),
+             (_normal(2, 3, 6, 5), _normal(4, 3, 3, 3, scale=0.5), _normal(4))),
+    GradCase("conv2d_strided", lambda x, w: T.conv2d(x, w, stride=2),
+             (_normal(1, 2, 9, 7), _normal(3, 2, 3, 3, scale=0.5))),
+    GradCase("conv2d_strided_7x5", lambda x, w: T.conv2d(x, w, stride=2),
+             (_normal(1, 2, 7, 5), _normal(3, 2, 3, 3, scale=0.5))),
+    GradCase("upsample_conv2d", lambda x, w, b: T.upsample_conv2d(x, w, b, factor=2, padding=1),
+             (_normal(1, 2, 3, 3), _normal(3, 2, 3, 3, scale=0.5), _normal(3))),
+    GradCase("upsample_nearest", lambda x: T.upsample_nearest(x, 2), (_normal(1, 2, 3, 3),)),
+    GradCase("avg_pool", lambda x: T.avg_pool2d(x, 4), (_normal(2, 2, 8, 8),)),
+    GradCase("avg_pool_4x4", lambda x: T.avg_pool2d(x, 2), (_normal(1, 2, 4, 4),)),
+    GradCase("global_max_pool", T.global_max_pool, (_distinct(1, 2, 5, 5),)),
+    GradCase("global_max_pool_away_from_ties", T.global_max_pool, (_distinct(2, 3, 7, 7),)),
+    GradCase("relu", T.relu, (_away_from_zero(3, 4),)),
+    GradCase("relu_away_from_kink", T.relu, (_away_from_zero(4, 5),)),
+    GradCase("sigmoid", T.sigmoid, (_normal(3, 4, scale=2.0),)),
+    GradCase("softmax", lambda x: T.softmax(x, axis=1), (_normal(3, 5, scale=1.5),)),
+    GradCase("softmax_3x4", lambda x: T.softmax(x, axis=1), (_normal(3, 4),)),
+    GradCase("linear", T.linear, (_normal(4, 6), _normal(3, 6, scale=0.5), _normal(3))),
+    GradCase("linear_3x5", T.linear, (_normal(3, 5), _normal(2, 5, scale=0.5), _normal(2))),
+    GradCase("cosine_similarity", T.cosine_similarity,
+             (_normal(2, shift=1.0), _normal(2, shift=-1.5))),
+    GradCase("elementwise_chain",
+             lambda a, b: T.tlog(T.tsqrt(T.div(T.mul(a, b), T.add(a, b))) + 1.0),
+             (_normal(3, 4, shift=3.0), _normal(3, 4, shift=3.0))),
+    GradCase("broadcast_mul", T.mul, (_normal(4, 1), _normal(1, 5))),
+    GradCase("concat_slice", lambda a, b: T.concat([a, b], axis=1)[:, 1:],
+             (_normal(2, 3), _normal(2, 2))),
+    GradCase("clamp_interior", lambda x: T.clamp(x, 0.0, 1.0),
+             (lambda rng: rng.uniform(0.2, 0.8, size=(3, 3)),)),
+    GradCase("gaze_cone", lambda g: G.cone_batch(g, _EYES, 12, 12), (_unit_gaze,),
+             mask=_interior),
+)
+
+
 def _grad_checks() -> list[CheckResult]:
-    rng = np.random.default_rng(20240)
-    results = []
-
-    def add(name, forward, inputs, tol=1e-4):
-        err = _fd_check(forward, inputs)
-        results.append(CheckResult(name, err < tol, err, tol))
-
-    x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
-    w = Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.5, requires_grad=True)
-    b = Tensor(rng.normal(size=4), requires_grad=True)
-    r = Tensor(rng.normal(size=(2, 4, 6, 6)))
-    add("conv2d", lambda: T.tsum(T.mul(T.conv2d(x, w, b, padding=1), r)), [x, w, b])
-
-    xs = Tensor(rng.normal(size=(1, 2, 7, 5)), requires_grad=True)
-    ws = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
-    rs = Tensor(rng.normal(size=(1, 3, 3, 2)))
-    add("conv2d_strided", lambda: T.tsum(T.mul(T.conv2d(xs, ws, stride=2), rs)), [xs, ws])
-
-    u = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
-    ru = Tensor(rng.normal(size=(1, 2, 6, 6)))
-    add("upsample_nearest", lambda: T.tsum(T.mul(T.upsample_nearest(u, 2), ru)), [u])
-
-    ap = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
-    rp = Tensor(rng.normal(size=(1, 2, 2, 2)))
-    add("avg_pool", lambda: T.tsum(T.mul(T.avg_pool2d(ap, 2), rp)), [ap])
-
-    mp_base = np.arange(1 * 2 * 5 * 5, dtype=np.float64).reshape(1, 2, 5, 5)
-    mp = Tensor(mp_base + rng.uniform(0.1, 0.3, size=mp_base.shape), requires_grad=True)
-    rm = Tensor(rng.normal(size=(1, 2)))
-    add("global_max_pool", lambda: T.tsum(T.mul(T.global_max_pool(mp), rm)), [mp])
-
-    e = Tensor(rng.choice([-1.0, 1.0], size=(3, 4)) * rng.uniform(0.5, 2.0, (3, 4)),
-               requires_grad=True)
-    re = Tensor(rng.normal(size=(3, 4)))
-    add("relu", lambda: T.tsum(T.mul(T.relu(e), re)), [e])
-
-    s = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    add("sigmoid", lambda: T.tsum(T.mul(T.sigmoid(s), re)), [s])
-    add("softmax", lambda: T.tsum(T.mul(T.softmax(s, axis=1), re)), [s])
-
-    lx = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    lw = Tensor(rng.normal(size=(2, 5)) * 0.5, requires_grad=True)
-    lb = Tensor(rng.normal(size=2), requires_grad=True)
-    rl = Tensor(rng.normal(size=(3, 2)))
-    add("linear", lambda: T.tsum(T.mul(T.linear(lx, lw, lb), rl)), [lx, lw, lb])
-
-    ca = Tensor(rng.normal(size=2) + np.array([2.0, 0.0]), requires_grad=True)
-    cb = Tensor(rng.normal(size=2) + np.array([0.0, 2.0]), requires_grad=True)
-    add("cosine_similarity", lambda: T.cosine_similarity(ca, cb), [ca, cb])
-
-    gv = rng.normal(size=2)
-    gv /= np.linalg.norm(gv)
-    gaze = Tensor(gv.reshape(1, 2), requires_grad=True)
-    eyes = np.array([[0.45, 0.55]])
-    probe = G.cone_batch(Tensor(gv.reshape(1, 2)), eyes, 12, 12).data[0, 0]
-    sel = (probe > 1e-3) & (probe < 1.0 - 1e-9)
-    rc = Tensor(rng.normal(size=(1, 1, 12, 12)) * sel)
-    add("gaze_cone", lambda: T.tsum(T.mul(G.cone_batch(gaze, eyes, 12, 12), rc)), [gaze])
-
-    ux = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
-    uw = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
-    ub = Tensor(rng.normal(size=3), requires_grad=True)
-    ruc = Tensor(rng.normal(size=(1, 3, 6, 6)))
-    add("upsample_conv2d",
-        lambda: T.tsum(T.mul(T.upsample_conv2d(ux, uw, ub, factor=2, padding=1), ruc)),
-        [ux, uw, ub])
-
-    results.append(_pipeline_fd_check())
-    return results
+    return [case.run() for case in GRAD_CASES] + [_pipeline_fd_check()]
 
 
 def _pipeline_fd_check(n_params: int = 5, tol: float = 1e-3) -> CheckResult:

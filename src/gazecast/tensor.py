@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError, TapeError
+from .errors import DatasetError, DomainError, ShapeMismatchError, TapeError
 
 
 class Tape(threading.local):
@@ -316,17 +316,6 @@ def power(a: Tensor, p: float) -> Tensor:
     return out
 
 
-def texp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = _make(y, a.requires_grad)
-
-    def fn(g):
-        _accum(a, g * y)
-
-    _record(out, fn)
-    return out
-
-
 def tlog(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log requires strictly positive input")
@@ -526,24 +515,25 @@ def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-# Convolutions stay in NCHW. At stride 1 each padded image is viewed as a
-# (C, Hp*Wp) matrix, in which kernel tap (i, j) is the contiguous slice that
-# starts at i*Wp + j: the output is accumulated with one GEMM per tap at the
-# padded row pitch Wp, then the Wp - Wo junk columns of each row are
-# dropped. The gradients embed the output gradient at that pitch with zero
-# junk columns and use the same slices. The taps run over blocks of images
-# whose per-image working set fits in about _CONV_BLOCK_BYTES, so that all
-# taps of a block read it from cache. Strided kernels gather their
-# subsampled taps into an im2col buffer (kh*kw/stride**2 of the padded
-# input) and contract it with one GEMM per image.
+# Convolutions stay in NCHW. A stride-1 conv is upsample_conv2d at factor 1,
+# so one kernel serves both. Per axis, output row f*q + a (phase a) reads,
+# through tap i, input row q + (a + i - p) // f. Each padded image is viewed
+# as a (C, Hp*Wp) matrix, in which input offset (dy, dx) is a contiguous
+# slice. Each offset is one GEMM at the padded row pitch Wp, whose weight
+# stacks the folded (K, C) kernels of every phase that reads that offset:
+# the sum of the taps that land there. The Wp - Wq junk columns of each row
+# are then dropped. At f = 1 every offset is one tap; a 3x3 kernel at f = 4
+# makes 36 phase taps at the input resolution instead of 9 taps at f*f times
+# as many pixels. All kernels are folded at once, by one GEMM with the 0/1
+# (offset, phase) x tap matrix, and their gradients go back to the taps
+# through its transpose. The gradients embed the output gradient at the
+# pitch Wp with zero junk columns and use the same slices. The offsets run
+# over blocks of images whose per-image working set fits in about
+# _CONV_BLOCK_BYTES, so that all offsets of a block read it from cache.
 #
-# upsample_conv2d folds a nearest upsample by f into the stride-1 conv that
-# follows it. Per axis, output row f*q + a (phase a) reads, through tap i,
-# input row q + (a + i - p) // f. Each input offset (dy, dx) is one flat
-# slice of the padded input, as above, and one GEMM whose weight stacks
-# the folded (K, C) kernels of every phase that reads that offset: the sum
-# of the taps that land there. A 3x3 kernel at f = 4 makes 36 phase taps at
-# the input resolution instead of 9 taps at f*f times as many pixels.
+# Strided kernels gather their subsampled taps into an im2col buffer
+# (kh*kw/stride**2 of the padded input) and contract it with one GEMM per
+# image.
 #
 # A product whose contraction has length 1, such as the input gradient of a
 # conv with one output channel, runs as a broadcast multiply: the same
@@ -606,6 +596,8 @@ def conv2d(
         )
     if stride < 1:
         raise ValueError("conv2d: stride must be >= 1")
+    if stride == 1:
+        return upsample_conv2d(x, weight, bias, 1, padding)
 
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
@@ -614,21 +606,8 @@ def conv2d(
         xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     hp, wp = xp.shape[2:]
     wt = weight.data.astype(xp.dtype, copy=False)
-    if stride == 1:
-        # tap (i, j) reads xf[:, :, s : s + span] with s = i * wp + j; the
-        # last tap's slice ends exactly at the last padded pixel
-        span = (ho - 1) * wp + wo
-        xf = xp.reshape(n, c, hp * wp)
-        taps = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
-        blocks = _image_blocks(n, c * hp * wp * xp.itemsize)
-        acc = np.zeros((n, k, ho * wp), dtype=xp.dtype)
-        for blk in blocks:
-            for i, j, s in taps:
-                acc[blk, :, :span] += _mm(wt[:, :, i, j], xf[blk, :, s : s + span])
-        y = np.ascontiguousarray(acc.reshape(n, k, ho, wp)[:, :, :, :wo])
-    else:
-        cols = _im2col(xp, kh, kw, stride, ho, wo)
-        y = _mm(wt.reshape(k, -1), cols).reshape(n, k, ho, wo)
+    cols = _im2col(xp, kh, kw, stride, ho, wo)
+    y = _mm(wt.reshape(k, -1), cols).reshape(n, k, ho, wo)
     if bias is not None:
         y += bias.data[:, None, None]
 
@@ -638,53 +617,36 @@ def conv2d(
     def fn(g):
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
-        if stride == 1:
-            gp = np.zeros((n, k, ho, wp), dtype=g.dtype)
-            gp[:, :, :, :wo] = g
-            gf = gp.reshape(n, k, ho * wp)[:, :, :span]
-            if weight.requires_grad:
-                dw = np.zeros((k, c, kh, kw), dtype=g.dtype)
-                for blk in blocks:
-                    gt = gf[blk].transpose(0, 2, 1)
-                    for i, j, s in taps:
-                        dw[:, :, i, j] += _mm(xf[blk, :, s : s + span], gt).sum(axis=0).T
-                _accum(weight, dw)
-            if x.requires_grad:
-                dxf = np.zeros((n, c, hp * wp), dtype=g.dtype)
-                for blk in blocks:
-                    for i, j, s in taps:
-                        dxf[blk, :, s : s + span] += _mm(wt[:, :, i, j].T, gf[blk])
-                dxp = dxf.reshape(n, c, hp, wp)
-        else:
-            gf = g.reshape(n, k, ho * wo)
-            if weight.requires_grad:
-                dw = _mm(cols, gf.transpose(0, 2, 1)).sum(axis=0)
-                _accum(weight, dw.T.reshape(k, c, kh, kw))
-            if x.requires_grad:
-                dcols = _mm(wt.reshape(k, -1).T, gf).reshape(n, c, kh, kw, ho, wo)
-                dxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
-                for i in range(kh):
-                    for j in range(kw):
-                        dxp[:, :, i : i + ho * stride : stride,
-                            j : j + wo * stride : stride] += dcols[:, :, i, j]
+        gf = g.reshape(n, k, ho * wo)
+        if weight.requires_grad:
+            dw = _mm(cols, gf.transpose(0, 2, 1)).sum(axis=0)
+            _accum(weight, dw.T.reshape(k, c, kh, kw))
         if x.requires_grad:
+            dcols = _mm(wt.reshape(k, -1).T, gf).reshape(n, c, kh, kw, ho, wo)
+            dxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i : i + ho * stride : stride,
+                        j : j + wo * stride : stride] += dcols[:, :, i, j]
             _accum(x, np.ascontiguousarray(dxp[:, :, padding : padding + h, padding : padding + w]))
 
     _record(out, fn)
     return out
 
 
-def _phase_offsets(k: int, factor: int, padding: int, dtype):
-    """One axis of an upsample-then-conv: for each input offset d, in
-    increasing order, the phases that read it as a slice (they are
-    consecutive) and their (phases, k) 0/1 matrix of the taps that land on d."""
-    d = (np.arange(factor)[:, None] + np.arange(k) - padding) // factor
-    out = []
-    for off in range(d.min(), d.max() + 1):
-        phases = np.flatnonzero((d == off).any(axis=1))
-        sel = slice(phases[0], phases[-1] + 1)
-        out.append((off, sel, (d[sel] == off).astype(dtype)))
-    return out
+def _axis_phases(k: int, factor: int, padding: int) -> tuple[list, list[list[int]]]:
+    """One axis of an upsample-then-conv. Returns, for each input offset d in
+    increasing order, (d, the slice of phases that read it, the slice of its
+    rows), and the 0/1 (offset, phase) x tap matrix of the taps that land on
+    d, as nested lists."""
+    d = [[(a + i - padding) // factor for i in range(k)] for a in range(factor)]
+    offsets, taps = [], []
+    for off in range(d[0][0], d[-1][-1] + 1):
+        phases = [a for a in range(factor) if off in d[a]]
+        offsets.append((off, slice(phases[0], phases[-1] + 1),
+                        slice(len(taps), len(taps) + len(phases))))
+        taps += [[int(t == off) for t in d[a]] for a in phases]
+    return offsets, taps
 
 
 def upsample_conv2d(
@@ -709,32 +671,37 @@ def upsample_conv2d(
 
     # output row f*q + a for q < hq; rows past ho are computed, then cut
     hq, wq = -(-ho // f), -(-wo // f)
-    rows = _phase_offsets(kh, f, padding, x.dtype)
-    cols = _phase_offsets(kw, f, padding, x.dtype)
+    rows, row_taps = _axis_phases(kh, f, padding)
+    cols, col_taps = _axis_phases(kw, f, padding)
     top, left = max(0, -rows[0][0]), max(0, -cols[0][0])
-    # one spare bottom row lets every offset's slice span hq full rows
-    bottom = max(0, hq + rows[-1][0] - h) + 1
-    right = max(0, wq + cols[-1][0] - w)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (top, bottom), (left, right)))
-    hp, wp = xp.shape[2:]
-    span = hq * wp
+    hp, wp = top + max(h, hq + rows[-1][0]), left + max(w, wq + cols[-1][0])
+    xp = x.data
+    if (hp, wp) != (h, w):
+        xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
+        xp[:, :, top : top + h, left : left + w] = x.data
+    # offset (dy, dx) reads xf[:, :, s : s + span] with s = (dy + top) * wp +
+    # dx + left; the last offset's slice ends exactly at the last padded pixel
+    span = (hq - 1) * wp + wq
     xf = xp.reshape(n, c, hp * wp)
+    offsets = [((dy + top) * wp + dx + left, pa, pb, ra, rb)
+               for dy, pa, ra in rows for dx, pb, rb in cols]
+    # ws[ra, rb] stacks the folded (K, C) kernels of the phases that read an
+    # offset. fold has one row per (row phase, column phase) pair of every
+    # offset, with a 1 for each tap that lands there
+    fold = (np.array(row_taps, dtype=xp.dtype)[:, None, :, None]
+            * np.array(col_taps, dtype=xp.dtype)[None, :, None, :]).reshape(-1, kh * kw)
     wt = weight.data.astype(xp.dtype, copy=False)
-    # per offset: slice start, phase slices, tap matrices, stacked (P*K, C) kernel
-    taps = []
-    for dy, pa, ty in rows:
-        for dx, pb, tx in cols:
-            ws = np.einsum("ai,bj,kcij->abkc", ty, tx, wt).reshape(-1, c)
-            taps.append(((dy + top) * wp + dx + left, pa, pb, ty, tx, ws))
-    blocks = _image_blocks(n, max(c * hp * wp, f * f * k * span) * xp.itemsize)
+    ws = _mm(fold, wt.transpose(2, 3, 0, 1).reshape(kh * kw, k * c))
+    ws = ws.reshape(len(row_taps), len(col_taps), k, c)
+    blocks = _image_blocks(n, max(c * hp, f * f * k * hq) * wp * xp.itemsize)
 
     y6 = np.empty((n, k, hq, f, wq, f), dtype=xp.dtype)
     for blk in blocks:
         nb = min(blk.stop, n) - blk.start
-        acc = np.zeros((nb, f, f, k, span), dtype=xp.dtype)
-        for s, pa, pb, _, _, ws in taps:
-            phases = acc[:, pa, pb]
-            phases += _mm(ws, xf[blk, :, s : s + span]).reshape(phases.shape)
+        acc = np.zeros((nb, f, f, k, hq * wp), dtype=xp.dtype)
+        for s, pa, pb, ra, rb in offsets:
+            phases = acc[:, pa, pb, :, :span]
+            phases += _mm(ws[ra, rb].reshape(-1, c), xf[blk, :, s : s + span]).reshape(phases.shape)
         y6[blk] = acc.reshape(nb, f, f, k, hq, wp)[..., :wq].transpose(0, 3, 4, 1, 5, 2)
     y = y6.reshape(n, k, hq * f, wq * f)
     if (hq * f, wq * f) != (ho, wo):
@@ -751,26 +718,28 @@ def upsample_conv2d(
         if (hq * f, wq * f) != (ho, wo):
             g = np.pad(g, ((0, 0), (0, 0), (0, hq * f - ho), (0, wq * f - wo)))
         g6 = g.reshape(n, k, hq, f, wq, f)
-        dws = [np.zeros_like(t[-1]) for t in taps] if weight.requires_grad else []
+        dws = np.zeros_like(ws) if weight.requires_grad else None
         dxf = np.zeros((n, c, hp * wp), dtype=g.dtype) if x.requires_grad else None
         for blk in blocks:
             nb = min(blk.stop, n) - blk.start
             gp = np.zeros((nb, f, f, k, hq, wp), dtype=g.dtype)
             gp[..., :wq] = g6[blk].transpose(0, 3, 5, 1, 2, 4)
-            gp = gp.reshape(nb, f, f, k, span)
-            for t, (s, pa, pb, _, _, ws) in enumerate(taps):
-                gs = gp[:, pa, pb].reshape(nb, -1, span)
-                if weight.requires_grad:
-                    dws[t] += _mm(xf[blk, :, s : s + span], gs.transpose(0, 2, 1)).sum(axis=0).T
-                if x.requires_grad:
-                    dxf[blk, :, s : s + span] += _mm(ws.T, gs)
+            gp = gp.reshape(nb, f, f, k, hq * wp)
+            gss = [gp[:, pa, pb].reshape(nb, -1, hq * wp)[..., :span]
+                   for _, pa, pb, _, _ in offsets]
+            # one loop per gradient, so that the dw products keep the
+            # block's input in cache
+            if weight.requires_grad:
+                for (s, _, _, ra, rb), gs in zip(offsets, gss):
+                    dw = _mm(xf[blk, :, s : s + span], gs.transpose(0, 2, 1)).sum(axis=0).T
+                    dws[ra, rb] += dw.reshape(dws[ra, rb].shape)
+            if x.requires_grad:
+                for (s, _, _, ra, rb), gs in zip(offsets, gss):
+                    dxf[blk, :, s : s + span] += _mm(ws[ra, rb].reshape(-1, c).T, gs)
         if weight.requires_grad:
             # each folded kernel's gradient goes back to the taps it sums
-            dw = np.zeros_like(wt)
-            for (_, _, _, ty, tx, _), dws_t in zip(taps, dws):
-                folded = dws_t.reshape(len(ty), len(tx), k, c)
-                dw += np.einsum("ai,bj,abkc->kcij", ty, tx, folded)
-            _accum(weight, dw)
+            dw = _mm(fold.T, dws.reshape(len(fold), k * c))
+            _accum(weight, dw.reshape(kh, kw, k, c).transpose(2, 3, 0, 1))
         if x.requires_grad:
             dxp = dxf.reshape(n, c, hp, wp)
             _accum(x, np.ascontiguousarray(dxp[:, :, top : top + h, left : left + w]))
@@ -858,11 +827,8 @@ def tensor_to_bytes(arr: np.ndarray) -> bytes:
 def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Decode one record starting at ``offset``; returns (array, next_offset).
 
-    Raises DatasetError-compatible ValueError via errors module on corrupt
-    or truncated input.
+    Raises DatasetError on corrupt or truncated input.
     """
-    from .errors import DatasetError
-
     if len(buf) < offset + 6:
         raise DatasetError("truncated tensor record (header)")
     if buf[offset : offset + 4] != _MAGIC:
@@ -893,8 +859,6 @@ def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as f:
         buf = f.read()
     arr, end = tensor_from_bytes(buf)
-    from .errors import DatasetError
-
     if end != len(buf):
         raise DatasetError(f"trailing bytes after tensor record in {path}")
     return arr

@@ -320,3 +320,12 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["train", "--config", str(tmp_path / "missing.cfg"),
                  "--data", str(tmp_path), "--out", str(tmp_path / "x.ckpt")]) == 1
     assert main(["definitely-not-a-command"]) == 1
+
+
+def test_check_all_suites_pass(capsys):
+    """Every finite-difference case and brute-force oracle of
+    ``gazecast check`` passes."""
+    assert main(["check", "--suite", "all"]) == 0
+    *results, summary = capsys.readouterr().out.splitlines()
+    assert results and all(line.startswith("[PASS] ") for line in results), results
+    assert summary == f"all {len(results)} checks passed"

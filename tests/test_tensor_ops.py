@@ -66,61 +66,6 @@ def _conv_reference(x, w, b, stride, padding, r):
     return y, dxp[:, :, padding : padding + h, padding : padding + wd], dw, r.sum(axis=(0, 2, 3))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-@pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("padding", [0, 1, 2])
-@pytest.mark.parametrize("stride", [1, 2, 3])
-# (C, K) = (1, K) and (C, 1) make contractions of length 1: the forward
-# tap products with C = 1, the input-gradient ones with K = 1
-@pytest.mark.parametrize(
-    "kernel,channels",
-    [((1, 1), (2, 3)), ((1, 3), (2, 3)), ((3, 3), (2, 3)),
-     ((1, 1), (1, 3)), ((3, 3), (1, 3)), ((3, 3), (2, 1))],
-    ids=["1x1", "1x3", "3x3", "1x1-C1", "3x3-C1", "3x3-K1"],
-)
-def test_conv2d_matches_direct_loops(kernel, channels, stride, padding, batch, dtype,
-                                     monkeypatch):
-    c, k = channels
-    # stride-1 blocks of two images: batch 3 ends in a partial block
-    image_bytes = c * (7 + 2 * padding) * (10 + 2 * padding) * np.dtype(dtype).itemsize
-    monkeypatch.setattr(T, "_CONV_BLOCK_BYTES", 2 * image_bytes)
-    rng = np.random.default_rng(stride * 100 + padding * 10 + batch)
-    x = rng.normal(size=(batch, c, 7, 10)).astype(dtype)
-    w = rng.normal(size=(k, c) + kernel).astype(dtype)
-    b = rng.normal(size=k).astype(dtype)
-    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-    out = T.conv2d(xt, wt, bt, stride=stride, padding=padding)
-    r = rng.normal(size=out.shape)
-    T.backward(T.tsum(T.mul(out, Tensor(r.astype(dtype)))))
-
-    expected = _conv_reference(x.astype(np.float64), w.astype(np.float64),
-                               b.astype(np.float64), stride, padding, r)
-    tol = 1e-5 if dtype == np.float32 else 1e-12
-    for got, want in zip((out.data, xt.grad, wt.grad, bt.grad), expected):
-        assert got.dtype == dtype and got.shape == want.shape
-        assert got.flags.c_contiguous
-        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
-
-
-def test_conv2d_forward_peak_memory_stays_near_its_arrays():
-    """A no_grad forward of HeatmapHead.conv1's shape (b16, 32->16, 64x64,
-    f32) allocates less than twice its input plus output bytes."""
-    rng = np.random.default_rng(5)
-    x = Tensor(rng.normal(size=(16, 32, 64, 64)).astype(np.float32))
-    w = Tensor(rng.normal(size=(16, 32, 3, 3)).astype(np.float32))
-    b = Tensor(np.zeros(16, dtype=np.float32))
-    tracemalloc.start()
-    try:
-        with T.no_grad():
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = T.conv2d(x, w, b, padding=1)
-            peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * (x.data.nbytes + out.data.nbytes)
-
-
 def _two_images_per_block(monkeypatch) -> list[int]:
     """Size every conv block to two images, so that batch 3 ends in a
     partial block; returns the batch sizes blocked so far."""
@@ -137,6 +82,71 @@ def _two_images_per_block(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+# (C, K) = (1, K) and (C, 1) make contractions of length 1: the forward
+# tap products with C = 1, the input-gradient ones with K = 1
+@pytest.mark.parametrize(
+    "kernel,channels",
+    [((1, 1), (2, 3)), ((1, 3), (2, 3)), ((3, 3), (2, 3)),
+     ((1, 1), (1, 3)), ((3, 3), (1, 3)), ((3, 3), (2, 1))],
+    ids=["1x1", "1x3", "3x3", "1x1-C1", "3x3-C1", "3x3-K1"],
+)
+def test_conv2d_matches_direct_loops(kernel, channels, stride, padding, batch, dtype,
+                                     monkeypatch):
+    c, k = channels
+    seen = _two_images_per_block(monkeypatch)
+    rng = np.random.default_rng(stride * 100 + padding * 10 + batch)
+    x = rng.normal(size=(batch, c, 7, 10)).astype(dtype)
+    w = rng.normal(size=(k, c) + kernel).astype(dtype)
+    b = rng.normal(size=k).astype(dtype)
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = T.conv2d(xt, wt, bt, stride=stride, padding=padding)
+    # only the stride-1 kernel runs over blocks of images
+    assert seen == ([batch] if stride == 1 else [])
+    r = rng.normal(size=out.shape)
+    T.backward(T.tsum(T.mul(out, Tensor(r.astype(dtype)))))
+
+    expected = _conv_reference(x.astype(np.float64), w.astype(np.float64),
+                               b.astype(np.float64), stride, padding, r)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for got, want in zip((out.data, xt.grad, wt.grad, bt.grad), expected):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+
+def _no_grad_peak(op):
+    """The output of ``op()`` under no_grad and the bytes allocated at its
+    peak, beyond those already held when it started."""
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = op()
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_conv2d_forward_peak_memory_stays_near_its_arrays():
+    """No_grad 3x3 forwards at b16, 64x64, f32 allocate less than twice their
+    input plus output bytes: 32->16, HeatmapHead.conv1 applied to an
+    upsampled map (the model folds that upsample into conv1 instead), and
+    16->8, HeatmapHead.conv2's shape."""
+    rng = np.random.default_rng(5)
+    for c, k in ((32, 16), (16, 8)):
+        x = Tensor(rng.normal(size=(16, c, 64, 64)).astype(np.float32))
+        w = Tensor(rng.normal(size=(k, c, 3, 3)).astype(np.float32))
+        b = Tensor(np.zeros(k, dtype=np.float32))
+        out, peak = _no_grad_peak(lambda: T.conv2d(x, w, b, padding=1))
+        assert peak < 2 * (x.data.nbytes + out.data.nbytes), (c, k)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("kernel,padding", [(1, 0), (1, 1), (3, 0), (3, 1)],
                          ids=["1x1-p0", "1x1-p1", "3x3-p0", "3x3-p1"])
 @pytest.mark.parametrize("factor", [1, 2, 3, 4])
@@ -147,23 +157,21 @@ def test_upsample_conv2d_matches_upsample_then_conv(factor, kernel, padding, bat
     x = rng.normal(size=(batch, 3, 3, 5)).astype(dtype)
     w = rng.normal(size=(2, 3, kernel, kernel)).astype(dtype)
     b = rng.normal(size=2).astype(dtype)
-
-    def run(forward):
-        xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
-        out = forward(xt, wt, bt)
-        r = np.random.default_rng(1).normal(size=out.shape).astype(dtype)
-        T.backward(T.tsum(T.mul(out, Tensor(r))))
-        return out.data, xt.grad, wt.grad, bt.grad
-
-    got = run(lambda xt, wt, bt: T.upsample_conv2d(xt, wt, bt, factor, padding))
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = T.upsample_conv2d(xt, wt, bt, factor, padding)
     assert seen == [batch]
-    want = run(lambda xt, wt, bt: T.conv2d(T.upsample_nearest(xt, factor), wt, bt,
-                                            padding=padding))
+    r = rng.normal(size=out.shape)
+    T.backward(T.tsum(T.mul(out, Tensor(r.astype(dtype)))))
+
+    up = np.repeat(np.repeat(x.astype(np.float64), factor, axis=2), factor, axis=3)
+    y, dup, dw, db = _conv_reference(up, w.astype(np.float64), b.astype(np.float64), 1,
+                                     padding, r)
+    dx = dup.reshape(batch, 3, 3, factor, 5, factor).sum(axis=(3, 5))
     tol = 1e-5 if dtype == np.float32 else 1e-12
-    for g, ref in zip(got, want):
-        assert g.dtype == dtype and g.shape == ref.shape
-        assert g.flags.c_contiguous
-        np.testing.assert_allclose(g, ref, rtol=0, atol=tol * np.abs(ref).max())
+    for got, want in zip((out.data, xt.grad, wt.grad, bt.grad), (y, dx, dw, db)):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
 
 
 def test_upsample_conv2d_forward_peak_memory_stays_near_its_arrays():
@@ -173,15 +181,7 @@ def test_upsample_conv2d_forward_peak_memory_stays_near_its_arrays():
     x = Tensor(rng.normal(size=(16, 32, 16, 16)).astype(np.float32))
     w = Tensor(rng.normal(size=(16, 32, 3, 3)).astype(np.float32))
     b = Tensor(np.zeros(16, dtype=np.float32))
-    tracemalloc.start()
-    try:
-        with T.no_grad():
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = T.upsample_conv2d(x, w, b, factor=4, padding=1)
-            peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    out, peak = _no_grad_peak(lambda: T.upsample_conv2d(x, w, b, factor=4, padding=1))
     assert out.shape == (16, 16, 64, 64)
     assert peak < 2 * (x.data.nbytes + out.data.nbytes)
 
