@@ -50,15 +50,21 @@ def finite_diff_grads(forward: Callable[[], Tensor], inputs: list[Tensor],
             flat = t.data.reshape(-1)
             gflat = g.reshape(-1)
             for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                f_plus = float(forward().data)
-                flat[i] = orig - h
-                f_minus = float(forward().data)
-                flat[i] = orig
-                gflat[i] = (f_plus - f_minus) / (2.0 * h)
+                gflat[i] = central_difference(lambda: float(forward().data), flat, i, h)
             grads.append(g)
     return grads
+
+
+def central_difference(f: Callable[[], float], flat: np.ndarray, i: int, h: float) -> float:
+    """``(f() at flat[i] + h  -  f() at flat[i] - h) / 2h``; ``flat[i]`` is
+    perturbed in place and restored."""
+    orig = flat[i]
+    flat[i] = orig + h
+    up = f()
+    flat[i] = orig - h
+    down = f()
+    flat[i] = orig
+    return (up - down) / (2.0 * h)
 
 
 def autodiff_grads(forward: Callable[[], Tensor], inputs: list[Tensor]) -> list[np.ndarray]:
@@ -211,20 +217,12 @@ def _pipeline_fd_check(n_params: int = 5, tol: float = 1e-3) -> CheckResult:
     params = dict(model.named_parameters())
     rng = np.random.default_rng(99)
     names = sorted(params)
-    h = 1e-5
     worst = 0.0
     for _ in range(n_params):
         name = names[int(rng.integers(len(names)))]
         p = params[name]
         idx = int(rng.integers(p.size))
-        flat = p.data.reshape(-1)
-        orig = flat[idx]
-        flat[idx] = orig + h
-        up = loss_value()
-        flat[idx] = orig - h
-        down = loss_value()
-        flat[idx] = orig
-        fd = (up - down) / (2.0 * h)
+        fd = central_difference(loss_value, p.data.reshape(-1), idx, 1e-5)
         ad = p.grad.reshape(-1)[idx]
         worst = max(worst, abs(ad - fd) / max(1.0, abs(fd)))
     return CheckResult("pipeline_loss_fd", worst < tol, worst, tol)
@@ -241,7 +239,7 @@ def _oracle_checks() -> list[CheckResult]:
         g /= np.linalg.norm(g)
         eye = rng.uniform(0.05, 0.95, size=2)
         h = w = 24
-        img = G.generate_cone(G.GazeVector2D(*g), G.EyePoint(*eye), h, w).image.data[0]
+        img = G.cone_batch(Tensor(g.reshape(1, 2)), eye.reshape(1, 2), h, w).data[0, 0]
         for i in range(h):
             for j in range(w):
                 worst = max(worst, abs(img[i, j] - _cone_oracle(g, eye, i, j, h, w)))
@@ -306,7 +304,7 @@ def _oracle_checks() -> list[CheckResult]:
     for _ in range(20):
         x0, y0 = rng.uniform(0.0, 0.5, size=2)
         box = G.HeadBox(x0, y0, x0 + rng.uniform(0.1, 0.4), y0 + rng.uniform(0.1, 0.4))
-        mask = G.render_head_mask(box, 15, 17).data[0]
+        mask = G.render_head_mask(box, 15, 17)
         count = sum(
             1
             for i in range(15)

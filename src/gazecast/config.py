@@ -74,6 +74,19 @@ class RunConfig:
             raise ConfigError(f"p_drop {self.p_drop} outside [0,1)")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        # the encoders have four stride-2 stages, and the extractor's decoder
+        # climbs back two of them to quarter resolution
+        if len(self.stage_channels) != 4:
+            raise ConfigError(f"model.stage_channels needs 4 stages, got {len(self.stage_channels)}")
+        if self.input_resolution < 16 or self.input_resolution % 16:
+            raise ConfigError(
+                f"model.input_resolution {self.input_resolution} is not a positive multiple of 16"
+            )
+        if self.heatmap_resolution < 1 or self.heatmap_resolution % self.feature_resolution:
+            raise ConfigError(
+                f"model.heatmap_resolution {self.heatmap_resolution} is not a positive multiple "
+                f"of the feature resolution {self.feature_resolution}"
+            )
         if self.binarization_radius is None:
             object.__setattr__(self, "binarization_radius", 3.0 * self.sigma)
 
@@ -81,6 +94,11 @@ class RunConfig:
     def dtype(self) -> np.dtype:
         """The numpy dtype ``precision`` names; models and features use it."""
         return np.dtype(np.float32 if self.precision == "f32" else np.float64)
+
+    @property
+    def feature_resolution(self) -> int:
+        """Side of the extractors' quarter-resolution feature maps."""
+        return self.input_resolution // 4
 
     # -- variant-derived structure ------------------------------------
 

@@ -15,34 +15,11 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
+from .config import RunConfig
 from .errors import ShapeMismatchError
 from .tensor import Tensor
 
 MODALITIES = ("raw", "depth", "pose")  # fixed order, pinned for checkpoints
-
-
-@dataclass
-class EncoderConfig:
-    input_resolution: int = 64
-    stage_channels: tuple[int, ...] = (16, 32, 64, 128)
-    skip_connections: bool = True
-    feature_channels: int = 32
-    embedding_size: int = 64
-
-    def __post_init__(self):
-        n = len(self.stage_channels)
-        if self.input_resolution % (2**n):
-            raise ShapeMismatchError(
-                f"input resolution {self.input_resolution} not divisible by 2^{n}"
-            )
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.stage_channels)
-
-    @property
-    def feature_resolution(self) -> int:
-        return self.input_resolution // 4
 
 
 @dataclass
@@ -68,7 +45,7 @@ def concat_modality_inputs(modality: Tensor, cone: Tensor, mask: Tensor) -> Tens
 class GazeSubnet(nn.Module):
     """Head crop -> (unit 2D gaze direction, gaze embedding)."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, in_channels: int = 3):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator, in_channels: int = 3):
         self.in_channels = in_channels
         chans = [in_channels, *cfg.stage_channels]
         self.stages = [
@@ -101,7 +78,7 @@ class SceneExtractor(nn.Module):
     late-fusion variant feeds the modality image alone.
     """
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, in_channels: int = 5):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator, in_channels: int = 5):
         c = cfg.stage_channels
         d = cfg.feature_channels
         self.in_channels = in_channels

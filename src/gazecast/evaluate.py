@@ -6,19 +6,15 @@ reducer; GAZECAST_THREADS caps the worker count (default 1).
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
 from .data import SceneSample
 from .fusion import EMPTY_PLAN, DropoutPlan
 from .heads import argmax_point
-from .metrics import MetricsReport, SampleEval, aggregate, auc_score, distance_scores
+from .metrics import MetricsReport, SampleDump, aggregate, auc_score, distance_scores
 from .model import GazeTargetModel, build_batch
 
 
@@ -27,32 +23,6 @@ def worker_count() -> int:
         return max(1, int(os.environ.get("GAZECAST_THREADS", "1")))
     except ValueError:
         return 1
-
-
-@dataclass
-class SampleDump:
-    sample_id: int
-    in_frame: int
-    pred_point: tuple[float, float]
-    min_dist: float | None
-    avg_dist: float | None
-    auc: float | None
-    weights: dict[str, float]
-    inout_score: float | None
-    config_hash: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "sample_id": self.sample_id,
-            "in_frame": self.in_frame,
-            "p_gaze": list(self.pred_point),
-            "min_dist": self.min_dist,
-            "avg_dist": self.avg_dist,
-            "auc": self.auc,
-            "weights": self.weights,
-            "inout": self.inout_score,
-            "config_hash": self.config_hash,
-        })
 
 
 def evaluate_model(model: GazeTargetModel, samples: list[SceneSample],
@@ -106,19 +76,4 @@ def evaluate_model(model: GazeTargetModel, samples: list[SceneSample],
         per_batch = [run_batch(b) for b in batches]
 
     dumps = [row for rows in per_batch for row in rows]
-    evals = [
-        SampleEval(in_frame=bool(d.in_frame), auc=d.auc, min_dist=d.min_dist,
-                   avg_dist=d.avg_dist, inout_score=d.inout_score)
-        for d in dumps
-    ]
-    report = aggregate(evals, config_hash=cfg.config_hash(),
-                       binarization_radius=cfg.binarization_radius)
-    report.attention_means = {
-        m: mean_attention(dumps, m) for m in cfg.modalities
-    }
-    return report, dumps
-
-
-def mean_attention(dumps: list[SampleDump], modality: str) -> float:
-    vals = [d.weights[modality] for d in dumps if modality in d.weights]
-    return float(np.mean(vals))
+    return aggregate(dumps, cfg.binarization_radius, cfg.config_hash()), dumps

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .encoders import EncoderConfig
+from .config import RunConfig
 from .errors import DomainError, ShapeMismatchError
 from .tensor import Tensor
 
@@ -39,7 +39,6 @@ EMPTY_PLAN = DropoutPlan(frozenset(), 0)
 class FusionOutput:
     combined: Tensor                 # [N, d, h, w]
     weights: Tensor | None           # [N, M] rows on the simplex; None when unfused
-    embeddings: dict[str, Tensor]    # modality -> [N, embedding_size]
     transformed: dict[str, Tensor]   # modality -> [N, d, h, w]
 
 
@@ -50,7 +49,7 @@ class ModalityEmbedder(nn.Module):
     layer reconciles d with the configured embedding size.
     """
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         d = cfg.feature_channels
         self.convs = [nn.Conv2d(d, d, 3, rng, stride=2, padding=1) for _ in range(3)]
         self.project = nn.Linear(d, cfg.embedding_size, rng)
@@ -69,7 +68,7 @@ class ModalityEmbedder(nn.Module):
 class AttentionFusion(nn.Module):
     """Soft-selection across modalities; see module docstring for the steps."""
 
-    def __init__(self, cfg: EncoderConfig, modalities: tuple[str, ...],
+    def __init__(self, cfg: RunConfig, modalities: tuple[str, ...],
                  rng: np.random.Generator):
         self.modalities = tuple(modalities)
         self.transforms = {m: nn.Conv2d(cfg.feature_channels, cfg.feature_channels, 1, rng)
@@ -100,11 +99,10 @@ class AttentionFusion(nn.Module):
 
     def forward(self, feature_maps: dict[str, Tensor]) -> FusionOutput:
         transformed = {m: self.transform_modality(feature_maps[m], m) for m in self.modalities}
-        embeddings = {m: self.embed_modality(transformed[m], m) for m in self.modalities}
-        weights = self.attention_weights([embeddings[m] for m in self.modalities])
+        weights = self.attention_weights(
+            [self.embed_modality(transformed[m], m) for m in self.modalities])
         combined = fuse([transformed[m] for m in self.modalities], weights)
-        return FusionOutput(combined=combined, weights=weights,
-                            embeddings=embeddings, transformed=transformed)
+        return FusionOutput(combined=combined, weights=weights, transformed=transformed)
 
 
 def fuse(transformed_maps: list[Tensor], weights: Tensor) -> Tensor:

@@ -81,20 +81,6 @@ class GazeVector2D:
         return np.array([self.x, self.y])
 
 
-@dataclass
-class GazeCone:
-    image: Tensor  # [1, h, w], values in [0, 1]
-    gaze: np.ndarray  # the direction that produced it
-    aperture: float
-
-
-@dataclass
-class GroundTruthHeatmap:
-    image: Tensor  # [1, h, w], peak exactly 1 at the rounded gaze point
-    gaze_points: list[tuple[float, float]]
-    sigma: float
-
-
 def pixel_centers(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Normalized (x, y) coordinates of all pixel centers, each (h, w)."""
     xs = (np.arange(w) + 0.5) / w
@@ -148,33 +134,18 @@ def cone_batch(gaze: Tensor, eyes: np.ndarray, h: int, w: int,
     return T.reshape(cone, (n, 1, h, w))
 
 
-def generate_cone(gaze: GazeVector2D | Tensor, eye: EyePoint, h: int, w: int,
-                  aperture: float = math.pi) -> GazeCone:
-    """Single-sample cone; see ``cone_batch`` for the pixel rule."""
-    if h < 2 or w < 2:
-        raise DomainError(f"cone resolution ({h},{w}) too small")
-    if isinstance(gaze, GazeVector2D):
-        gt = Tensor(gaze.xy.reshape(1, 2))
-        gvec = gaze.xy
-    else:
-        gt = T.reshape(gaze, (1, 2)) if gaze.ndim == 1 else gaze
-        gvec = gt.data[0].copy()
-    img = cone_batch(gt, np.asarray([[eye.x, eye.y]]), h, w, aperture)
-    return GazeCone(image=T.reshape(img, (1, h, w)), gaze=gvec, aperture=aperture)
-
-
-def render_head_mask(box: HeadBox, h: int, w: int) -> Tensor:
-    """Binary [1,h,w] image: 1 where the pixel center lies inside the box."""
+def render_head_mask(box: HeadBox, h: int, w: int) -> np.ndarray:
+    """Binary (h, w) image: 1 where the pixel center lies inside the box."""
     cx, cy = pixel_centers(h, w)
     inside = (
         (cx >= box.x_min) & (cx <= box.x_max) & (cy >= box.y_min) & (cy <= box.y_max)
     )
-    return Tensor(inside.reshape(1, h, w))
+    return inside.astype(np.float64)
 
 
 def make_gt_heatmap(points: list[tuple[float, float]], h: int, w: int,
-                    sigma: float) -> GroundTruthHeatmap:
-    """Per-pixel maximum of per-point Gaussians, peak exactly 1.
+                    sigma: float) -> np.ndarray:
+    """(h, w) per-pixel maximum of per-point Gaussians, peak exactly 1.
 
     ``sigma`` is in pixels at the (h, w) resolution. Each Gaussian is
     centered on the pixel containing its point, untruncated and
@@ -192,11 +163,7 @@ def make_gt_heatmap(points: list[tuple[float, float]], h: int, w: int,
         ci, cj = containing_pixel(x, y, h, w)
         d2 = (rows - ci) ** 2 + (cols - cj) ** 2
         np.maximum(acc, np.exp(-d2 / (2.0 * sigma * sigma)), out=acc)
-    return GroundTruthHeatmap(
-        image=Tensor(acc.reshape(1, h, w)),
-        gaze_points=[(float(x), float(y)) for x, y in points],
-        sigma=float(sigma),
-    )
+    return acc
 
 
 def gt_gaze_direction(eye: EyePoint, gaze_point: tuple[float, float]) -> GazeVector2D:

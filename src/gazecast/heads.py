@@ -8,7 +8,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .encoders import EncoderConfig
+from .config import RunConfig
 from .fusion import DropoutPlan, ModalityEmbedder
 from .errors import ShapeMismatchError
 from .tensor import Tensor
@@ -47,16 +47,10 @@ class HeatmapHead(nn.Module):
     upsample is folded into the first conv, which runs at the feature
     resolution."""
 
-    def __init__(self, cfg: EncoderConfig, heatmap_resolution: int,
-                 rng: np.random.Generator, bounded: bool = True):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         d = cfg.feature_channels
-        self.factor = heatmap_resolution // cfg.feature_resolution
-        if self.factor * cfg.feature_resolution != heatmap_resolution:
-            raise ShapeMismatchError(
-                f"heatmap resolution {heatmap_resolution} is not a multiple of "
-                f"feature resolution {cfg.feature_resolution}"
-            )
-        self.bounded = bounded
+        self.factor = cfg.heatmap_resolution // cfg.feature_resolution
+        self.bounded = cfg.heatmap_bounded
         self.conv1 = nn.Conv2d(d, d // 2, 3, rng, padding=1)
         self.conv2 = nn.Conv2d(d // 2, d // 4, 3, rng, padding=1)
         self.conv3 = nn.Conv2d(d // 4, 1, 3, rng, padding=1)
@@ -73,14 +67,14 @@ class InOutHead(nn.Module):
     """Scene embedding (same architecture as the modality embedder) joined
     with the gaze embedding, then two linear layers and a sigmoid."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.scene_embed = ModalityEmbedder(cfg, rng)
         self.fc1 = nn.Linear(2 * cfg.embedding_size, cfg.embedding_size, rng)
         self.fc2 = nn.Linear(cfg.embedding_size, 1, rng)
 
-    def forward(self, fmap: Tensor, gaze_embedding: Tensor) -> Tensor:
+    def forward(self, fmap: Tensor, subnet_embedding: Tensor) -> Tensor:
         scene = self.scene_embed(fmap)
-        joined = T.concat([scene, gaze_embedding], axis=1)
+        joined = T.concat([scene, subnet_embedding], axis=1)
         logit = self.fc2(T.relu(self.fc1(joined)))
         return T.reshape(T.sigmoid(logit), (fmap.shape[0],))
 

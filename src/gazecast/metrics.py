@@ -127,19 +127,37 @@ def average_precision(scores: list[float], labels: list[int]) -> float:
 
 
 @dataclass
-class SampleEval:
-    """Per-sample metric inputs produced during evaluation."""
+class SampleDump:
+    """One evaluated sample: its prediction and per-sample metric inputs."""
 
-    in_frame: bool
-    auc: float | None = None
-    min_dist: float | None = None
-    avg_dist: float | None = None
-    inout_score: float | None = None
+    sample_id: int
+    in_frame: int
+    pred_point: tuple[float, float]
+    min_dist: float | None
+    avg_dist: float | None
+    auc: float | None
+    weights: dict[str, float]
+    inout_score: float | None
+    config_hash: str = ""
+
+    def to_json(self) -> str:
+        return json.dumps({
+            "sample_id": self.sample_id,
+            "in_frame": self.in_frame,
+            "p_gaze": list(self.pred_point),
+            "min_dist": self.min_dist,
+            "avg_dist": self.avg_dist,
+            "auc": self.auc,
+            "weights": self.weights,
+            "inout": self.inout_score,
+            "config_hash": self.config_hash,
+        })
 
 
-def aggregate(per_sample: list[SampleEval], binarization_radius: float,
+def aggregate(per_sample: list[SampleDump], binarization_radius: float,
               config_hash: str = "") -> MetricsReport:
-    """AUC/distances averaged over in-frame samples; AP over all samples."""
+    """AUC/distances averaged over in-frame samples; AP and the mean
+    attention weight of each modality over all samples."""
     if not per_sample:
         raise DomainError("cannot aggregate an empty evaluation set")
     in_frame = [s for s in per_sample if s.in_frame]
@@ -152,6 +170,7 @@ def aggregate(per_sample: list[SampleEval], binarization_radius: float,
     scores = [s.inout_score for s in per_sample]
     if all(sc is not None for sc in scores):
         ap = average_precision(scores, [1 if s.in_frame else 0 for s in per_sample])
+    modalities = dict.fromkeys(m for s in per_sample for m in s.weights)
     return MetricsReport(
         auc=float(np.mean(aucs)),
         avg_dist=float(np.mean([s.avg_dist for s in in_frame])),
@@ -160,4 +179,8 @@ def aggregate(per_sample: list[SampleEval], binarization_radius: float,
         n_samples=len(per_sample),
         config_hash=config_hash,
         binarization_radius=binarization_radius,
+        attention_means={
+            m: float(np.mean([s.weights[m] for s in per_sample if m in s.weights]))
+            for m in modalities
+        },
     )

@@ -14,7 +14,7 @@ import numpy as np
 from . import nn
 from .config import RunConfig
 from .data import SceneSample, crop_head, resize_nearest
-from .encoders import EncoderConfig, GazeSubnet, SceneExtractor, concat_modality_inputs
+from .encoders import GazeSubnet, SceneExtractor, concat_modality_inputs
 from .fusion import (AttentionFusion, DropoutPlan, EMPTY_PLAN, LateFusionInject,
                      apply_dropout)
 from .geometry import cone_batch, make_gt_heatmap, render_head_mask
@@ -43,7 +43,6 @@ class Batch:
 class ForwardResult:
     heatmap: Tensor                # (N, 1, hm, hm)
     direction: Tensor              # (N, 2) unit rows
-    gaze_embedding: Tensor         # (N, E)
     cone: Tensor                   # (N, 1, H, W)
     combined: Tensor               # (N, d, h, w)
     weights: Tensor | None         # (N, M) or None for single-modality variants
@@ -63,15 +62,14 @@ def sample_features(sample: SceneSample, cfg: RunConfig) -> dict:
         "crop": crop_head(sample, cfg.head_crop_source, cfg.input_resolution).astype(dt),
         "eye": np.array([sample.eye.x, sample.eye.y]),
         "mask": render_head_mask(sample.head_box, cfg.input_resolution,
-                                 cfg.input_resolution).data.astype(dt),
+                                 cfg.input_resolution)[None].astype(dt),
         "in_frame": float(sample.in_frame),
         "gaze_points": list(sample.gaze_points),
         "sample_id": sample.sample_id,
     }
     if sample.in_frame and sample.gaze_points:
-        hm = make_gt_heatmap(sample.gaze_points, cfg.heatmap_resolution,
-                             cfg.heatmap_resolution, cfg.sigma)
-        feats["gt_heatmap"] = hm.image.data.astype(dt)
+        feats["gt_heatmap"] = make_gt_heatmap(sample.gaze_points, cfg.heatmap_resolution,
+                                              cfg.heatmap_resolution, cfg.sigma)[None].astype(dt)
         feats["gt_dir"] = sample.oracle_gaze_dir.xy.astype(dt)
     else:
         feats["gt_heatmap"] = np.zeros((1, cfg.heatmap_resolution, cfg.heatmap_resolution), dtype=dt)
@@ -98,28 +96,19 @@ def build_batch(samples: list[SceneSample], cfg: RunConfig,
 class GazeTargetModel(nn.Module):
     def __init__(self, cfg: RunConfig):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA11CE)))
-        enc_cfg = EncoderConfig(
-            input_resolution=cfg.input_resolution,
-            stage_channels=cfg.stage_channels,
-            skip_connections=cfg.skip_connections,
-            feature_channels=cfg.feature_channels,
-            embedding_size=cfg.embedding_size,
-        )
         self.cfg = cfg
-        self.encoder_cfg = enc_cfg
-        self.gaze_subnet = GazeSubnet(enc_cfg, rng)
+        self.gaze_subnet = GazeSubnet(cfg, rng)
         in_ch = 3 if cfg.late_fusion else 5
-        self.extractors = {m: SceneExtractor(enc_cfg, rng, in_channels=in_ch)
+        self.extractors = {m: SceneExtractor(cfg, rng, in_channels=in_ch)
                            for m in cfg.modalities}
         if cfg.late_fusion:
             self.injectors = {m: LateFusionInject(cfg.feature_channels, rng)
                               for m in cfg.modalities}
         if cfg.fusion_enabled:
-            self.fusion = AttentionFusion(enc_cfg, cfg.modalities, rng)
-        self.heatmap_head = HeatmapHead(enc_cfg, cfg.heatmap_resolution, rng,
-                                        bounded=cfg.heatmap_bounded)
+            self.fusion = AttentionFusion(cfg, cfg.modalities, rng)
+        self.heatmap_head = HeatmapHead(cfg, rng)
         if cfg.inout_head:
-            self.inout = InOutHead(enc_cfg, rng)
+            self.inout = InOutHead(cfg, rng)
         # layers initialize in float64; precision is applied once, here
         for p in self.parameters():
             p.data = p.data.astype(cfg.dtype, copy=False)
@@ -152,8 +141,7 @@ class GazeTargetModel(nn.Module):
         heatmap = self.heatmap_head(combined)
         inout = self.inout(combined, subnet_out.embedding) if cfg.inout_head else None
         return ForwardResult(
-            heatmap=heatmap, direction=subnet_out.direction,
-            gaze_embedding=subnet_out.embedding, cone=cone,
+            heatmap=heatmap, direction=subnet_out.direction, cone=cone,
             combined=combined, weights=weights, inout=inout,
         )
 

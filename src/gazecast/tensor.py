@@ -554,6 +554,17 @@ def _image_blocks(n: int, image_bytes: int) -> list[slice]:
     return [slice(b, b + nb) for b in range(0, n, nb)]
 
 
+def _zero_pad(a: np.ndarray, top: int, left: int, hp: int, wp: int) -> np.ndarray:
+    """NCHW ``a`` placed at (top, left) in zeros of spatial size (hp, wp);
+    ``a`` itself when it already has that size. It avoids ``np.pad``, whose
+    fixed cost per call dominates on small maps."""
+    if a.shape[2:] == (hp, wp):
+        return a
+    out = np.zeros(a.shape[:2] + (hp, wp), dtype=a.dtype)
+    out[:, :, top : top + a.shape[2], left : left + a.shape[3]] = a
+    return out
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """(N, C*kh*kw, Ho*Wo) gather of the strided taps of a padded NCHW input."""
     n, c = xp.shape[:2]
@@ -601,10 +612,8 @@ def conv2d(
 
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    hp, wp = xp.shape[2:]
+    hp, wp = h + 2 * padding, w + 2 * padding
+    xp = _zero_pad(x.data, padding, padding, hp, wp)
     wt = weight.data.astype(xp.dtype, copy=False)
     cols = _im2col(xp, kh, kw, stride, ho, wo)
     y = _mm(wt.reshape(k, -1), cols).reshape(n, k, ho, wo)
@@ -675,10 +684,7 @@ def upsample_conv2d(
     cols, col_taps = _axis_phases(kw, f, padding)
     top, left = max(0, -rows[0][0]), max(0, -cols[0][0])
     hp, wp = top + max(h, hq + rows[-1][0]), left + max(w, wq + cols[-1][0])
-    xp = x.data
-    if (hp, wp) != (h, w):
-        xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
-        xp[:, :, top : top + h, left : left + w] = x.data
+    xp = _zero_pad(x.data, top, left, hp, wp)
     # offset (dy, dx) reads xf[:, :, s : s + span] with s = (dy + top) * wp +
     # dx + left; the last offset's slice ends exactly at the last padded pixel
     span = (hq - 1) * wp + wq
@@ -715,9 +721,7 @@ def upsample_conv2d(
     def fn(g):
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
-        if (hq * f, wq * f) != (ho, wo):
-            g = np.pad(g, ((0, 0), (0, 0), (0, hq * f - ho), (0, wq * f - wo)))
-        g6 = g.reshape(n, k, hq, f, wq, f)
+        g6 = _zero_pad(g, 0, 0, hq * f, wq * f).reshape(n, k, hq, f, wq, f)
         dws = np.zeros_like(ws) if weight.requires_grad else None
         dxf = np.zeros((n, c, hp * wp), dtype=g.dtype) if x.requires_grad else None
         for blk in blocks:

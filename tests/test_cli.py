@@ -141,9 +141,11 @@ def test_eval_report_and_dump_consistency(workspace, tmp_path):
     dumps = [json.loads(l) for l in dump_path.read_text().strip().splitlines()]
     assert len(dumps) == report["n_samples"] == 30
     # report's mean attention equals the dump mean, same data
+    assert list(report["attention_means"]) == ["raw", "depth", "pose"]
     for modality in ("raw", "depth", "pose"):
         vals = [d["weights"][modality] for d in dumps]
         assert np.isfinite(vals).all()
+        assert report["attention_means"][modality] == np.mean(vals)
     mean_avg = np.mean([d["avg_dist"] for d in dumps if d["in_frame"]])
     assert report["avg_dist"] == pytest.approx(mean_avg, abs=1e-9)
     assert report["config_hash"]
@@ -238,6 +240,43 @@ def test_checkpoint_with_removed_upsample_key_is_data_error(workspace, tmp_path,
     assert main(["eval", "--ckpt", str(old), "--data", str(workspace / "data"),
                  "--report", str(tmp_path / "r.json")]) == 3
     assert "model.upsample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,key", [
+    ("model.stage_channels = 16,32", "model.stage_channels"),
+    ("model.stage_channels = 16,32,64", "model.stage_channels"),
+    ("model.stage_channels = 8,16,32,64,128", "model.stage_channels"),
+    ("model.input_resolution = 40", "model.input_resolution"),
+    ("model.heatmap_resolution = 20", "model.heatmap_resolution"),
+], ids=["2-stages", "3-stages", "5-stages", "input-40", "heatmap-20"])
+def test_bad_model_shape_is_usage_error_before_reading_data(workspace, tmp_path, capsys,
+                                                            monkeypatch, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"model.input_resolution = 32\n{line}\ntrain.epochs = 0\n")
+
+    def read_dataset(*args, **kwargs):
+        raise AssertionError("dataset read before the config was checked")
+
+    monkeypatch.setattr("gazecast.data.read_dataset", read_dataset)
+    assert main(["train", "--config", str(cfg), "--data", str(workspace / "data"),
+                 "--out", str(tmp_path / "x.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_checkpoint_with_bad_model_shape_is_data_error(workspace, tmp_path, capsys):
+    """A checkpoint whose embedded config has two stages, under a hash that
+    matches that text."""
+    state, _, text = load_checkpoint(workspace / "model.ckpt")
+    lines = [("model.stage_channels = 16,32\n" if line.startswith("model.stage_channels")
+              else line) for line in text.splitlines(keepends=True)]
+    bad_text = "".join(lines)
+    bad_hash = hashlib.sha256(bad_text.encode()).hexdigest()[:16]
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, state, bad_hash, bad_text)
+    assert main(["eval", "--ckpt", str(bad), "--data", str(workspace / "data"),
+                 "--report", str(tmp_path / "r.json")]) == 3
+    assert "model.stage_channels" in capsys.readouterr().err
 
 
 def test_eval_reports_radius_derived_from_sigma(workspace, tmp_path):

@@ -5,16 +5,17 @@ import pytest
 
 from gazecast import encoders as E
 from gazecast import tensor as T
-from gazecast.errors import ShapeMismatchError
+from gazecast.config import RunConfig
+from gazecast.errors import ConfigError, ShapeMismatchError
 from gazecast.tensor import Tensor
 
-CFG = E.EncoderConfig()
+CFG = RunConfig()
 
 
 def test_config_resolution_contract():
     assert CFG.feature_resolution == 16
-    with pytest.raises(ShapeMismatchError):
-        E.EncoderConfig(input_resolution=60)
+    with pytest.raises(ConfigError):
+        RunConfig(input_resolution=60)
 
 
 def test_concat_modality_inputs_order():
@@ -57,8 +58,8 @@ def test_scene_extractor_output_shape():
 
 
 def test_noskip_same_shape_different_params():
-    cfg_skip = E.EncoderConfig(skip_connections=True)
-    cfg_nosk = E.EncoderConfig(skip_connections=False)
+    cfg_skip = RunConfig()
+    cfg_nosk = RunConfig(variant="no_skip")
     a = E.SceneExtractor(cfg_skip, np.random.default_rng(3))
     b = E.SceneExtractor(cfg_nosk, np.random.default_rng(3))
     x = Tensor(np.random.default_rng(1).random((1, 5, 64, 64)))

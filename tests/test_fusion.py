@@ -5,11 +5,12 @@ import pytest
 
 from gazecast import fusion as F
 from gazecast import tensor as T
-from gazecast.encoders import MODALITIES, EncoderConfig
+from gazecast.config import RunConfig
+from gazecast.encoders import MODALITIES
 from gazecast.errors import DomainError, ShapeMismatchError
 from gazecast.tensor import Tensor
 
-CFG = EncoderConfig()
+CFG = RunConfig()
 D = CFG.feature_channels
 
 

@@ -33,10 +33,7 @@ def oracle_cone_value(g, eye, i, j, h, w, aperture):
 
 def test_cone_forward_and_backward_pixels():
     # odd grid so rows/cols align exactly with the eye at the center
-    gaze = G.GazeVector2D(1.0, 0.0)
-    eye = G.EyePoint(0.5, 0.5)
-    cone = G.generate_cone(gaze, eye, 9, 9)
-    img = cone.image.data[0]
+    img = G.cone_batch(Tensor([[1.0, 0.0]]), np.array([[0.5, 0.5]]), 9, 9).data[0, 0]
     assert img[4, 5] == pytest.approx(1.0)   # directly right of the eye
     assert img[4, 3] == pytest.approx(0.0)   # directly left
     assert img[5, 5] == pytest.approx(math.sqrt(0.5), abs=1e-12)  # 45 degrees
@@ -47,9 +44,9 @@ def test_cone_values_in_unit_interval():
     rng = np.random.default_rng(0)
     for _ in range(5):
         v = rng.normal(size=2)
-        gaze = G.GazeVector2D.of(*v)
-        eye = G.EyePoint(*rng.uniform(0.1, 0.9, size=2))
-        img = G.generate_cone(gaze, eye, 32, 32).image.data
+        gaze = Tensor(G.GazeVector2D.of(*v).xy.reshape(1, 2))
+        eye = rng.uniform(0.1, 0.9, size=(1, 2))
+        img = G.cone_batch(gaze, eye, 32, 32).data
         assert img.min() >= 0.0 and img.max() <= 1.0
 
 
@@ -60,7 +57,7 @@ def test_cone_matches_bruteforce_oracle():
         g = rng.normal(size=2)
         g /= np.linalg.norm(g)
         eye = rng.uniform(0.05, 0.95, size=2)
-        img = G.generate_cone(G.GazeVector2D(*g), G.EyePoint(*eye), h, w).image.data[0]
+        img = G.cone_batch(Tensor(g.reshape(1, 2)), eye.reshape(1, 2), h, w).data[0, 0]
         ref = np.array(
             [[oracle_cone_value(g, eye, i, j, h, w, math.pi) for j in range(w)] for i in range(h)]
         )
@@ -69,10 +66,8 @@ def test_cone_matches_bruteforce_oracle():
 
 def test_cone_narrow_aperture_zeroes_outside():
     aperture = math.pi / 2
-    gaze = G.GazeVector2D(1.0, 0.0)
-    eye = G.EyePoint(0.5, 0.5)
     h = w = 33
-    img = G.generate_cone(gaze, eye, h, w, aperture).image.data[0]
+    img = G.cone_batch(Tensor([[1.0, 0.0]]), np.array([[0.5, 0.5]]), h, w, aperture).data[0, 0]
     ref = np.array(
         [[oracle_cone_value((1.0, 0.0), (0.5, 0.5), i, j, h, w, aperture) for j in range(w)]
          for i in range(h)]
@@ -106,11 +101,11 @@ def test_cone_rotational_consistency():
     # rotating g by 90 deg and the query pixel by 90 deg about the eye
     # yields the same value for exactly-mapped pixels
     h = w = 21
-    eye = G.EyePoint(0.5, 0.5)
+    eye = np.array([[0.5, 0.5]])
     g = np.array([1.0, 0.0])
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    img_a = G.generate_cone(G.GazeVector2D(*g), eye, h, w).image.data[0]
-    img_b = G.generate_cone(G.GazeVector2D(*(rot @ g)), eye, h, w).image.data[0]
+    img_a = G.cone_batch(Tensor(g.reshape(1, 2)), eye, h, w).data[0, 0]
+    img_b = G.cone_batch(Tensor((rot @ g).reshape(1, 2)), eye, h, w).data[0, 0]
     # pixel (i,j) about center (10,10): 90-deg rotation maps (di,dj)->(dj,-di)
     for i in range(h):
         for j in range(w):
@@ -125,9 +120,9 @@ def test_cone_rejects_zero_vector():
 
 def test_head_mask_full_and_half():
     full = G.render_head_mask(G.HeadBox(0.0, 0.0, 1.0, 1.0), 4, 4)
-    np.testing.assert_array_equal(full.data, np.ones((1, 4, 4)))
+    np.testing.assert_array_equal(full, np.ones((4, 4)))
     half = G.render_head_mask(G.HeadBox(0.0, 0.0, 0.5, 1.0), 4, 4)
-    np.testing.assert_array_equal(half.data[0], np.array([[1, 1, 0, 0]] * 4, dtype=float))
+    np.testing.assert_array_equal(half, np.array([[1, 1, 0, 0]] * 4, dtype=float))
 
 
 def test_head_mask_matches_containment_count():
@@ -137,7 +132,7 @@ def test_head_mask_matches_containment_count():
         x1, y1 = x0 + rng.uniform(0.1, 0.45), y0 + rng.uniform(0.1, 0.45)
         box = G.HeadBox(x0, y0, x1, y1)
         h, w = 17, 23
-        mask = G.render_head_mask(box, h, w).data[0]
+        mask = G.render_head_mask(box, h, w)
         count = 0
         for i in range(h):
             for j in range(w):
@@ -148,8 +143,7 @@ def test_head_mask_matches_containment_count():
 
 
 def test_gt_heatmap_peak_and_falloff():
-    hm = G.make_gt_heatmap([(0.5, 0.5)], 64, 64, sigma=3.0)
-    img = hm.image.data[0]
+    img = G.make_gt_heatmap([(0.5, 0.5)], 64, 64, sigma=3.0)
     ci, cj = G.containing_pixel(0.5, 0.5, 64, 64)
     assert img[ci, cj] == 1.0
     assert img.max() == 1.0
@@ -157,13 +151,13 @@ def test_gt_heatmap_peak_and_falloff():
 
 
 def test_gt_heatmap_duplicate_points_idempotent():
-    a = G.make_gt_heatmap([(0.3, 0.7)], 64, 64, 3.0).image.data
-    b = G.make_gt_heatmap([(0.3, 0.7), (0.3, 0.7)], 64, 64, 3.0).image.data
+    a = G.make_gt_heatmap([(0.3, 0.7)], 64, 64, 3.0)
+    b = G.make_gt_heatmap([(0.3, 0.7), (0.3, 0.7)], 64, 64, 3.0)
     np.testing.assert_array_equal(a, b)
 
 
 def test_gt_heatmap_flip_symmetry_odd_grid():
-    img = G.make_gt_heatmap([(0.5, 0.5)], 65, 65, 3.0).image.data[0]
+    img = G.make_gt_heatmap([(0.5, 0.5)], 65, 65, 3.0)
     np.testing.assert_allclose(img, np.flipud(img), atol=1e-15)
     np.testing.assert_allclose(img, np.fliplr(img), atol=1e-15)
 
@@ -197,13 +191,13 @@ def test_prototypal_eye_locations():
 def test_geometry_outputs_content_independent():
     # same annotations, different "image": identical outputs by construction
     box = G.HeadBox(0.1, 0.1, 0.4, 0.5)
-    a = G.render_head_mask(box, 32, 32).data
-    b = G.render_head_mask(box, 32, 32).data
+    a = G.render_head_mask(box, 32, 32)
+    b = G.render_head_mask(box, 32, 32)
     np.testing.assert_array_equal(a, b)
 
 
 def test_pgm_roundtrip(tmp_path):
-    img = G.make_gt_heatmap([(0.25, 0.75)], 64, 64, 3.0).image.data[0]
+    img = G.make_gt_heatmap([(0.25, 0.75)], 64, 64, 3.0)
     path = tmp_path / "heatmap.pgm"
     G.write_pgm(path, img)
     back = G.read_pgm(path)

@@ -6,17 +6,18 @@ import pytest
 from gazecast import heads as H
 from gazecast import nn
 from gazecast import tensor as T
-from gazecast.encoders import MODALITIES, EncoderConfig
+from gazecast.config import RunConfig
+from gazecast.encoders import MODALITIES
 from gazecast.errors import ShapeMismatchError
 from gazecast.fusion import DropoutPlan
 from gazecast.tensor import Tensor
 
-CFG = EncoderConfig()
+CFG = RunConfig()
 D = CFG.feature_channels
 
 
 def test_heatmap_head_shape_and_range():
-    head = H.HeatmapHead(CFG, 64, np.random.default_rng(0))
+    head = H.HeatmapHead(CFG, np.random.default_rng(0))
     fmap = Tensor(np.random.default_rng(1).normal(size=(2, D, 16, 16)))
     out = head(fmap)
     assert out.shape == (2, 1, 64, 64)
@@ -24,13 +25,13 @@ def test_heatmap_head_shape_and_range():
 
 
 def test_heatmap_head_unbounded_option():
-    head = H.HeatmapHead(CFG, 64, np.random.default_rng(0), bounded=False)
+    head = H.HeatmapHead(RunConfig(heatmap_bounded=False), np.random.default_rng(0))
     out = head(Tensor(np.random.default_rng(1).normal(size=(1, D, 16, 16))))
     assert out.data.min() < 0.0 or out.data.max() > 1.0
 
 
 def test_heatmap_gradient_reaches_feature_map():
-    head = H.HeatmapHead(CFG, 64, np.random.default_rng(2))
+    head = H.HeatmapHead(CFG, np.random.default_rng(2))
     fmap = Tensor(np.random.default_rng(3).normal(size=(1, D, 16, 16)), requires_grad=True)
     T.backward(T.tsum(head(fmap)))
     assert fmap.grad is not None and np.abs(fmap.grad).max() > 0.0
@@ -184,7 +185,7 @@ def test_one_optimizer_step_decreases_total_loss():
     wins = 0
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        head = H.HeatmapHead(CFG, 32, np.random.default_rng(seed + 100))
+        head = H.HeatmapHead(RunConfig(heatmap_resolution=32), np.random.default_rng(seed + 100))
         fmap = Tensor(rng.normal(size=(2, D, 16, 16)))
         target = Tensor(rng.random((2, 1, 32, 32)))
 

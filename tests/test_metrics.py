@@ -11,6 +11,13 @@ from gazecast import metrics as M
 from gazecast.errors import DomainError
 
 
+def dump(in_frame, auc=None, min_dist=None, avg_dist=None, inout_score=None):
+    """A per-sample record holding the fields ``aggregate`` reads."""
+    return M.SampleDump(sample_id=0, in_frame=int(in_frame), pred_point=(0.5, 0.5),
+                        min_dist=min_dist, avg_dist=avg_dist, auc=auc, weights={},
+                        inout_score=inout_score)
+
+
 def pairwise_auc(scores, labels):
     """P(random positive outranks random negative), ties counted half."""
     pos = [s for s, l in zip(scores, labels) if l]
@@ -136,7 +143,7 @@ def test_ap_invariant_appending_zero_score_negative(pairs):
 
 
 def test_aggregate_single_sample_and_duplicates():
-    s = M.SampleEval(in_frame=True, auc=0.9, min_dist=0.1, avg_dist=0.2, inout_score=0.8)
+    s = dump(in_frame=True, auc=0.9, min_dist=0.1, avg_dist=0.2, inout_score=0.8)
     r1 = M.aggregate([s], 9.0)
     assert (r1.auc, r1.min_dist, r1.avg_dist) == (0.9, 0.1, 0.2)
     r2 = M.aggregate([s, s, s], 9.0)
@@ -152,15 +159,15 @@ def test_aggregate_min_leq_avg():
     for _ in range(20):
         d = np.sort(rng.random(3))
         samples.append(
-            M.SampleEval(in_frame=True, auc=0.5, min_dist=float(d[0]), avg_dist=float(d.mean()))
+            dump(in_frame=True, auc=0.5, min_dist=float(d[0]), avg_dist=float(d.mean()))
         )
     rep = M.aggregate(samples, 9.0)
     assert rep.min_dist <= rep.avg_dist
 
 
 def test_aggregate_out_of_frame_contract():
-    outs = [M.SampleEval(in_frame=False, inout_score=0.3),
-            M.SampleEval(in_frame=False, inout_score=0.9)]
+    outs = [dump(in_frame=False, inout_score=0.3),
+            dump(in_frame=False, inout_score=0.9)]
     with pytest.raises(DomainError):
         M.aggregate(outs, 9.0)
     # AP itself is still computable across the same set
@@ -169,9 +176,9 @@ def test_aggregate_out_of_frame_contract():
 
 def test_aggregate_ap_over_all_samples():
     samples = [
-        M.SampleEval(in_frame=True, auc=0.8, min_dist=0.1, avg_dist=0.1, inout_score=0.9),
-        M.SampleEval(in_frame=False, inout_score=0.2),
-        M.SampleEval(in_frame=True, auc=0.6, min_dist=0.3, avg_dist=0.4, inout_score=0.7),
+        dump(in_frame=True, auc=0.8, min_dist=0.1, avg_dist=0.1, inout_score=0.9),
+        dump(in_frame=False, inout_score=0.2),
+        dump(in_frame=True, auc=0.6, min_dist=0.3, avg_dist=0.4, inout_score=0.7),
     ]
     rep = M.aggregate(samples, 9.0)
     assert rep.ap == M.average_precision([0.9, 0.2, 0.7], [1, 0, 1])

@@ -37,6 +37,12 @@ def test_config_roundtrip_and_hash():
     assert other.config_hash() != cfg.config_hash()
 
 
+def test_canonical_config_hash_is_pinned():
+    """Checkpoints embed this hash; a change to the config text orphans them."""
+    assert RunConfig().config_hash() == "e283e0d65d72a0a5"
+    assert RunConfig(precision="f32").config_hash() == "c9076d896e6eece6"
+
+
 def test_config_file_parsing(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("# comment\nmodel.variant = pose_only\ntrain.lr = 2e-3  # inline\n")
