@@ -161,6 +161,8 @@ GRAD_CASES = (
              (_normal(1, 2, 9, 7), _normal(3, 2, 3, 3, scale=0.5))),
     GradCase("conv2d_strided_7x5", lambda x, w: T.conv2d(x, w, stride=2),
              (_normal(1, 2, 7, 5), _normal(3, 2, 3, 3, scale=0.5))),
+    GradCase("conv2d_strided_5x5_pad2", lambda x, w, b: T.conv2d(x, w, b, stride=2, padding=2),
+             (_normal(2, 2, 8, 7), _normal(3, 2, 5, 5, scale=0.3), _normal(3))),
     GradCase("upsample_conv2d", lambda x, w, b: T.upsample_conv2d(x, w, b, factor=2, padding=1),
              (_normal(1, 2, 3, 3), _normal(3, 2, 3, 3, scale=0.5), _normal(3))),
     GradCase("upsample_nearest", lambda x: T.upsample_nearest(x, 2), (_normal(1, 2, 3, 3),)),

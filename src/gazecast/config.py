@@ -87,6 +87,22 @@ class RunConfig:
                 f"model.heatmap_resolution {self.heatmap_resolution} is not a positive multiple "
                 f"of the feature resolution {self.feature_resolution}"
             )
+        # every layer needs a width of at least 1: the heatmap head narrows
+        # the features to a quarter of feature_channels
+        if min(self.stage_channels) < 1:
+            raise ConfigError(f"model.stage_channels {self.stage_channels} has a width below 1")
+        if self.feature_channels < 4:
+            raise ConfigError(f"model.feature_channels {self.feature_channels} is below 4")
+        if self.embedding_size < 1:
+            raise ConfigError(f"model.embedding_size {self.embedding_size} is below 1")
+        # the fusion and in/out embedders run three stride-2 convs on the
+        # feature maps, which needs them at 8x8 or larger
+        if (self.fusion_enabled or self.inout_head) and self.feature_resolution < 8:
+            raise ConfigError(
+                f"model.input_resolution {self.input_resolution} is below 32, which the "
+                f"embedders of variant {self.variant!r}"
+                f"{' with model.inout_head' if self.inout_head else ''} need"
+            )
         if self.binarization_radius is None:
             object.__setattr__(self, "binarization_radius", 3.0 * self.sigma)
 

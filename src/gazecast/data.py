@@ -587,6 +587,8 @@ def read_dataset(path, sample_id: int | None = None) -> list[SceneSample]:
     manifest = os.path.join(path, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise DatasetError(f"{path}: missing {MANIFEST_NAME}")
+    tensor_dir = os.path.join(path, TENSOR_DIR)
+    tensor_files = set(os.listdir(tensor_dir)) if os.path.isdir(tensor_dir) else set()
     samples = []
     expected = 0
     with open(manifest) as f:
@@ -596,7 +598,7 @@ def read_dataset(path, sample_id: int | None = None) -> list[SceneSample]:
                 continue
             try:
                 rec = json.loads(line)
-                sample = _sample_from_record(rec, path, sample_id)
+                sample = _sample_from_record(rec, path, sample_id, tensor_files)
                 expected += len(rec["files"])
                 if sample_id is None or sample.sample_id == sample_id:
                     samples.append(sample)
@@ -607,24 +609,26 @@ def read_dataset(path, sample_id: int | None = None) -> list[SceneSample]:
                 raise DatasetError(
                     f"{manifest}:{line_no}: malformed record ({type(exc).__name__}: {exc})"
                 ) from exc
-    tensor_dir = os.path.join(path, TENSOR_DIR)
-    n_files = len(os.listdir(tensor_dir)) if os.path.isdir(tensor_dir) else 0
-    if n_files != expected:
+    if len(tensor_files) != expected:
         raise DatasetError(
-            f"{path}: manifest lists {expected} tensor files but directory has {n_files}"
+            f"{path}: manifest lists {expected} tensor files but directory has {len(tensor_files)}"
         )
     return samples
 
 
-def _sample_from_record(rec: dict, path, decode_id: int | None) -> SceneSample:
+def _sample_from_record(rec: dict, path, decode_id: int | None,
+                        tensor_files: set[str]) -> SceneSample:
     """One checked manifest record. Its tensors are decoded when
-    ``decode_id`` is None or its sample id; otherwise ``images`` stays empty."""
+    ``decode_id`` is None or its sample id; otherwise ``images`` stays empty.
+    A file under the tensor directory must be one of ``tensor_files``, its
+    listing; any other path must exist."""
     sample_id = int(rec["sample_id"])
     decode = decode_id is None or decode_id == sample_id
     images = {}
     for m, rel in rec["files"].items():
         full = os.path.join(path, rel)
-        if not os.path.exists(full):
+        folder, name = os.path.split(rel)
+        if not (name in tensor_files if folder == TENSOR_DIR else os.path.exists(full)):
             raise DatasetError(f"{path}: manifest references missing file {rel}")
         if decode:
             images[m] = read_tensor(full)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -531,9 +532,16 @@ def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
 # over blocks of images whose per-image working set fits in about
 # _CONV_BLOCK_BYTES, so that all offsets of a block read it from cache.
 #
-# Strided kernels gather their subsampled taps into an im2col buffer
-# (kh*kw/stride**2 of the padded input) and contract it with one GEMM per
-# image.
+# A stride-s conv works on the s*s phase images of its padded input: padded
+# row s*q + a is row q of phase a, per axis. They are stored channel-major
+# and merged over the batch, as (C, s, s, N*hs*ws) with hs = ho + (kh-1)//s
+# and ws = wo + (kw-1)//s, so tap (i, j) is the contiguous slice of phase
+# (i % s, j % s) at flat offset (i//s)*ws + j//s. Outputs at q >= ho or
+# r >= wo read past their image and are junk, dropped like the stride-1
+# junk columns. kh*kw slice copies build the column matrix, which the
+# backward pass keeps; forward, weight gradient and input gradient are one
+# 2-D GEMM each. The input gradient adds each tap's rows into its slice of
+# the phase buffer and takes the phases back to NCHW in one pass.
 #
 # A product whose contraction has length 1, such as the input gradient of a
 # conv with one output channel, runs as a broadcast multiply: the same
@@ -542,9 +550,9 @@ def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
 _CONV_BLOCK_BYTES = 1 << 20
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b``, as a broadcast multiply when the contraction has length 1."""
-    return a * b if a.shape[-1] == 1 else a @ b
+    return np.multiply(a, b, out=out) if a.shape[-1] == 1 else np.matmul(a, b, out=out)
 
 
 def _image_blocks(n: int, image_bytes: int) -> list[slice]:
@@ -565,15 +573,32 @@ def _zero_pad(a: np.ndarray, top: int, left: int, hp: int, wp: int) -> np.ndarra
     return out
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """(N, C*kh*kw, Ho*Wo) gather of the strided taps of a padded NCHW input."""
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + ho * stride : stride,
-                                  j : j + wo * stride : stride]
-    return cols.reshape(n, c * kh * kw, ho * wo)
+@lru_cache(maxsize=256)
+def _phase_plan(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
+    """The batch-independent layout of a strided conv on phase images:
+    (ho, wo, hs, ws, phases, taps). Each phase is the (phase image, input)
+    index pair of the input pixels it holds; each tap is its (row phase,
+    column phase, flat offset)."""
+    s = stride
+    ho, wo = (h + 2 * padding - kh) // s + 1, (w + 2 * padding - kw) // s + 1
+    hs, ws = ho + (kh - 1) // s, wo + (kw - 1) // s
+
+    def axis(n: int, ns: int) -> list[tuple[int, slice, slice]]:
+        # padded row s*q + a is input row s*q + a - padding
+        out = []
+        for a in range(s):
+            q0 = max(0, -((a - padding) // s))
+            y0 = s * q0 + a - padding
+            cnt = min(ns - q0, -(-(n - y0) // s))
+            if cnt > 0:
+                out.append((a, slice(q0, q0 + cnt), slice(y0, y0 + s * cnt, s)))
+        return out
+
+    every = slice(None)
+    phases = tuple(((every, a, b, every, qa, rb), (every, every, ya, xb))
+                   for a, qa, ya in axis(h, hs) for b, rb, xb in axis(w, ws))
+    taps = tuple((i % s, j % s, (i // s) * ws + j // s) for i in range(kh) for j in range(kw))
+    return ho, wo, hs, ws, phases, taps
 
 
 def _conv_shapes(op: str, x: Tensor, weight: Tensor, bias: Tensor | None):
@@ -610,15 +635,32 @@ def conv2d(
     if stride == 1:
         return upsample_conv2d(x, weight, bias, 1, padding)
 
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    hp, wp = h + 2 * padding, w + 2 * padding
-    xp = _zero_pad(x.data, padding, padding, hp, wp)
-    wt = weight.data.astype(xp.dtype, copy=False)
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
-    y = _mm(wt.reshape(k, -1), cols).reshape(n, k, ho, wo)
-    if bias is not None:
-        y += bias.data[:, None, None]
+    s = int(stride)
+    ho, wo, hs, ws, phases, taps = _phase_plan(h, w, kh, kw, s, padding)
+    # output (q, r) of image n sits at n*hs*ws + q*ws + r of the merged phase
+    # images; q >= ho or r >= wo are junk, and span ends at the last real one
+    m = n * hs * ws
+    span = m - (hs - ho) * ws - (ws - wo)
+    dtype = x.data.dtype
+    xph = np.zeros((c, s, s, n, hs, ws), dtype=dtype)
+    xt = x.data.transpose(1, 0, 2, 3)
+    for dst, src in phases:
+        xph[dst] = xt[src]
+    xph = xph.reshape(c, s, s, m)
+    cols = np.empty((c, kh * kw, span), dtype=dtype)
+    for t, (a, b, o) in enumerate(taps):
+        cols[:, t] = xph[:, a, b, o : o + span]
+    del xph
+    cols = cols.reshape(c * kh * kw, span)
+    wm = weight.data.astype(dtype, copy=False).reshape(k, c * kh * kw)
+    yk = np.empty((k, m), dtype=dtype)
+    _mm(wm, cols, out=yk[:, :span])
+    yv = yk.reshape(k, n, hs, ws)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
+    y = np.empty((n, k, ho, wo), dtype=dtype)
+    if bias is None:
+        y[...] = yv
+    else:
+        np.add(yv, bias.data[:, None, None], out=y)
 
     req = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
     out = _make(y, req)
@@ -626,18 +668,22 @@ def conv2d(
     def fn(g):
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
-        gf = g.reshape(n, k, ho * wo)
+        gk = np.zeros((k, n, hs, ws), dtype=g.dtype)
+        gk[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
+        gf = gk.reshape(k, m)[:, :span]
         if weight.requires_grad:
-            dw = _mm(cols, gf.transpose(0, 2, 1)).sum(axis=0)
-            _accum(weight, dw.T.reshape(k, c, kh, kw))
+            _accum(weight, _mm(gf, cols.T).reshape(k, c, kh, kw))
         if x.requires_grad:
-            dcols = _mm(wt.reshape(k, -1).T, gf).reshape(n, c, kh, kw, ho, wo)
-            dxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + ho * stride : stride,
-                        j : j + wo * stride : stride] += dcols[:, :, i, j]
-            _accum(x, np.ascontiguousarray(dxp[:, :, padding : padding + h, padding : padding + w]))
+            dcols = _mm(wm.T, gf).reshape(c, kh * kw, span)
+            dxph = np.zeros((c, s, s, m), dtype=g.dtype)
+            for t, (a, b, o) in enumerate(taps):
+                dxph[:, a, b, o : o + span] += dcols[:, t]
+            dxph = dxph.reshape(c, s, s, n, hs, ws)
+            dx = np.zeros((n, c, h, w), dtype=g.dtype)
+            dxt = dx.transpose(1, 0, 2, 3)
+            for dst, src in phases:
+                dxt[src] = dxph[dst]
+            _accum(x, dx)
 
     _record(out, fn)
     return out
@@ -752,6 +798,27 @@ def upsample_conv2d(
     return out
 
 
+def _block_sum(a: np.ndarray, f: int) -> np.ndarray:
+    """Sum of each f x f block of NCHW ``a``: its f*f strided sub-grids
+    added into one array."""
+    grids = [a[:, :, i::f, j::f] for i in range(f) for j in range(f)]
+    out = grids[0].copy()
+    for grid in grids[1:]:
+        out += grid
+    return out
+
+
+def _block_repeat(a: np.ndarray, f: int) -> np.ndarray:
+    """NCHW ``a`` with each pixel copied into an f x f block: ``a`` written
+    into each of the f*f strided sub-grids of the result."""
+    n, c, h, w = a.shape
+    out = np.empty((n, c, h * f, w * f), dtype=a.dtype)
+    for i in range(f):
+        for j in range(f):
+            out[:, :, i::f, j::f] = a
+    return out
+
+
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     """Copy each pixel into a factor x factor block."""
     if factor < 1:
@@ -759,12 +826,10 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     if factor == 1:
         return tslice(x, (slice(None),))  # identity with a grad path
     f = int(factor)
-    y = np.repeat(np.repeat(x.data, f, axis=2), f, axis=3)
-    out = _make(y, x.requires_grad)
-    n, c, h, w = x.shape
+    out = _make(_block_repeat(x.data, f), x.requires_grad)
 
     def fn(g):
-        _accum(x, g.reshape(n, c, h, f, w, f).sum(axis=(3, 5)))
+        _accum(x, _block_sum(g, f))
 
     _record(out, fn)
     return out
@@ -776,12 +841,12 @@ def avg_pool2d(x: Tensor, factor: int) -> Tensor:
     f = int(factor)
     if h % f or w % f:
         raise ShapeMismatchError(f"avg_pool2d: spatial dims ({h},{w}) not divisible by {f}")
-    y = x.data.reshape(n, c, h // f, f, w // f, f).mean(axis=(3, 5))
-    out = _make(np.ascontiguousarray(y), x.requires_grad)
+    y = _block_sum(x.data, f)
+    y /= f * f
+    out = _make(y, x.requires_grad)
 
     def fn(g):
-        up = np.repeat(np.repeat(g, f, axis=2), f, axis=3)
-        _accum(x, up / (f * f))
+        _accum(x, _block_repeat(g / (f * f), f))
 
     _record(out, fn)
     return out

@@ -248,7 +248,14 @@ def test_checkpoint_with_removed_upsample_key_is_data_error(workspace, tmp_path,
     ("model.stage_channels = 8,16,32,64,128", "model.stage_channels"),
     ("model.input_resolution = 40", "model.input_resolution"),
     ("model.heatmap_resolution = 20", "model.heatmap_resolution"),
-], ids=["2-stages", "3-stages", "5-stages", "input-40", "heatmap-20"])
+    ("model.stage_channels = 16,0,64,128", "model.stage_channels"),
+    ("model.feature_channels = 3", "model.feature_channels"),
+    ("model.embedding_size = 0", "model.embedding_size"),
+    ("model.input_resolution = 16", "model.input_resolution"),
+    ("model.variant = image_only\nmodel.inout_head = true\nmodel.input_resolution = 16",
+     "model.input_resolution"),
+], ids=["2-stages", "3-stages", "5-stages", "input-40", "heatmap-20", "stage-width-0",
+        "features-3", "embedding-0", "fused-input-16", "inout-input-16"])
 def test_bad_model_shape_is_usage_error_before_reading_data(workspace, tmp_path, capsys,
                                                             monkeypatch, line, key):
     cfg = tmp_path / "bad.cfg"
@@ -277,6 +284,36 @@ def test_checkpoint_with_bad_model_shape_is_data_error(workspace, tmp_path, caps
     assert main(["eval", "--ckpt", str(bad), "--data", str(workspace / "data"),
                  "--report", str(tmp_path / "r.json")]) == 3
     assert "model.stage_channels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,key", [
+    ("model.feature_channels = 2", "model.feature_channels"),
+    ("model.embedding_size = 0", "model.embedding_size"),
+], ids=["features-2", "embedding-0"])
+def test_checkpoint_with_zero_width_is_data_error(workspace, tmp_path, capsys, line, key):
+    """A checkpoint whose embedded config names a width that builds no
+    layer, under a hash that matches that text."""
+    state, _, text = load_checkpoint(workspace / "model.ckpt")
+    lines = [(line + "\n" if old.startswith(key + " ") else old)
+             for old in text.splitlines(keepends=True)]
+    bad_text = "".join(lines)
+    assert bad_text != text
+    bad_hash = hashlib.sha256(bad_text.encode()).hexdigest()[:16]
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, state, bad_hash, bad_text)
+    assert main(["eval", "--ckpt", str(bad), "--data", str(workspace / "data"),
+                 "--report", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_image_only_trains_at_input_16(workspace, tmp_path):
+    """Without embedders, the smallest input resolution stays valid."""
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("model.variant = image_only\nmodel.input_resolution = 16\n"
+                   "model.heatmap_resolution = 16\nmodel.precision = f32\ntrain.epochs = 0\n")
+    assert main(["train", "--config", str(cfg), "--data", str(workspace / "data"),
+                 "--out", str(tmp_path / "x.ckpt")]) == 0
 
 
 def test_eval_reports_radius_derived_from_sigma(workspace, tmp_path):

@@ -157,6 +157,38 @@ def test_read_one_sample_keeps_manifest_wide_checks(tmp_path, mixed_samples):
         D.read_dataset(tmp_path, sample_id=0)
 
 
+def test_deleted_tensor_file_is_same_error_without_a_stat_per_file(tmp_path, mixed_samples,
+                                                                   monkeypatch):
+    """Tensor files are checked against the directory listing, other paths
+    one by one; a deleted file gives the same DatasetError either way."""
+    D.write_dataset(mixed_samples[:3], tmp_path)
+    stats = []
+    exists = os.path.exists
+
+    def counting_exists(p):
+        stats.append(os.path.basename(p))
+        return exists(p)
+
+    monkeypatch.setattr(D.os.path, "exists", counting_exists)
+    assert len(D.read_dataset(tmp_path, sample_id=1)) == 1
+    assert stats == [D.MANIFEST_NAME]
+
+    (tmp_path / "tensors" / "00000002_depth.gzt").unlink()
+    missing = f"{tmp_path}: manifest references missing file tensors/00000002_depth.gzt"
+    for sample_id in (None, 0):
+        with pytest.raises(DatasetError) as info:
+            D.read_dataset(tmp_path, sample_id=sample_id)
+        assert str(info.value) == missing
+
+    manifest = tmp_path / D.MANIFEST_NAME
+    manifest.write_text(manifest.read_text().replace("tensors/00000002_depth.gzt",
+                                                     "elsewhere/00000002_depth.gzt"))
+    stats.clear()
+    with pytest.raises(DatasetError, match="missing file elsewhere/00000002_depth.gzt"):
+        D.read_dataset(tmp_path, sample_id=0)
+    assert stats == [D.MANIFEST_NAME, "00000002_depth.gzt"]
+
+
 def test_empty_dataset_roundtrip(tmp_path):
     D.write_dataset([], tmp_path)
     assert D.read_dataset(tmp_path) == []

@@ -85,12 +85,15 @@ def _two_images_per_block(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("padding", [0, 1, 2])
 @pytest.mark.parametrize("stride", [1, 2, 3])
 # (C, K) = (1, K) and (C, 1) make contractions of length 1: the forward
-# tap products with C = 1, the input-gradient ones with K = 1
+# tap products with C = 1, the input-gradient ones with K = 1. At strides 2
+# and 3 the kernels put 1 to 4 taps on a phase image (2x2, 3x1 and 5x5 too),
+# and some leave input rows or columns that no output reads
 @pytest.mark.parametrize(
     "kernel,channels",
     [((1, 1), (2, 3)), ((1, 3), (2, 3)), ((3, 3), (2, 3)),
-     ((1, 1), (1, 3)), ((3, 3), (1, 3)), ((3, 3), (2, 1))],
-    ids=["1x1", "1x3", "3x3", "1x1-C1", "3x3-C1", "3x3-K1"],
+     ((1, 1), (1, 3)), ((3, 3), (1, 3)), ((3, 3), (2, 1)),
+     ((2, 2), (2, 3)), ((5, 5), (2, 3)), ((3, 1), (2, 3))],
+    ids=["1x1", "1x3", "3x3", "1x1-C1", "3x3-C1", "3x3-K1", "2x2", "5x5", "3x1"],
 )
 def test_conv2d_matches_direct_loops(kernel, channels, stride, padding, batch, dtype,
                                      monkeypatch):
@@ -143,6 +146,20 @@ def test_conv2d_forward_peak_memory_stays_near_its_arrays():
         b = Tensor(np.zeros(k, dtype=np.float32))
         out, peak = _no_grad_peak(lambda: T.conv2d(x, w, b, padding=1))
         assert peak < 2 * (x.data.nbytes + out.data.nbytes), (c, k)
+
+
+def test_strided_conv2d_forward_peak_memory_stays_near_its_arrays():
+    """A no_grad stride-2 3x3 forward of the scene extractors' first shape
+    (b16, 5->16, 64x64, f32) allocates less than 2.5 times its input plus
+    output bytes: the phase images, their columns and the GEMM result are
+    never all alive at once."""
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(16, 5, 64, 64)).astype(np.float32))
+    w = Tensor(rng.normal(size=(16, 5, 3, 3)).astype(np.float32))
+    b = Tensor(np.zeros(16, dtype=np.float32))
+    out, peak = _no_grad_peak(lambda: T.conv2d(x, w, b, stride=2, padding=1))
+    assert out.shape == (16, 16, 32, 32)
+    assert peak < 2.5 * (x.data.nbytes + out.data.nbytes)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
