@@ -74,6 +74,31 @@ class RunConfig:
             raise ConfigError(f"p_drop {self.p_drop} outside [0,1)")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        # optimizer, loss and target constants that would crash training or
+        # silently fill a checkpoint with non-finite weights; NaN fails every
+        # comparison, so each check is written to reject it
+        if self.seed < 0:
+            raise ConfigError(f"train.seed {self.seed} is negative")
+        if not (0.0 < self.learning_rate < math.inf):
+            raise ConfigError(f"train.lr {self.learning_rate} is not finite and > 0")
+        for key, beta in (("train.beta1", self.beta1), ("train.beta2", self.beta2)):
+            if not (0.0 <= beta < 1.0):
+                raise ConfigError(f"{key} {beta} outside [0,1)")
+        if not (self.epsilon > 0.0):
+            raise ConfigError(f"train.epsilon {self.epsilon} is not > 0")
+        for key in ("train.weight_decay", "loss.lambda_gaze", "loss.lambda_dir",
+                    "loss.lambda_io", "loss.lambda_att"):
+            value = getattr(self, _KEYMAP[key])
+            if not (0.0 <= value < math.inf):
+                raise ConfigError(f"{key} {value} is not finite and >= 0")
+        if not (self.sigma > 0.0):
+            raise ConfigError(f"data.sigma {self.sigma} is not > 0")
+        if self.binarization_radius is not None and not (self.binarization_radius > 0.0):
+            raise ConfigError(
+                f"metrics.binarization_radius {self.binarization_radius} is not > 0"
+            )
+        if not (0.0 < self.aperture <= 2.0 * math.pi):
+            raise ConfigError(f"model.aperture {self.aperture} outside (0, 2*pi]")
         # the encoders have four stride-2 stages, and the extractor's decoder
         # climbs back two of them to quarter resolution
         if len(self.stage_channels) != 4:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetError, DomainError
-from .geometry import EyePoint, GazeVector2D, HeadBox
+from .geometry import EyePoint, GazeVector2D, HeadBox, pixel_centers
 from .tensor import read_tensor, write_tensor
 
 IN_CONE_COS = 0.5          # checker threshold: candidate counts as "in cone"
@@ -111,43 +111,26 @@ class SceneSample:
             raise DatasetError(f"sample {self.sample_id} has no modality {name!r}")
         return self.images[name]
 
-    @property
-    def resolution(self) -> int:
-        return next(iter(self.images.values())).shape[-1]
-
 
 # ---------------------------------------------------------------------------
 # rasterization helpers
 # ---------------------------------------------------------------------------
 
 
-_GRID_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _grid(res: int) -> tuple[np.ndarray, np.ndarray]:
-    if res not in _GRID_CACHE:
-        xs = (np.arange(res) + 0.5) / res
-        gx, gy = np.meshgrid(xs, xs)
-        gx.setflags(write=False)
-        gy.setflags(write=False)
-        _GRID_CACHE[res] = (gx, gy)
-    return _GRID_CACHE[res]  # (X, Y), each (res, res)
-
-
 def _disk(res: int, center: np.ndarray, radius_px: float) -> np.ndarray:
-    gx, gy = _grid(res)
+    gx, gy = pixel_centers(res, res)
     r = radius_px / res
     return (gx - center[0]) ** 2 + (gy - center[1]) ** 2 <= r * r
 
 
 def _ring(res: int, center: np.ndarray, radius_px: float, width_px: float) -> np.ndarray:
-    gx, gy = _grid(res)
+    gx, gy = pixel_centers(res, res)
     d = np.hypot(gx - center[0], gy - center[1]) * res
     return np.abs(d - radius_px) <= width_px
 
 
 def _segment(res: int, p0: np.ndarray, p1: np.ndarray, thickness_px: float) -> np.ndarray:
-    gx, gy = _grid(res)
+    gx, gy = pixel_centers(res, res)
     dx, dy = p1[0] - p0[0], p1[1] - p0[1]
     den = dx * dx + dy * dy
     if den < 1e-18:
@@ -468,17 +451,6 @@ def _unit(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return v / n
 
 
-def _exit_distance(origin: np.ndarray, direction: np.ndarray) -> float:
-    best = math.inf
-    for axis in range(2):
-        if abs(direction[axis]) > 1e-12:
-            for border in (0.0, 1.0):
-                t = (border - origin[axis]) / direction[axis]
-                if t > 0:
-                    best = min(best, t)
-    return best if math.isfinite(best) else 1.5
-
-
 def _place_clear(rng, eye, gaze_dir, placed, res, head_px,
                  require_outside_cone: bool = True) -> np.ndarray | None:
     for _ in range(_MAX_ATTEMPTS):
@@ -620,41 +592,39 @@ def _sample_from_record(rec: dict, path, decode_id: int | None,
                         tensor_files: set[str]) -> SceneSample:
     """One checked manifest record. Its tensors are decoded when
     ``decode_id`` is None or its sample id; otherwise ``images`` stays empty.
-    A file under the tensor directory must be one of ``tensor_files``, its
-    listing; any other path must exist."""
+    Every file must be ``tensors/<name>`` with ``name`` in ``tensor_files``,
+    the directory's listing, so nothing outside the dataset is read."""
     sample_id = int(rec["sample_id"])
     decode = decode_id is None or decode_id == sample_id
     images = {}
     for m, rel in rec["files"].items():
-        full = os.path.join(path, rel)
         folder, name = os.path.split(rel)
-        if not (name in tensor_files if folder == TENSOR_DIR else os.path.exists(full)):
+        if folder != TENSOR_DIR:
+            raise ValueError(f"file {rel} is not {TENSOR_DIR}/<name>")
+        if name not in tensor_files:
             raise DatasetError(f"{path}: manifest references missing file {rel}")
         if decode:
-            images[m] = read_tensor(full)
+            images[m] = read_tensor(os.path.join(path, rel))
+    shapes = {img.shape for img in images.values()}
+    if len(shapes) > 1 or any(len(s) != 3 or s[0] != 3 or s[1] != s[2] for s in shapes):
+        raise ValueError(f"modality images must share one (3, R, R) shape, got {sorted(shapes)}")
+    gaze_points = []
+    for p in rec["gaze_points"]:
+        if len(p) != 2 or not all(0.0 <= float(v) <= 1.0 for v in p):   # NaN fails too
+            raise ValueError(f"gaze point {p} is not an (x, y) pair in [0,1]^2")
+        gaze_points.append((float(p[0]), float(p[1])))
+    in_frame = rec["in_frame"]
+    if in_frame not in (0, 1) or (in_frame == 1 and not gaze_points):
+        raise ValueError(f"in_frame {in_frame!r} is not 0, or 1 with a gaze point")
     return SceneSample(
         images=images,
         head_box=HeadBox(*rec["head_box"]),
         eye=EyePoint(rec["eye"]["x"], rec["eye"]["y"], rec["eye"]["source"]),
-        gaze_points=[tuple(p) for p in rec["gaze_points"]],
-        in_frame=int(rec["in_frame"]),
+        gaze_points=gaze_points,
+        in_frame=int(in_frame),
         oracle_gaze_dir=GazeVector2D(*rec["oracle_gaze_dir"]),
         sample_id=sample_id,
     )
-
-
-def train_test_split(samples: list[SceneSample], fraction: float,
-                     seed: int) -> tuple[list[SceneSample], list[SceneSample]]:
-    """Deterministic disjoint exhaustive split; ``fraction`` is the train share."""
-    if not (0.0 < fraction < 1.0):
-        raise DatasetError(f"split fraction {fraction} outside (0,1)")
-    idx = np.random.default_rng(seed).permutation(len(samples))
-    n_train = int(round(len(samples) * fraction))
-    if n_train == 0 or n_train == len(samples):
-        raise DatasetError(f"fraction {fraction} leaves an empty split for {len(samples)} samples")
-    train = [samples[i] for i in idx[:n_train]]
-    test = [samples[i] for i in idx[n_train:]]
-    return train, test
 
 
 def resize_nearest(img: np.ndarray, out_res: int) -> np.ndarray:

@@ -1,13 +1,6 @@
-"""Evaluation: per-sample predictions, metric aggregation, JSONL dumps.
-
-Per-sample work parallelizes across batches behind a deterministic-order
-reducer; GAZECAST_THREADS caps the worker count (default 1).
-"""
+"""Evaluation: per-sample predictions, metric aggregation, JSONL dumps."""
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 from . import tensor as T
 from .config import RunConfig
@@ -16,13 +9,6 @@ from .fusion import EMPTY_PLAN, DropoutPlan
 from .heads import argmax_point
 from .metrics import MetricsReport, SampleDump, aggregate, auc_score, distance_scores
 from .model import GazeTargetModel, build_batch
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("GAZECAST_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def evaluate_model(model: GazeTargetModel, samples: list[SceneSample],
@@ -35,13 +21,12 @@ def evaluate_model(model: GazeTargetModel, samples: list[SceneSample],
     prediction (upper-bound sanity: AUC 1, distances 0). ``plan`` lets
     callers noise-substitute modalities to probe attention behavior.
     """
-    batches = [samples[i : i + batch_size] for i in range(0, len(samples), batch_size)]
-
-    def run_batch(chunk: list[SceneSample]) -> list[SampleDump]:
+    dumps = []
+    for start in range(0, len(samples), batch_size):
+        chunk = samples[start : start + batch_size]
         batch = build_batch(chunk, cfg)
         with T.no_grad():
             result = model(batch, plan)
-        rows = []
         for k, sample in enumerate(chunk):
             if oracle_heatmaps:
                 pred_map = batch.gt_heatmaps[k, 0]
@@ -60,20 +45,10 @@ def evaluate_model(model: GazeTargetModel, samples: list[SceneSample],
                 auc = auc_score(pred_map, sample.gaze_points, radius=cfg.binarization_radius)
             else:
                 mn = av = auc = None
-            rows.append(SampleDump(
+            dumps.append(SampleDump(
                 sample_id=sample.sample_id, in_frame=sample.in_frame,
                 pred_point=point, min_dist=mn, avg_dist=av, auc=auc,
                 weights=weights, inout_score=io_score,
                 config_hash=cfg.config_hash(),
             ))
-        return rows
-
-    workers = worker_count()
-    if workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_batch = list(pool.map(run_batch, batches))
-    else:
-        per_batch = [run_batch(b) for b in batches]
-
-    dumps = [row for rows in per_batch for row in rows]
     return aggregate(dumps, cfg.binarization_radius, cfg.config_hash()), dumps

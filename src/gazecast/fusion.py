@@ -81,16 +81,6 @@ class AttentionFusion(nn.Module):
         # gradients) and the attention never recovers
         self.logit_scale = 1.0 / (cfg.embedding_size * len(self.modalities)) ** 0.5
 
-    def transform_modality(self, fmap: Tensor, modality: str) -> Tensor:
-        if modality not in self.transforms:
-            raise DomainError(f"unknown modality {modality!r}")
-        return self.transforms[modality](fmap)
-
-    def embed_modality(self, tmap: Tensor, modality: str) -> Tensor:
-        if modality not in self.embedders:
-            raise DomainError(f"unknown modality {modality!r}")
-        return self.embedders[modality](tmap)
-
     def attention_weights(self, embeddings: list[Tensor]) -> Tensor:
         """Softmax over one scaled logit per modality; rows sum to 1."""
         global_embedding = T.concat(embeddings, axis=1)
@@ -98,9 +88,9 @@ class AttentionFusion(nn.Module):
         return T.softmax(logits, axis=1)
 
     def forward(self, feature_maps: dict[str, Tensor]) -> FusionOutput:
-        transformed = {m: self.transform_modality(feature_maps[m], m) for m in self.modalities}
+        transformed = {m: self.transforms[m](feature_maps[m]) for m in self.modalities}
         weights = self.attention_weights(
-            [self.embed_modality(transformed[m], m) for m in self.modalities])
+            [self.embedders[m](transformed[m]) for m in self.modalities])
         combined = fuse([transformed[m] for m in self.modalities], weights)
         return FusionOutput(combined=combined, weights=weights, transformed=transformed)
 

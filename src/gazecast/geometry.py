@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,11 +82,14 @@ class GazeVector2D:
         return np.array([self.x, self.y])
 
 
+@lru_cache(maxsize=None)
 def pixel_centers(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized (x, y) coordinates of all pixel centers, each (h, w)."""
-    xs = (np.arange(w) + 0.5) / w
-    ys = (np.arange(h) + 0.5) / h
-    return np.broadcast_to(xs, (h, w)).copy(), np.broadcast_to(ys[:, None], (h, w)).copy()
+    """Normalized (x, y) coordinates of all pixel centers, each (h, w),
+    computed once per grid and returned read-only."""
+    cx, cy = np.meshgrid((np.arange(w) + 0.5) / w, (np.arange(h) + 0.5) / h)
+    cx.setflags(write=False)
+    cy.setflags(write=False)
+    return cx, cy
 
 
 def containing_pixel(x: float, y: float, h: int, w: int) -> tuple[int, int]:
@@ -166,25 +170,6 @@ def make_gt_heatmap(points: list[tuple[float, float]], h: int, w: int,
     return acc
 
 
-def gt_gaze_direction(eye: EyePoint, gaze_point: tuple[float, float]) -> GazeVector2D:
-    """Unit vector from the eye to the annotated gaze point."""
-    vx = gaze_point[0] - eye.x
-    vy = gaze_point[1] - eye.y
-    if math.hypot(vx, vy) < 1e-12:
-        raise DomainError("gaze point coincides with the eye; direction undefined")
-    return GazeVector2D.of(vx, vy)
-
-
-def prototypal_eye(box: HeadBox) -> EyePoint:
-    """Fallback eye location: horizontally centered, one third from the
-    top of the head box (eyes sit in the upper third of a head)."""
-    return EyePoint(
-        x=(box.x_min + box.x_max) / 2.0,
-        y=box.y_min + (box.y_max - box.y_min) / 3.0,
-        source="prototypal",
-    )
-
-
 # ---------------------------------------------------------------------------
 # PGM export for visual inspection
 # ---------------------------------------------------------------------------
@@ -202,16 +187,3 @@ def write_pgm(path, image: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode())
         f.write(data.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read back a binary P5 PGM written by ``write_pgm`` (uint8 values)."""
-    with open(path, "rb") as f:
-        if f.readline().strip() != b"P5":
-            raise ValueError(f"{path}: not a binary PGM")
-        dims = f.readline().split()
-        w, hgt = int(dims[0]), int(dims[1])
-        maxval = int(f.readline())
-        if maxval != 255:
-            raise ValueError(f"{path}: unsupported maxval {maxval}")
-        return np.frombuffer(f.read(w * hgt), dtype=np.uint8).reshape(hgt, w)

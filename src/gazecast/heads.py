@@ -21,7 +21,7 @@ class LossBreakdown:
     """Component losses plus their exact weighted combination.
 
     ``total`` is the differentiable tensor used for backward; the float
-    fields are the logged values. Recomputing
+    fields are the logged values. Recomputing, with the run config's weights,
     lambda_gaze*gaze + lambda_dir*direction + lambda_io*inout + lambda_att*attention
     in that order reproduces total bit-exactly.
     """
@@ -30,10 +30,6 @@ class LossBreakdown:
     direction: float
     inout: float
     attention: float
-    lambda_gaze: float
-    lambda_dir: float
-    lambda_io: float
-    lambda_att: float
     total: Tensor
 
     @property
@@ -153,17 +149,15 @@ def loss_att(weights: Tensor, plan: DropoutPlan, modalities: tuple[str, ...]) ->
 
 
 def total_loss(gaze: Tensor, direction: Tensor, inout: Tensor, attention: Tensor,
-               lambda_gaze: float = 100.0, lambda_dir: float = 0.1,
-               lambda_io: float = 1.0, lambda_att: float = 1.0) -> LossBreakdown:
-    """Weighted combination, components retained for logging."""
-    total = T.scale(gaze, lambda_gaze)
-    total = T.add(total, T.scale(direction, lambda_dir))
-    total = T.add(total, T.scale(inout, lambda_io))
-    total = T.add(total, T.scale(attention, lambda_att))
+               cfg: RunConfig) -> LossBreakdown:
+    """Combination weighted by the config's ``lambda_*``, components
+    retained for logging."""
+    total = T.scale(gaze, cfg.lambda_gaze)
+    total = T.add(total, T.scale(direction, cfg.lambda_dir))
+    total = T.add(total, T.scale(inout, cfg.lambda_io))
+    total = T.add(total, T.scale(attention, cfg.lambda_att))
     return LossBreakdown(
         gaze=float(gaze.data), direction=float(direction.data),
         inout=float(inout.data), attention=float(attention.data),
-        lambda_gaze=lambda_gaze, lambda_dir=lambda_dir,
-        lambda_io=lambda_io, lambda_att=lambda_att,
         total=total,
     )

@@ -34,10 +34,6 @@ class Batch:
     gaze_points: list[list[tuple[float, float]]]
     sample_ids: list[int]
 
-    @property
-    def size(self) -> int:
-        return len(self.sample_ids)
-
 
 @dataclass
 class ForwardResult:
@@ -155,6 +151,4 @@ def compute_losses(result: ForwardResult, batch: Batch, cfg: RunConfig,
     io_l = loss_io(result.inout, batch.in_frame) if result.inout is not None else zero
     att_l = loss_att(result.weights, plan, cfg.modalities) if result.weights is not None \
         else zero
-    return total_loss(gaze_l, dir_l, io_l, att_l,
-                      lambda_gaze=cfg.lambda_gaze, lambda_dir=cfg.lambda_dir,
-                      lambda_io=cfg.lambda_io, lambda_att=cfg.lambda_att)
+    return total_loss(gaze_l, dir_l, io_l, att_l, cfg)

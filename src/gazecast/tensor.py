@@ -116,16 +116,9 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_err()
-
-    def _item_err(self):
-        raise ValueError(f"item() on non-scalar tensor of shape {self.shape}")
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def zero_grad(self) -> None:
-        self.grad = None
+        if self.data.size != 1:
+            raise ValueError(f"item() on non-scalar tensor of shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -136,52 +129,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other, self.dtype))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self.dtype))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self.dtype))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self.dtype), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __pow__(self, p):
-        return power(self, float(p))
-
     def __getitem__(self, key):
         return tslice(self, key)
-
-    # -- method sugar ----------------------------------------------------
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
 
 
 def _wrap(x, dtype) -> Tensor:
@@ -302,16 +251,6 @@ def scale(a: Tensor, s: float) -> Tensor:
 
     def fn(g):
         _accum(a, g * s)
-
-    _record(out, fn)
-    return out
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    out = _make(a.data**p, a.requires_grad)
-
-    def fn(g):
-        _accum(a, g * p * a.data ** (p - 1.0))
 
     _record(out, fn)
     return out

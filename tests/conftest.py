@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from gazecast import tensor as T
@@ -12,6 +13,18 @@ def clean_tape():
     T.fresh_tape()
     yield
     T.fresh_tape()
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read back a binary P5 PGM written by ``geometry.write_pgm`` (uint8
+    values)."""
+    with open(path, "rb") as f:
+        if f.readline().strip() != b"P5":
+            raise ValueError(f"{path}: not a binary PGM")
+        w, h = (int(v) for v in f.readline().split())
+        if int(f.readline()) != 255:
+            raise ValueError(f"{path}: unsupported maxval")
+        return np.frombuffer(f.read(w * h), dtype=np.uint8).reshape(h, w)
 
 
 def without_raw(samples):

@@ -1,19 +1,54 @@
 """The benchmark's hooks into the package. ``perfbench/tracing.py`` patches
 the functions and methods its LAYERS table names, and ``perfbench/layers.py``
-reads model attributes; a rename in the package would otherwise show only
-as a failing ``perfbench/run.py --trace 1``."""
+and ``perfbench/worker.py`` import names and read model attributes; a rename
+or deletion in the package would otherwise show only as a failing
+``perfbench/run.py`` run."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from gazecast import nn
+from gazecast import tensor as T
 from gazecast.config import RunConfig
 from gazecast.model import GazeTargetModel
 from gazecast.tensor import Tensor
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+
+
+@pytest.mark.parametrize("script", ["layers.py", "worker.py"])
+def test_benchmark_imports_resolve(script):
+    """Every ``from gazecast... import name`` resolves, and every ``T.name``
+    read through the tensor module alias exists."""
+    tree = ast.parse((PERFBENCH / script).read_text())
+    missing, tensor_aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gazecast"):
+            owner = importlib.import_module(node.module)
+            for alias in node.names:
+                if node.module == "gazecast" and alias.name == "tensor":
+                    tensor_aliases.add(alias.asname or alias.name)
+                if not hasattr(owner, alias.name):
+                    try:
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    except ImportError:
+                        missing.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in tensor_aliases and not hasattr(T, node.attr)):
+            missing.append(f"{node.value.id}.{node.attr}")
+    assert not missing
+
+
+def test_modules_can_clear_their_gradients():
+    """``perfbench/layers.py`` calls ``model.zero_grad()`` between probes."""
+    assert callable(nn.Module.__dict__.get("zero_grad"))
 
 
 def test_every_traced_layer_resolves():

@@ -8,13 +8,13 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import without_raw
+from conftest import read_pgm, without_raw
 from gazecast.cli import main
 from gazecast.data import read_dataset, write_dataset
 from gazecast.evaluate import SampleDump
 from gazecast.errors import DatasetError
-from gazecast.geometry import read_pgm
 from gazecast.serialization import load_checkpoint, save_checkpoint
+from gazecast.tensor import write_tensor
 
 
 def dir_hash(path):
@@ -271,6 +271,56 @@ def test_bad_model_shape_is_usage_error_before_reading_data(workspace, tmp_path,
     assert key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line,key", [
+    ("train.seed = -1", "train.seed"),
+    ("train.lr = 0", "train.lr"),
+    ("train.lr = nan", "train.lr"),
+    ("train.lr = inf", "train.lr"),
+    ("train.beta1 = 1.0", "train.beta1"),
+    ("train.beta1 = -0.1", "train.beta1"),
+    ("train.beta2 = 1.0", "train.beta2"),
+    ("train.epsilon = 0", "train.epsilon"),
+    ("train.weight_decay = inf", "train.weight_decay"),
+    ("train.weight_decay = -0.01", "train.weight_decay"),
+    ("loss.lambda_gaze = -1", "loss.lambda_gaze"),
+    ("loss.lambda_att = nan", "loss.lambda_att"),
+    ("data.sigma = 0", "data.sigma"),
+    ("metrics.binarization_radius = 0", "metrics.binarization_radius"),
+    ("model.aperture = 0", "model.aperture"),
+    ("model.aperture = 7", "model.aperture"),
+], ids=["seed-negative", "lr-0", "lr-nan", "lr-inf", "beta1-1", "beta1-negative", "beta2-1",
+        "epsilon-0", "weight-decay-inf", "weight-decay-negative", "lambda-gaze-negative",
+        "lambda-att-nan", "sigma-0", "radius-0", "aperture-0", "aperture-7"])
+def test_bad_training_constant_is_usage_error_before_reading_data(workspace, tmp_path, capsys,
+                                                                  monkeypatch, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"model.input_resolution = 32\n{line}\ntrain.epochs = 0\n")
+
+    def read_dataset(*args, **kwargs):
+        raise AssertionError("dataset read before the config was checked")
+
+    monkeypatch.setattr("gazecast.data.read_dataset", read_dataset)
+    assert main(["train", "--config", str(cfg), "--data", str(workspace / "data"),
+                 "--out", str(tmp_path / "x.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_checkpoint_with_bad_training_constant_is_data_error(workspace, tmp_path, capsys):
+    """A checkpoint whose embedded config has beta1 = 1, under a hash that
+    matches that text."""
+    state, _, text = load_checkpoint(workspace / "model.ckpt")
+    bad_text = "".join(("train.beta1 = 1.0\n" if line.startswith("train.beta1 ") else line)
+                       for line in text.splitlines(keepends=True))
+    assert bad_text != text
+    bad_hash = hashlib.sha256(bad_text.encode()).hexdigest()[:16]
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, state, bad_hash, bad_text)
+    assert main(["eval", "--ckpt", str(bad), "--data", str(workspace / "data"),
+                 "--report", str(tmp_path / "r.json")]) == 3
+    assert "train.beta1" in capsys.readouterr().err
+
+
 def test_checkpoint_with_bad_model_shape_is_data_error(workspace, tmp_path, capsys):
     """A checkpoint whose embedded config has two stages, under a hash that
     matches that text."""
@@ -374,22 +424,72 @@ def test_privacy_variant_runs_on_raw_free_data(workspace, tmp_path):
                  "--report", str(tmp_path / "r2.json")]) == 3
 
 
-@pytest.mark.parametrize("field,value", [("files", None), ("head_box", [0.5, 0.5, 0.1, 0.1])])
+@pytest.mark.parametrize("field,value", [
+    ("files", None),
+    ("head_box", [0.5, 0.5, 0.1, 0.1]),
+    pytest.param("gaze_points", [[0.1, 0.2, 0.3]], id="gaze-point-3-values"),
+    pytest.param("gaze_points", [[1.5, 0.2]], id="gaze-point-outside"),
+    pytest.param("gaze_points", [[0.5, -0.01]], id="gaze-point-negative"),
+    pytest.param("gaze_points", [[float("nan"), 0.2]], id="gaze-point-nan"),
+    pytest.param("gaze_points", [], id="in-frame-without-points"),
+    pytest.param("in_frame", 2, id="in-frame-2"),
+    pytest.param("files", {"raw": "../other/tensors/x.gzt"}, id="path-outside-dataset"),
+])
 def test_malformed_manifest_record_is_data_error(workspace, tmp_path, capsys, field, value):
+    data = _dataset_with_record(workspace, tmp_path, field, value)
+    assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--data", str(data),
+                 "--report", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert "manifest.jsonl:2:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "infer"])
+def test_malformed_manifest_record_stops_train_and_infer(workspace, tmp_path, capsys, command):
+    """Every command checks every record, also the ones ``infer`` does not
+    decode."""
+    data = _dataset_with_record(workspace, tmp_path, "gaze_points", [[0.1, 0.2, 0.3]])
+    args = {"train": ["train", "--data", str(data), "--out", str(tmp_path / "x.ckpt")],
+            "infer": ["infer", "--ckpt", str(workspace / "model.ckpt"), "--data", str(data),
+                      "--sample", "0", "--render", str(tmp_path / "render")]}[command]
+    assert main(args) == 3
+    assert "manifest.jsonl:2:" in capsys.readouterr().err
+
+
+def _dataset_with_record(workspace, tmp_path, field, value):
+    """A copy of the workspace dataset whose second record has ``field``
+    set to ``value`` (deleted when None)."""
     data = tmp_path / "data"
     shutil.copytree(workspace / "data", data)
+    # a valid tensor outside the dataset, which a bad path must not reach
+    (tmp_path / "other" / "tensors").mkdir(parents=True)
+    shutil.copy(next((data / "tensors").iterdir()), tmp_path / "other" / "tensors" / "x.gzt")
     manifest = data / "manifest.jsonl"
     lines = manifest.read_text().splitlines()
     rec = json.loads(lines[1])
+    assert rec["in_frame"] == 1
     if value is None:
         del rec[field]
     else:
         rec[field] = value
     lines[1] = json.dumps(rec)
     manifest.write_text("\n".join(lines) + "\n")
+    return data
+
+
+@pytest.mark.parametrize("modality,shape", [
+    ("depth", (32, 32)), ("depth", (3, 32, 16)), ("depth", (1, 32, 32)), ("pose", (3, 64, 64)),
+], ids=["rank-2", "not-square", "one-channel", "second-resolution"])
+def test_bad_modality_tensor_is_data_error(workspace, tmp_path, capsys, modality, shape):
+    """Each decoded image is (3, R, R), with one R for all of a sample's
+    modalities."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    rec = json.loads((data / "manifest.jsonl").read_text().splitlines()[1])
+    write_tensor(data / rec["files"][modality], np.zeros(shape))
     assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--data", str(data),
                  "--report", str(tmp_path / "r.json")]) == 3
-    assert "manifest.jsonl:2:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "manifest.jsonl:2:" in err and "(3, R, R)" in err
 
 
 def test_usage_error_exit_code(tmp_path):

@@ -159,8 +159,9 @@ def test_read_one_sample_keeps_manifest_wide_checks(tmp_path, mixed_samples):
 
 def test_deleted_tensor_file_is_same_error_without_a_stat_per_file(tmp_path, mixed_samples,
                                                                    monkeypatch):
-    """Tensor files are checked against the directory listing, other paths
-    one by one; a deleted file gives the same DatasetError either way."""
+    """Tensor files are checked against the directory listing, and a path
+    outside the tensor directory is rejected before any file is touched; a
+    deleted file gives the same DatasetError either way."""
     D.write_dataset(mixed_samples[:3], tmp_path)
     stats = []
     exists = os.path.exists
@@ -184,9 +185,9 @@ def test_deleted_tensor_file_is_same_error_without_a_stat_per_file(tmp_path, mix
     manifest.write_text(manifest.read_text().replace("tensors/00000002_depth.gzt",
                                                      "elsewhere/00000002_depth.gzt"))
     stats.clear()
-    with pytest.raises(DatasetError, match="missing file elsewhere/00000002_depth.gzt"):
+    with pytest.raises(DatasetError, match="elsewhere/00000002_depth.gzt is not tensors/<name>"):
         D.read_dataset(tmp_path, sample_id=0)
-    assert stats == [D.MANIFEST_NAME, "00000002_depth.gzt"]
+    assert stats == [D.MANIFEST_NAME]
 
 
 def test_empty_dataset_roundtrip(tmp_path):
@@ -218,18 +219,6 @@ def test_count_mismatch_is_typed_error(tmp_path, mixed_samples):
     extra.write_bytes((tmp_path / "tensors" / "00000000_raw.gzt").read_bytes())
     with pytest.raises(DatasetError, match="tensor files"):
         D.read_dataset(tmp_path)
-
-
-def test_train_test_split_contracts(mixed_samples):
-    subset = mixed_samples[:10]
-    train, test = D.train_test_split(subset, 0.5, seed=3)
-    assert len(train) == 5 and len(test) == 5
-    ids = {s.sample_id for s in train} | {s.sample_id for s in test}
-    assert ids == {s.sample_id for s in subset}
-    train2, test2 = D.train_test_split(subset, 0.5, seed=3)
-    assert [s.sample_id for s in train2] == [s.sample_id for s in train]
-    with pytest.raises(DatasetError):
-        D.train_test_split(subset, 0.01, seed=0)
 
 
 def test_crop_head_shapes_and_determinism(mixed_samples):

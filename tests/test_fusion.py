@@ -29,40 +29,38 @@ def test_transform_identity_initialized():
     fus.transforms["raw"].weight.data = eye.copy()
     fus.transforms["raw"].bias.data = np.zeros(D)
     fmap = Tensor(np.random.default_rng(1).normal(size=(2, D, 16, 16)))
-    out = fus.transform_modality(fmap, "raw")
+    out = fus.transforms["raw"](fmap)
     np.testing.assert_allclose(out.data, fmap.data, atol=1e-12)
 
 
 def test_transform_shapes_and_disjoint_weights():
     fus = make_fusion()
     fmap = Tensor(np.random.default_rng(2).normal(size=(1, D, 16, 16)))
-    assert fus.transform_modality(fmap, "pose").shape == (1, D, 16, 16)
-    before = fus.transform_modality(fmap, "pose").data.copy()
+    assert fus.transforms["pose"](fmap).shape == (1, D, 16, 16)
+    before = fus.transforms["pose"](fmap).data.copy()
     fus.transforms["raw"].weight.data += 5.0
-    np.testing.assert_array_equal(fus.transform_modality(fmap, "pose").data, before)
-    with pytest.raises(DomainError):
-        fus.transform_modality(fmap, "thermal")
+    np.testing.assert_array_equal(fus.transforms["pose"](fmap).data, before)
 
 
 def test_embed_shape_trajectory_and_zero_input():
     fus = make_fusion()
     tmap = Tensor(np.zeros((2, D, 16, 16)))
-    emb = fus.embed_modality(tmap, "depth")
+    emb = fus.embedders["depth"](tmap)
     assert emb.shape == (2, CFG.embedding_size)
     # zero input through zero-bias convs and linear stays exactly zero
     np.testing.assert_array_equal(emb.data, np.zeros((2, CFG.embedding_size)))
     with pytest.raises(ShapeMismatchError):
-        fus.embed_modality(Tensor(np.zeros((1, D, 4, 4))), "depth")
+        fus.embedders["depth"](Tensor(np.zeros((1, D, 4, 4))))
 
 
 def test_embedding_sensitive_to_channel_max():
     fus = make_fusion(3)
     rng = np.random.default_rng(4)
     tmap = rng.normal(size=(1, D, 16, 16))
-    base = fus.embed_modality(Tensor(tmap), "raw").data.copy()
+    base = fus.embedders["raw"](Tensor(tmap)).data.copy()
     bumped = tmap.copy()
     bumped[0, 0, 7, 9] += 10.0  # new channel max somewhere mid-map
-    out = fus.embed_modality(Tensor(bumped), "raw").data
+    out = fus.embedders["raw"](Tensor(bumped)).data
     assert np.abs(out - base).max() > 0.0
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grads, autodiff_grads, max_rel_err
+from conftest import finite_diff_grads, autodiff_grads, max_rel_err, read_pgm
 from gazecast import geometry as G
 from gazecast import tensor as T
 from gazecast.errors import DomainError
@@ -167,27 +167,6 @@ def test_gt_heatmap_empty_points_rejected():
         G.make_gt_heatmap([], 64, 64, 3.0)
 
 
-def test_gt_gaze_direction():
-    d = G.gt_gaze_direction(G.EyePoint(0.5, 0.5), (1.0, 0.5))
-    assert (d.x, d.y) == (1.0, 0.0)
-    d2 = G.gt_gaze_direction(G.EyePoint(0.0, 0.0), (1.0, 1.0))
-    assert d2.x == pytest.approx(math.sqrt(0.5))
-    assert d2.y == pytest.approx(math.sqrt(0.5))
-    with pytest.raises(DomainError):
-        G.gt_gaze_direction(G.EyePoint(0.2, 0.2), (0.2, 0.2))
-
-
-def test_prototypal_eye_locations():
-    e = G.prototypal_eye(G.HeadBox(0.0, 0.0, 1.0, 1.0))
-    assert (e.x, e.y) == (0.5, pytest.approx(1 / 3))
-    e2 = G.prototypal_eye(G.HeadBox(0.2, 0.2, 0.4, 0.5))
-    assert e2.x == pytest.approx(0.3)
-    assert e2.y == pytest.approx(0.3)
-    assert e2.source == "prototypal"
-    thin = G.prototypal_eye(G.HeadBox(0.499, 0.1, 0.501, 0.9))
-    assert 0.499 < thin.x < 0.501 and 0.1 < thin.y < 0.9
-
-
 def test_geometry_outputs_content_independent():
     # same annotations, different "image": identical outputs by construction
     box = G.HeadBox(0.1, 0.1, 0.4, 0.5)
@@ -200,7 +179,7 @@ def test_pgm_roundtrip(tmp_path):
     img = G.make_gt_heatmap([(0.25, 0.75)], 64, 64, 3.0)
     path = tmp_path / "heatmap.pgm"
     G.write_pgm(path, img)
-    back = G.read_pgm(path)
+    back = read_pgm(path)
     assert back.shape == (64, 64)
     np.testing.assert_array_equal(back, np.rint(255 * img).astype(np.uint8))
     # re-render is byte identical

@@ -154,28 +154,30 @@ def test_loss_att_gradient_pushes_dropped_weight_down():
 
 
 def test_total_loss_paper_coefficients():
+    cfg = RunConfig()
     zero = Tensor(np.zeros(()))
-    parts = H.total_loss(zero, zero, zero, zero)
+    parts = H.total_loss(zero, zero, zero, zero, cfg)
     assert parts.total_value == 0.0
 
     gaze = Tensor(np.asarray(0.01))
-    parts = H.total_loss(gaze, zero, zero, zero)
+    parts = H.total_loss(gaze, zero, zero, zero, cfg)
     assert parts.total_value == pytest.approx(1.0, abs=1e-15)
 
-    d1 = H.total_loss(zero, Tensor(np.asarray(0.5)), zero, zero).total_value
-    d2 = H.total_loss(zero, Tensor(np.asarray(1.0)), zero, zero).total_value
+    d1 = H.total_loss(zero, Tensor(np.asarray(0.5)), zero, zero, cfg).total_value
+    d2 = H.total_loss(zero, Tensor(np.asarray(1.0)), zero, zero, cfg).total_value
     assert d2 - d1 == pytest.approx(0.1 * 0.5, abs=1e-15)
 
 
 def test_total_loss_bit_exact_decomposition():
+    cfg = RunConfig()
     rng = np.random.default_rng(13)
     vals = [Tensor(np.asarray(v)) for v in rng.random(4)]
-    parts = H.total_loss(*vals)
+    parts = H.total_loss(*vals, cfg)
     recomputed = (
-        parts.lambda_gaze * parts.gaze
-        + parts.lambda_dir * parts.direction
-        + parts.lambda_io * parts.inout
-        + parts.lambda_att * parts.attention
+        cfg.lambda_gaze * parts.gaze
+        + cfg.lambda_dir * parts.direction
+        + cfg.lambda_io * parts.inout
+        + cfg.lambda_att * parts.attention
     )
     assert recomputed == parts.total_value  # bit-exact
 
