@@ -1,5 +1,6 @@
-"""Built-in verification suites: finite-difference gradient checks and
-brute-force oracle comparisons, runnable from the CLI (`gazecast check`).
+"""Built-in verification suites, one registry for `gazecast check` and the
+tests: finite-difference gradient checks (``GRAD_CASES``) and brute-force
+oracle comparisons (``ORACLE_CASES``).
 
 Each check returns its worst observed error so regressions are visible
 even while they stay under tolerance.
@@ -9,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
+from . import data as D
 from . import geometry as G
 from . import metrics as M
 from . import tensor as T
@@ -84,6 +86,11 @@ def max_rel_err(a, b) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
 
 
+def _max_abs_err(a, b) -> float:
+    """max |a-b|, elementwise."""
+    return float(np.max(np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))))
+
+
 def _fd_check(forward: Callable[[], Tensor], inputs: list[Tensor], h: float = 1e-5) -> float:
     """Worst relative error between tape gradients and central differences."""
     ad = autodiff_grads(forward, inputs)
@@ -147,9 +154,51 @@ class GradCase:
         return CheckResult(self.name, err < _GRAD_TOL, err, _GRAD_TOL)
 
 
+@dataclass(frozen=True)
+class OracleCase:
+    """One brute-force case: for every argument tuple that ``draws`` yields
+    from a fixed-seed generator, ``error(code(*args), oracle(*args))``; the
+    case passes when the worst of them is within ``tolerance``."""
+
+    name: str
+    draws: Callable[[np.random.Generator], Iterable[tuple]]
+    code: Callable[..., object]
+    oracle: Callable[..., object]
+    tolerance: float
+    error: Callable[[object, object], float] = _max_abs_err
+
+    def run(self) -> CheckResult:
+        rng = np.random.default_rng(31337)
+        worst = max(self.error(self.code(*args), self.oracle(*args)) for args in self.draws(rng))
+        return CheckResult(self.name, worst <= self.tolerance, worst, self.tolerance)
+
+
+def _pipeline_draws(rng: np.random.Generator):
+    """The full multimodal model after one backward of its loss, probed at
+    five randomly chosen parameter entries."""
+    cfg = RunConfig(variant="multimodal", input_resolution=32, heatmap_resolution=32,
+                    seed=5, p_drop=0.0)
+    samples = D.generate_dataset(D.SceneSpec(rng_seed=17, resolution=32, n_objects=2), 2)
+    model = GazeTargetModel(cfg)
+    batch = build_batch(samples, cfg)
+    T.fresh_tape()
+    T.backward(compute_losses(model(batch), batch, cfg).total)
+
+    def loss_value() -> float:
+        with T.no_grad():
+            return compute_losses(model(batch), batch, cfg).total_value
+
+    params = dict(model.named_parameters())
+    names = sorted(params)
+    for _ in range(5):
+        p = params[names[int(rng.integers(len(names)))]]
+        yield loss_value, p, int(rng.integers(p.size))
+
+
 _EYES = np.array([[0.45, 0.55]])
 
-# Every differentiable op, at each input shape it is checked with.
+# Every differentiable op, at each input shape it is checked with, then the
+# full model's loss.
 GRAD_CASES = (
     GradCase("conv2d", lambda x, w, b: T.conv2d(x, w, b, padding=1),
              (_normal(2, 3, 6, 6), _normal(4, 3, 3, 3, scale=0.5), _normal(4))),
@@ -187,179 +236,150 @@ GRAD_CASES = (
              (_normal(2, 3), _normal(2, 2))),
     GradCase("clamp_interior", lambda x: T.clamp(x, 0.0, 1.0),
              (lambda rng: rng.uniform(0.2, 0.8, size=(3, 3)),)),
-    GradCase("gaze_cone", lambda g: G.cone_batch(g, _EYES, 12, 12), (_unit_gaze,),
+    GradCase("gaze_cone", lambda g: G.cone_batch(g, _EYES, 16, 16), (_unit_gaze,),
              mask=_interior),
+    OracleCase("pipeline_loss_fd", _pipeline_draws,
+               lambda loss, p, i: p.grad.reshape(-1)[i],
+               lambda loss, p, i: central_difference(loss, p.data.reshape(-1), i, 1e-5),
+               tolerance=1e-3, error=max_rel_err),
 )
 
 
-def _grad_checks() -> list[CheckResult]:
-    return [case.run() for case in GRAD_CASES] + [_pipeline_fd_check()]
+def _cone_draws(rng: np.random.Generator):
+    for aperture in (math.pi, math.pi / 2):
+        # +x gaze from an eye on a pixel corner puts pixel centres exactly on
+        # the diagonals, the edges of a pi/2 aperture
+        yield np.array([1.0, 0.0]), np.array([0.5, 0.5]), aperture
+        for _ in range(20):
+            g = rng.normal(size=2)
+            yield g / np.linalg.norm(g), rng.uniform(0.05, 0.95, size=2), aperture
 
 
-def _pipeline_fd_check(n_params: int = 5, tol: float = 1e-3) -> CheckResult:
-    """Full model loss vs central differences on randomly chosen parameters."""
-    from . import data as D
-
-    cfg = RunConfig(variant="multimodal", input_resolution=32, heatmap_resolution=32,
-                    seed=5, p_drop=0.0)
-    samples = D.generate_dataset(
-        D.SceneSpec(rng_seed=17, resolution=32, n_objects=2), 2
-    )
-    model = GazeTargetModel(cfg)
-    batch = build_batch(samples, cfg)
-
-    def loss_value() -> float:
-        with T.no_grad():
-            return compute_losses(model(batch), batch, cfg).total_value
-
-    T.fresh_tape()
-    losses = compute_losses(model(batch), batch, cfg)
-    T.backward(losses.total)
-
-    params = dict(model.named_parameters())
-    rng = np.random.default_rng(99)
-    names = sorted(params)
-    worst = 0.0
-    for _ in range(n_params):
-        name = names[int(rng.integers(len(names)))]
-        p = params[name]
-        idx = int(rng.integers(p.size))
-        fd = central_difference(loss_value, p.data.reshape(-1), idx, 1e-5)
-        ad = p.grad.reshape(-1)[idx]
-        worst = max(worst, abs(ad - fd) / max(1.0, abs(fd)))
-    return CheckResult("pipeline_loss_fd", worst < tol, worst, tol)
+def _cone_oracle(g: np.ndarray, eye: np.ndarray, aperture: float, n: int = 64) -> np.ndarray:
+    """Per-pixel scalar recomputation on an n x n grid, independent of the
+    tensor path."""
+    eye_pixel = (min(int(eye[1] * n), n - 1), min(int(eye[0] * n), n - 1))
+    img = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if (i, j) == eye_pixel:
+                img[i, j] = 1.0
+                continue
+            px, py = (j + 0.5) / n - eye[0], (i + 0.5) / n - eye[1]
+            c = (g[0] * px + g[1] * py) / (math.hypot(px, py) * math.hypot(g[0], g[1]))
+            if math.acos(max(-1.0, min(1.0, c))) <= aperture / 2.0 + 1e-12:
+                img[i, j] = max(0.0, c)
+    return img
 
 
-def _oracle_checks() -> list[CheckResult]:
-    rng = np.random.default_rng(31337)
-    results = []
+def _cone_err(img: np.ndarray, ref: np.ndarray) -> float:
+    """max |img - ref|; infinite unless every pixel the oracle zeroes is 0."""
+    return _max_abs_err(img, ref) if np.all(img[ref == 0.0] == 0.0) else math.inf
 
-    # cone vs per-pixel scalar recomputation, 100 random configurations
-    worst = 0.0
-    for _ in range(100):
-        g = rng.normal(size=2)
-        g /= np.linalg.norm(g)
-        eye = rng.uniform(0.05, 0.95, size=2)
-        h = w = 24
-        img = G.cone_batch(Tensor(g.reshape(1, 2)), eye.reshape(1, 2), h, w).data[0, 0]
-        for i in range(h):
-            for j in range(w):
-                worst = max(worst, abs(img[i, j] - _cone_oracle(g, eye, i, j, h, w)))
-    results.append(CheckResult("cone_vs_bruteforce", worst < 1e-12, worst, 1e-12))
 
-    # weighted fusion vs explicit scalar loop
-    worst = 0.0
+def _fuse_draws(rng: np.random.Generator):
     for _ in range(20):
-        maps = [Tensor(rng.normal(size=(2, 3, 4, 4))) for _ in range(3)]
+        maps = rng.normal(size=(3, 2, 32, 4, 4))   # (modality, N, C, H, W)
         logits = rng.normal(size=(2, 3))
-        wts = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        out = fuse(maps, Tensor(wts)).data
-        ref = np.zeros_like(out)
-        for n in range(2):
-            for mi in range(3):
-                ref[n] += wts[n, mi] * maps[mi].data[n]
-        worst = max(worst, float(np.abs(out - ref).max()))
-    results.append(CheckResult("fuse_vs_loop", worst < 1e-12, worst, 1e-12))
+        yield maps, np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
 
-    # ROC AUC vs pairwise-comparison probability
-    worst = 0.0
+
+def _fuse_oracle(maps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    ref = np.zeros(maps.shape[1:])
+    for n in range(weights.shape[0]):
+        for m in range(weights.shape[1]):
+            ref[n] += weights[n, m] * maps[m, n]
+    return ref
+
+
+def _auc_draws(rng: np.random.Generator):
+    # quantized scores (many ties) on grids up to 8x8; single-class masks skipped
     for _ in range(50):
-        hgt, wid = int(rng.integers(4, 8)), int(rng.integers(4, 8))
-        img = np.round(rng.random((hgt, wid)), 1)
-        mask = M.binarize_gt([(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8))],
-                             hgt, wid, float(rng.uniform(1.0, 2.0)))
-        if mask.all() or not mask.any():
-            continue
-        got = M.roc_auc(img.ravel(), mask.ravel())
-        ref = _pairwise_auc(img.ravel(), mask.ravel())
-        worst = max(worst, abs(got - ref))
-    results.append(CheckResult("auc_vs_pairwise", worst < 1e-9, worst, 1e-9))
+        h, w = int(rng.integers(4, 9)), int(rng.integers(4, 9))
+        img = np.round(rng.random((h, w)), 1)
+        mask = M.binarize_gt([tuple(rng.uniform(0.1, 0.9, size=2))], h, w,
+                             float(rng.uniform(1.0, 2.5)))
+        if mask.any() and not mask.all():
+            yield img.ravel(), mask.ravel()
 
-    # AP vs exhaustive precision-sum
-    worst = 0.0
+
+def _pairwise_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """P(random positive outranks random negative), ties counted half."""
+    pos, neg = scores[labels], scores[~labels]
+    wins = sum(float(np.sum(p > neg)) + 0.5 * float(np.sum(p == neg)) for p in pos)
+    return wins / (len(pos) * len(neg))
+
+
+def _ap_draws(rng: np.random.Generator):
+    # quantized scores (many ties) in lists up to 19 long, one positive at least
     for _ in range(100):
-        n = int(rng.integers(2, 15))
+        n = int(rng.integers(2, 20))
         scores = np.round(rng.random(n), 1).tolist()
         labels = rng.integers(0, 2, size=n).tolist()
         if sum(labels) == 0:
             labels[0] = 1
-        worst = max(worst, abs(M.average_precision(scores, labels) - _exhaustive_ap(scores, labels)))
-    results.append(CheckResult("ap_vs_exhaustive", worst < 1e-12, worst, 1e-12))
+        yield scores, labels
 
-    # random heatmaps score AUC ~ 0.5
-    vals = [M.auc_score(rng.random((32, 32)), [(0.5, 0.5)], radius=4.5) for _ in range(1000)]
-    dev = abs(float(np.mean(vals)) - 0.5)
-    results.append(CheckResult("auc_random_is_half", dev < 0.05, dev, 0.05))
 
-    # argmax vs exhaustive scan
-    worst = 0.0
-    for _ in range(100):
-        img = rng.random((1, 7, 11))
-        got = argmax_point(img)
-        best = np.unravel_index(int(np.argmax(img[0])), img[0].shape)
-        ref = ((best[1] + 0.5) / 11, (best[0] + 0.5) / 7)
-        worst = max(worst, abs(got[0] - ref[0]) + abs(got[1] - ref[1]))
-    results.append(CheckResult("argmax_vs_scan", worst == 0.0, worst, 1e-300))
+def _exhaustive_ap(scores: list[float], labels: list[int]) -> float:
+    """Mean over the positives of the precision at each one's rank (ties by
+    index)."""
+    hits = [labels[i] for i in sorted(range(len(scores)), key=lambda i: (-scores[i], i))]
+    return sum(sum(hits[:k + 1]) / (k + 1) for k, hit in enumerate(hits) if hit) / sum(labels)
 
-    # head mask vs per-pixel containment count
-    worst = 0.0
+
+def _mean_random_auc(rng: np.random.Generator) -> float:
+    """Mean AUC of 1000 uniform random 64x64 heatmaps."""
+    return float(np.mean([M.auc_score(rng.random((64, 64)), [(0.5, 0.5)], radius=9.0)
+                          for _ in range(1000)]))
+
+
+def _scan_argmax(img: np.ndarray) -> tuple[float, float]:
+    """Centre of the first strict maximum in row-major order."""
+    h, w = img.shape
+    best, bi, bj = -math.inf, 0, 0
+    for i in range(h):
+        for j in range(w):
+            if img[i, j] > best:
+                best, bi, bj = img[i, j], i, j
+    return (bj + 0.5) / w, (bi + 0.5) / h
+
+
+def _box_draws(rng: np.random.Generator):
     for _ in range(20):
         x0, y0 = rng.uniform(0.0, 0.5, size=2)
-        box = G.HeadBox(x0, y0, x0 + rng.uniform(0.1, 0.4), y0 + rng.uniform(0.1, 0.4))
-        mask = G.render_head_mask(box, 15, 17)
-        count = sum(
-            1
-            for i in range(15)
-            for j in range(17)
-            if box.x_min <= (j + 0.5) / 17 <= box.x_max and box.y_min <= (i + 0.5) / 15 <= box.y_max
-        )
-        worst = max(worst, abs(float(mask.sum()) - count))
-    results.append(CheckResult("head_mask_vs_count", worst == 0.0, worst, 1e-300))
-
-    return results
+        yield G.HeadBox(x0, y0, x0 + rng.uniform(0.1, 0.45), y0 + rng.uniform(0.1, 0.45)),
 
 
-def _cone_oracle(g, eye, i, j, h, w) -> float:
-    ei = min(int(eye[1] * h), h - 1)
-    ej = min(int(eye[0] * w), w - 1)
-    if (i, j) == (ei, ej):
-        return 1.0
-    px = (j + 0.5) / w - eye[0]
-    py = (i + 0.5) / h - eye[1]
-    norm = math.hypot(px, py)
-    if norm == 0.0:
-        return 1.0
-    c = (g[0] * px + g[1] * py) / (norm * math.hypot(g[0], g[1]))
-    return max(0.0, c)
+def _containment_mask(box: G.HeadBox) -> np.ndarray:
+    """1 per pixel whose centre lies in the box, tested one pixel at a time."""
+    h, w = 17, 23
+    return np.array([[float(box.x_min <= (j + 0.5) / w <= box.x_max
+                            and box.y_min <= (i + 0.5) / h <= box.y_max)
+                      for j in range(w)] for i in range(h)])
 
 
-def _pairwise_auc(scores, labels) -> float:
-    pos = scores[labels.astype(bool)]
-    neg = scores[~labels.astype(bool)]
-    total = 0.0
-    for p in pos:
-        total += float(np.sum(p > neg)) + 0.5 * float(np.sum(p == neg))
-    return total / (len(pos) * len(neg))
-
-
-def _exhaustive_ap(scores, labels) -> float:
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    n_pos = sum(labels)
-    tp = 0
-    ap = 0.0
-    for rank, idx in enumerate(order, start=1):
-        if labels[idx]:
-            tp += 1
-            ap += (tp / rank) * (1.0 / n_pos)
-    return ap
-
+ORACLE_CASES = (
+    OracleCase("cone_vs_bruteforce", _cone_draws,
+               lambda g, eye, aperture: G.cone_batch(Tensor(g.reshape(1, 2)), eye.reshape(1, 2),
+                                                     64, 64, aperture).data[0, 0],
+               _cone_oracle, tolerance=1e-12, error=_cone_err),
+    OracleCase("fuse_vs_loop", _fuse_draws,
+               lambda maps, weights: fuse([Tensor(m) for m in maps], Tensor(weights)).data,
+               _fuse_oracle, tolerance=1e-12),
+    OracleCase("auc_vs_pairwise", _auc_draws, M.roc_auc, _pairwise_auc, tolerance=1e-9),
+    OracleCase("ap_vs_exhaustive", _ap_draws, M.average_precision, _exhaustive_ap,
+               tolerance=1e-12),
+    OracleCase("auc_random_is_half", lambda rng: [(rng,)], _mean_random_auc, lambda rng: 0.5,
+               tolerance=0.05),
+    OracleCase("argmax_vs_scan", lambda rng: ((rng.random((9, 13)),) for _ in range(100)),
+               argmax_point, _scan_argmax, tolerance=0.0),
+    OracleCase("head_mask_vs_count", _box_draws, lambda box: G.render_head_mask(box, 17, 23),
+               _containment_mask, tolerance=0.0),
+)
 
 def run_checks(suite: str) -> list[CheckResult]:
-    if suite not in ("grad", "oracle", "all"):
+    cases = {"grad": GRAD_CASES, "oracle": ORACLE_CASES, "all": GRAD_CASES + ORACLE_CASES}
+    if suite not in cases:
         raise ValueError(f"unknown suite {suite!r}")
-    results = []
-    if suite in ("grad", "all"):
-        results.extend(_grad_checks())
-    if suite in ("oracle", "all"):
-        results.extend(_oracle_checks())
-    return results
+    return [case.run() for case in cases[suite]]

@@ -434,7 +434,7 @@ def generate_scene(spec: SceneSpec, sample_id: int = 0) -> SceneSample:
     return SceneSample(
         images=images,
         head_box=box,
-        eye=EyePoint(float(eye[0]), float(eye[1]), source="annotated"),
+        eye=EyePoint(float(eye[0]), float(eye[1])),
         gaze_points=gaze_points,
         in_frame=0 if target_point is None else 1,
         oracle_gaze_dir=GazeVector2D.of(float(gaze_dir[0]), float(gaze_dir[1])),
@@ -538,7 +538,7 @@ def write_dataset(samples: list[SceneSample], path) -> None:
         lines.append(json.dumps({
             "sample_id": s.sample_id,
             "head_box": s.head_box.as_list(),
-            "eye": {"x": s.eye.x, "y": s.eye.y, "source": s.eye.source},
+            "eye": {"x": s.eye.x, "y": s.eye.y},
             "gaze_points": [list(p) for p in s.gaze_points],
             "in_frame": s.in_frame,
             "oracle_gaze_dir": [s.oracle_gaze_dir.x, s.oracle_gaze_dir.y],
@@ -551,10 +551,11 @@ def write_dataset(samples: list[SceneSample], path) -> None:
 def read_dataset(path, sample_id: int | None = None) -> list[SceneSample]:
     """Read a dataset directory written by ``write_dataset``.
 
-    Every manifest record is parsed and field-checked, every file it names
-    must exist and the tensor directory must hold exactly those files. All
-    samples are returned with their tensors decoded; given ``sample_id``,
-    only the samples with that id are decoded and returned.
+    Every manifest record is parsed and field-checked. Every file it names
+    must exist and be named by no other record, and the tensor directory
+    must hold exactly the named files. All samples are returned with their
+    tensors decoded; given ``sample_id``, only the samples with that id are
+    decoded and returned.
     """
     manifest = os.path.join(path, MANIFEST_NAME)
     if not os.path.exists(manifest):
@@ -562,29 +563,33 @@ def read_dataset(path, sample_id: int | None = None) -> list[SceneSample]:
     tensor_dir = os.path.join(path, TENSOR_DIR)
     tensor_files = set(os.listdir(tensor_dir)) if os.path.isdir(tensor_dir) else set()
     samples = []
-    expected = 0
-    with open(manifest) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    named: set[str] = set()
+    with open(manifest, "rb") as f:
+        for line_no, raw in enumerate(f, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
                 sample = _sample_from_record(rec, path, sample_id, tensor_files)
-                expected += len(rec["files"])
+                for rel in rec["files"].values():
+                    name = os.path.basename(rel)
+                    if name in named:
+                        raise DatasetError(f"{manifest}:{line_no}: {rel} is named twice")
+                    named.add(name)
                 if sample_id is None or sample.sample_id == sample_id:
                     samples.append(sample)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{manifest}:{line_no}: invalid JSON ({exc})") from exc
             except (KeyError, TypeError, ValueError, AttributeError, DomainError) as exc:
-                # a missing key, a value of the wrong type or out of range
+                # bytes that are not UTF-8, a missing key, a value of the
+                # wrong type or out of range
                 raise DatasetError(
                     f"{manifest}:{line_no}: malformed record ({type(exc).__name__}: {exc})"
                 ) from exc
-    if len(tensor_files) != expected:
-        raise DatasetError(
-            f"{path}: manifest lists {expected} tensor files but directory has {len(tensor_files)}"
-        )
+    stray = tensor_files - named
+    if stray:
+        raise DatasetError(f"{path}: tensor files the manifest does not name: {sorted(stray)}")
     return samples
 
 
@@ -619,7 +624,7 @@ def _sample_from_record(rec: dict, path, decode_id: int | None,
     return SceneSample(
         images=images,
         head_box=HeadBox(*rec["head_box"]),
-        eye=EyePoint(rec["eye"]["x"], rec["eye"]["y"], rec["eye"]["source"]),
+        eye=EyePoint(rec["eye"]["x"], rec["eye"]["y"]),   # an older "source" key is ignored
         gaze_points=gaze_points,
         in_frame=int(in_frame),
         oracle_gaze_dir=GazeVector2D(*rec["oracle_gaze_dir"]),

@@ -21,8 +21,6 @@ from . import tensor as T
 from .errors import DomainError
 from .tensor import Tensor
 
-EYE_SOURCES = ("annotated", "pose_midpoint", "prototypal")
-
 
 @dataclass(frozen=True)
 class HeadBox:
@@ -45,13 +43,10 @@ class HeadBox:
 class EyePoint:
     x: float
     y: float
-    source: str = "annotated"
 
     def __post_init__(self):
         if not (0.0 <= self.x <= 1.0 and 0.0 <= self.y <= 1.0):
             raise DomainError(f"eye point ({self.x},{self.y}) outside [0,1]^2")
-        if self.source not in EYE_SOURCES:
-            raise DomainError(f"unknown eye source {self.source!r}")
 
     @property
     def xy(self) -> np.ndarray:
@@ -178,8 +173,6 @@ def make_gt_heatmap(points: list[tuple[float, float]], h: int, w: int,
 def write_pgm(path, image: np.ndarray) -> None:
     """Binary PGM (P5, maxval 255) from a 2D float image in [0,1]."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 3 and img.shape[0] == 1:
-        img = img[0]
     if img.ndim != 2:
         raise ValueError(f"PGM writer expects a 2D image, got shape {img.shape}")
     data = np.rint(255.0 * np.clip(img, 0.0, 1.0)).astype(np.uint8)

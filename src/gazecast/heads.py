@@ -75,10 +75,9 @@ class InOutHead(nn.Module):
         return T.reshape(T.sigmoid(logit), (fmap.shape[0],))
 
 
-def argmax_point(heatmap: np.ndarray | Tensor) -> tuple[float, float]:
+def argmax_point(heatmap: np.ndarray) -> tuple[float, float]:
     """Pixel-center coordinates of the first maximum in row-major order."""
-    data = heatmap.data if isinstance(heatmap, Tensor) else np.asarray(heatmap)
-    img = data.reshape(data.shape[-2], data.shape[-1])
+    img = heatmap.reshape(heatmap.shape[-2], heatmap.shape[-1])
     h, w = img.shape
     flat_idx = int(np.argmax(img))
     i, j = divmod(flat_idx, w)
@@ -90,28 +89,20 @@ def argmax_point(heatmap: np.ndarray | Tensor) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def loss_gaze(pred: Tensor, target: Tensor, sample_mask: np.ndarray | None = None) -> Tensor:
-    """Mean per-pixel squared error; an optional 0/1 per-sample mask limits
-    the average to in-frame samples (all-masked batches contribute 0)."""
+def loss_gaze(pred: Tensor, target: Tensor, sample_mask: np.ndarray) -> Tensor:
+    """Mean per-pixel squared error over the samples whose (N,) 0/1 mask is
+    set, the in-frame ones (all-masked batches contribute 0)."""
     if pred.shape != target.shape:
         raise ShapeMismatchError(f"heatmap shapes differ: {pred.shape} vs {target.shape}")
     diff = T.sub(pred, target)
-    sq = T.mul(diff, diff)
-    if sample_mask is None:
-        return T.tmean(sq)
-    return _masked_mean(sq, sample_mask)
+    return _masked_mean(T.mul(diff, diff), sample_mask)
 
 
-def loss_dir(pred_dir: Tensor, target_dir: Tensor,
-             sample_mask: np.ndarray | None = None) -> Tensor:
-    """1 - cos(angle) between predicted and target unit directions, in [0,2].
-
-    Batched inputs are [N,2]; a mask averages over valid samples only.
-    """
+def loss_dir(pred_dir: Tensor, target_dir: Tensor, sample_mask: np.ndarray) -> Tensor:
+    """1 - cos(angle) between [N,2] predicted and target unit directions, in
+    [0,2], averaged over the samples whose (N,) 0/1 mask is set."""
     cos = T.cosine_similarity(pred_dir, target_dir, axis=-1)
     one_minus = T.sub(Tensor(np.ones(cos.shape, dtype=cos.dtype)), cos)
-    if cos.ndim == 0 or sample_mask is None:
-        return T.tmean(one_minus) if cos.ndim else one_minus
     return _masked_mean(one_minus, sample_mask)
 
 
@@ -143,7 +134,7 @@ def loss_att(weights: Tensor, plan: DropoutPlan, modalities: tuple[str, ...]) ->
     picked = None
     for idx, m in enumerate(modalities):
         if m in plan.dropped:
-            w_m = T.tmean(weights[:, idx]) if weights.ndim == 2 else weights[idx]
+            w_m = T.tmean(weights[:, idx])
             picked = w_m if picked is None else T.add(picked, w_m)
     return picked
 

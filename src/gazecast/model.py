@@ -31,8 +31,6 @@ class Batch:
     gt_heatmaps: np.ndarray                  # (N, 1, hm, hm); zeros when out-of-frame
     gt_dirs: np.ndarray                      # (N, 2)
     in_frame: np.ndarray                     # (N,) 0/1
-    gaze_points: list[list[tuple[float, float]]]
-    sample_ids: list[int]
 
 
 @dataclass
@@ -60,8 +58,6 @@ def sample_features(sample: SceneSample, cfg: RunConfig) -> dict:
         "mask": render_head_mask(sample.head_box, cfg.input_resolution,
                                  cfg.input_resolution)[None].astype(dt),
         "in_frame": float(sample.in_frame),
-        "gaze_points": list(sample.gaze_points),
-        "sample_id": sample.sample_id,
     }
     if sample.in_frame and sample.gaze_points:
         feats["gt_heatmap"] = make_gt_heatmap(sample.gaze_points, cfg.heatmap_resolution,
@@ -84,8 +80,6 @@ def build_batch(samples: list[SceneSample], cfg: RunConfig,
         gt_heatmaps=np.stack([f["gt_heatmap"] for f in feats]),
         gt_dirs=np.stack([f["gt_dir"] for f in feats]),
         in_frame=np.array([f["in_frame"] for f in feats]),
-        gaze_points=[f["gaze_points"] for f in feats],
-        sample_ids=[f["sample_id"] for f in feats],
     )
 
 

@@ -125,10 +125,10 @@ class AdamW:
     def __init__(
         self,
         params: list[Tensor],
-        learning_rate: float = 1e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        epsilon: float = 1e-8,
-        weight_decay: float = 0.0,
+        learning_rate: float,
+        betas: tuple[float, float],
+        epsilon: float,
+        weight_decay: float,
     ):
         self.params = list(params)
         self.learning_rate = float(learning_rate)

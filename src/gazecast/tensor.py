@@ -410,26 +410,22 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map ``y = x @ weight.T + bias`` with weight shaped [out, in]."""
-    squeeze = x.ndim == 1
-    xd = x.data[None, :] if squeeze else x.data
-    if xd.shape[-1] != weight.shape[1]:
+    xd = x.data
+    if xd.ndim != 2 or xd.shape[1] != weight.shape[1]:
         raise ShapeMismatchError(
-            f"linear: input features {xd.shape[-1]} != weight in-features {weight.shape[1]}"
+            f"linear: input shape {xd.shape} is not [N, {weight.shape[1]}] (weight in-features)"
         )
     y = xd @ weight.data.T
     if bias is not None:
         y = y + bias.data
-    if squeeze:
-        y = y[0]
     req = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
     out = _make(y, req)
 
     def fn(g):
-        g2 = g[None, :] if squeeze else g
-        _accum(x, (g2 @ weight.data)[0] if squeeze else g2 @ weight.data)
-        _accum(weight, g2.T @ xd)
+        _accum(x, g @ weight.data)
+        _accum(weight, g.T @ xd)
         if bias is not None:
-            _accum(bias, g2.sum(axis=0))
+            _accum(bias, g.sum(axis=0))
 
     _record(out, fn)
     return out
@@ -762,8 +758,6 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     """Copy each pixel into a factor x factor block."""
     if factor < 1:
         raise ValueError("upsample factor must be >= 1")
-    if factor == 1:
-        return tslice(x, (slice(None),))  # identity with a grad path
     f = int(factor)
     out = _make(_block_repeat(x.data, f), x.requires_grad)
 

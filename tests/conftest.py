@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gazecast import tensor as T
-from gazecast.checks import autodiff_grads, finite_diff_grads, max_rel_err  # noqa: F401
 
 
 @pytest.fixture(autouse=True)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import read_pgm, without_raw
+from gazecast.checks import GRAD_CASES, ORACLE_CASES, CheckResult, GradCase, OracleCase
 from gazecast.cli import main
 from gazecast.data import read_dataset, write_dataset
 from gazecast.evaluate import SampleDump
@@ -434,6 +435,11 @@ def test_privacy_variant_runs_on_raw_free_data(workspace, tmp_path):
     pytest.param("gaze_points", [], id="in-frame-without-points"),
     pytest.param("in_frame", 2, id="in-frame-2"),
     pytest.param("files", {"raw": "../other/tensors/x.gzt"}, id="path-outside-dataset"),
+    pytest.param("eye", b"\xff", id="not-utf8"),
+    # record 0's raw file, while record 1's own stays in tensors/ as a stray
+    pytest.param("files", {"raw": "tensors/00000000_raw.gzt",
+                           "depth": "tensors/00000001_depth.gzt",
+                           "pose": "tensors/00000001_pose.gzt"}, id="file-named-twice"),
 ])
 def test_malformed_manifest_record_is_data_error(workspace, tmp_path, capsys, field, value):
     data = _dataset_with_record(workspace, tmp_path, field, value)
@@ -457,22 +463,25 @@ def test_malformed_manifest_record_stops_train_and_infer(workspace, tmp_path, ca
 
 def _dataset_with_record(workspace, tmp_path, field, value):
     """A copy of the workspace dataset whose second record has ``field``
-    set to ``value`` (deleted when None)."""
+    set to ``value`` (deleted when None; bytes are written raw, inside a
+    JSON string)."""
     data = tmp_path / "data"
     shutil.copytree(workspace / "data", data)
     # a valid tensor outside the dataset, which a bad path must not reach
     (tmp_path / "other" / "tensors").mkdir(parents=True)
     shutil.copy(next((data / "tensors").iterdir()), tmp_path / "other" / "tensors" / "x.gzt")
     manifest = data / "manifest.jsonl"
-    lines = manifest.read_text().splitlines()
+    lines = manifest.read_bytes().splitlines()
     rec = json.loads(lines[1])
     assert rec["in_frame"] == 1
     if value is None:
         del rec[field]
     else:
-        rec[field] = value
-    lines[1] = json.dumps(rec)
-    manifest.write_text("\n".join(lines) + "\n")
+        rec[field] = "\0" if isinstance(value, bytes) else value
+    lines[1] = json.dumps(rec).encode()
+    if isinstance(value, bytes):
+        lines[1] = lines[1].replace(b"\\u0000", value)
+    manifest.write_bytes(b"\n".join(lines) + b"\n")
     return data
 
 
@@ -500,8 +509,23 @@ def test_usage_error_exit_code(tmp_path):
 
 def test_check_all_suites_pass(capsys):
     """Every finite-difference case and brute-force oracle of
-    ``gazecast check`` passes."""
+    ``gazecast check`` passes, printed in table order: ``GRAD_CASES``, then
+    ``ORACLE_CASES``."""
     assert main(["check", "--suite", "all"]) == 0
     *results, summary = capsys.readouterr().out.splitlines()
     assert results and all(line.startswith("[PASS] ") for line in results), results
     assert summary == f"all {len(results)} checks passed"
+    assert [line.split()[1].rstrip(":") for line in results] == \
+        [case.name for case in GRAD_CASES + ORACLE_CASES]
+
+
+@pytest.mark.parametrize("suite", ["grad", "oracle"])
+def test_check_suite_prints_its_table_in_order(capsys, monkeypatch, suite):
+    """``--suite grad`` and ``--suite oracle`` print one line per row of
+    their table, in table order (rows stubbed: they run in test_gradcheck)."""
+    for case_type in (GradCase, OracleCase):
+        monkeypatch.setattr(case_type, "run", lambda case: CheckResult(case.name, True, 0.0, 0.0))
+    assert main(["check", "--suite", suite]) == 0
+    *results, _ = capsys.readouterr().out.splitlines()
+    table = {"grad": GRAD_CASES, "oracle": ORACLE_CASES}[suite]
+    assert [line.split()[1].rstrip(":") for line in results] == [case.name for case in table]

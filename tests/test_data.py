@@ -190,6 +190,17 @@ def test_deleted_tensor_file_is_same_error_without_a_stat_per_file(tmp_path, mix
     assert stats == [D.MANIFEST_NAME]
 
 
+def test_manifest_eye_source_key_is_ignored(tmp_path, mixed_samples):
+    """Manifests written before the eye's "source" key was dropped still load."""
+    D.write_dataset(mixed_samples[:3], tmp_path)
+    manifest = tmp_path / D.MANIFEST_NAME
+    assert '"source"' not in manifest.read_text()
+    new = D.read_dataset(tmp_path)
+    manifest.write_text(manifest.read_text().replace('"y": ', '"source": "annotated", "y": '))
+    old = D.read_dataset(tmp_path)
+    assert [s.eye for s in old] == [s.eye for s in new] == [s.eye for s in mixed_samples[:3]]
+
+
 def test_empty_dataset_roundtrip(tmp_path):
     D.write_dataset([], tmp_path)
     assert D.read_dataset(tmp_path) == []

@@ -104,23 +104,6 @@ def test_fuse_one_hot_and_uniform():
     np.testing.assert_allclose(F.fuse(same, uniform).data, maps["depth"].data, atol=1e-12)
 
 
-def test_fuse_matches_scalar_loop_oracle():
-    maps = rand_maps(8, n=2, hw=4)
-    rng = np.random.default_rng(9)
-    logits = rng.normal(size=(2, 3))
-    w = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    out = F.fuse([maps[m] for m in MODALITIES], Tensor(w)).data
-
-    ref = np.zeros_like(out)
-    for n in range(2):
-        for mi, m in enumerate(MODALITIES):
-            for c in range(D):
-                for i in range(4):
-                    for j in range(4):
-                        ref[n, c, i, j] += w[n, mi] * maps[m].data[n, c, i, j]
-    assert np.abs(out - ref).max() < 1e-12
-
-
 def test_fuse_superposition_linearity():
     rng = np.random.default_rng(10)
     a = Tensor(rng.normal(size=(1, D, 8, 8)))

@@ -1,34 +1,15 @@
-"""Cone, mask, and heatmap contracts, each against an independent oracle."""
+"""Cone, mask, and heatmap contracts; the brute-force cone and head-mask
+oracles are rows of ``gazecast.checks.ORACLE_CASES``."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grads, autodiff_grads, max_rel_err, read_pgm
+from conftest import read_pgm
 from gazecast import geometry as G
-from gazecast import tensor as T
 from gazecast.errors import DomainError
 from gazecast.tensor import Tensor
-
-
-def oracle_cone_value(g, eye, i, j, h, w, aperture):
-    """Per-pixel scalar re-implementation, independent of the tensor path."""
-    ei = min(int(eye[1] * h), h - 1)
-    ej = min(int(eye[0] * w), w - 1)
-    if (i, j) == (ei, ej):
-        return 1.0
-    px = (j + 0.5) / w - eye[0]
-    py = (i + 0.5) / h - eye[1]
-    norm_p = math.hypot(px, py)
-    norm_g = math.hypot(g[0], g[1])
-    if norm_p == 0.0:
-        return 1.0
-    c = (g[0] * px + g[1] * py) / (norm_p * norm_g)
-    angle = math.acos(max(-1.0, min(1.0, c)))
-    if angle > aperture / 2.0 + 1e-12:
-        return 0.0
-    return max(0.0, c)
 
 
 def test_cone_forward_and_backward_pixels():
@@ -48,53 +29,6 @@ def test_cone_values_in_unit_interval():
         eye = rng.uniform(0.1, 0.9, size=(1, 2))
         img = G.cone_batch(gaze, eye, 32, 32).data
         assert img.min() >= 0.0 and img.max() <= 1.0
-
-
-def test_cone_matches_bruteforce_oracle():
-    rng = np.random.default_rng(7)
-    h = w = 64
-    for _ in range(20):
-        g = rng.normal(size=2)
-        g /= np.linalg.norm(g)
-        eye = rng.uniform(0.05, 0.95, size=2)
-        img = G.cone_batch(Tensor(g.reshape(1, 2)), eye.reshape(1, 2), h, w).data[0, 0]
-        ref = np.array(
-            [[oracle_cone_value(g, eye, i, j, h, w, math.pi) for j in range(w)] for i in range(h)]
-        )
-        assert np.max(np.abs(img - ref)) < 1e-12
-
-
-def test_cone_narrow_aperture_zeroes_outside():
-    aperture = math.pi / 2
-    h = w = 33
-    img = G.cone_batch(Tensor([[1.0, 0.0]]), np.array([[0.5, 0.5]]), h, w, aperture).data[0, 0]
-    ref = np.array(
-        [[oracle_cone_value((1.0, 0.0), (0.5, 0.5), i, j, h, w, aperture) for j in range(w)]
-         for i in range(h)]
-    )
-    np.testing.assert_allclose(img, ref, atol=1e-12)
-    # pixels at >45 degrees from +x are exactly zero
-    assert img[0, 20] == 0.0
-
-
-def test_cone_gradient_matches_fd_at_interior_pixels():
-    rng = np.random.default_rng(3)
-    g = rng.normal(size=2)
-    g /= np.linalg.norm(g)
-    gaze = Tensor(g.reshape(1, 2), requires_grad=True)
-    eyes = np.array([[0.43, 0.61]])
-    h = w = 16
-
-    probe = G.cone_batch(Tensor(g.reshape(1, 2)), eyes, h, w).data[0, 0]
-    sel = (probe > 1e-3) & (probe < 1.0 - 1e-9)
-    r = rng.normal(size=(1, 1, h, w)) * sel
-
-    def forward():
-        return T.tsum(T.mul(G.cone_batch(gaze, eyes, h, w), Tensor(r)))
-
-    fd = finite_diff_grads(forward, [gaze])
-    ad = autodiff_grads(forward, [gaze])
-    assert max_rel_err(ad[0], fd[0]) < 1e-4
 
 
 def test_cone_rotational_consistency():
@@ -123,23 +57,6 @@ def test_head_mask_full_and_half():
     np.testing.assert_array_equal(full, np.ones((4, 4)))
     half = G.render_head_mask(G.HeadBox(0.0, 0.0, 0.5, 1.0), 4, 4)
     np.testing.assert_array_equal(half, np.array([[1, 1, 0, 0]] * 4, dtype=float))
-
-
-def test_head_mask_matches_containment_count():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        x0, y0 = rng.uniform(0, 0.5, size=2)
-        x1, y1 = x0 + rng.uniform(0.1, 0.45), y0 + rng.uniform(0.1, 0.45)
-        box = G.HeadBox(x0, y0, x1, y1)
-        h, w = 17, 23
-        mask = G.render_head_mask(box, h, w)
-        count = 0
-        for i in range(h):
-            for j in range(w):
-                cx, cy = (j + 0.5) / w, (i + 0.5) / h
-                if x0 <= cx <= x1 and y0 <= cy <= y1:
-                    count += 1
-        assert mask.sum() == count
 
 
 def test_gt_heatmap_peak_and_falloff():

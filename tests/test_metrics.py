@@ -1,4 +1,5 @@
-"""Metric implementations vs. brute-force oracle definitions."""
+"""Metric contracts; the brute-force AUC and AP oracles are rows of
+``gazecast.checks.ORACLE_CASES``."""
 
 import math
 
@@ -18,60 +19,10 @@ def dump(in_frame, auc=None, min_dist=None, avg_dist=None, inout_score=None):
                         inout_score=inout_score)
 
 
-def pairwise_auc(scores, labels):
-    """P(random positive outranks random negative), ties counted half."""
-    pos = [s for s, l in zip(scores, labels) if l]
-    neg = [s for s, l in zip(scores, labels) if not l]
-    total = 0.0
-    for p in pos:
-        for n in neg:
-            if p > n:
-                total += 1.0
-            elif p == n:
-                total += 0.5
-    return total / (len(pos) * len(neg))
-
-
-def exhaustive_ap(scores, labels):
-    """AP as sum of precision-at-positive times recall increment."""
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    n_pos = sum(labels)
-    tp = 0
-    ap = 0.0
-    for rank, idx in enumerate(order, start=1):
-        if labels[idx]:
-            tp += 1
-            ap += (tp / rank) * (1.0 / n_pos)
-    return ap
-
-
 def test_auc_perfect_prediction():
     pts = [(0.5, 0.5)]
     mask = M.binarize_gt(pts, 64, 64, 9.0)
     assert M.auc_score(mask.astype(float), pts, radius=9.0) == 1.0
-
-
-def test_auc_random_prediction_near_half():
-    rng = np.random.default_rng(0)
-    pts = [(0.5, 0.5)]
-    vals = [M.auc_score(rng.random((64, 64)), pts, radius=9.0) for _ in range(1000)]
-    assert abs(float(np.mean(vals)) - 0.5) < 0.05
-
-
-def test_auc_matches_pairwise_oracle():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        h, w = rng.integers(4, 9), rng.integers(4, 9)
-        # quantized scores force plenty of ties
-        img = np.round(rng.random((h, w)), 1)
-        pts = [(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))]
-        radius = float(rng.uniform(1.0, 2.5))
-        mask = M.binarize_gt(pts, h, w, radius)
-        if mask.all() or not mask.any():
-            continue
-        got = M.roc_auc(img.ravel(), mask.ravel())
-        ref = pairwise_auc(img.ravel().tolist(), mask.ravel().tolist())
-        assert abs(got - ref) < 1e-9
 
 
 def test_auc_invariant_under_monotone_transform():
@@ -116,18 +67,6 @@ def test_average_precision_basic():
     assert M.average_precision(scores, labels) == pytest.approx(1.0 / n)
     with pytest.raises(DomainError):
         M.average_precision([0.5], [0])
-
-
-def test_average_precision_matches_exhaustive():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        n = int(rng.integers(2, 20))
-        scores = np.round(rng.random(n), 1).tolist()
-        labels = rng.integers(0, 2, size=n).tolist()
-        if sum(labels) == 0:
-            labels[0] = 1
-        got = M.average_precision(scores, labels)
-        assert abs(got - exhaustive_ap(scores, labels)) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)

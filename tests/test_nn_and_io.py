@@ -35,7 +35,7 @@ def test_named_parameters_dotted_paths():
 def test_adamw_zero_grad_zero_decay_is_noop():
     p = Tensor([1.5, -2.0], requires_grad=True)
     p.grad = np.zeros(2)
-    opt = nn.AdamW([p], learning_rate=0.1, weight_decay=0.0)
+    opt = nn.AdamW([p], learning_rate=0.1, betas=(0.9, 0.999), epsilon=1e-8, weight_decay=0.0)
     opt.step()
     np.testing.assert_array_equal(p.data, [1.5, -2.0])
 
@@ -54,14 +54,14 @@ def test_adamw_first_step_magnitude_is_lr():
 def test_adamw_decoupled_decay_exact():
     p = Tensor([2.0], requires_grad=True)
     p.grad = np.array([0.0])
-    opt = nn.AdamW([p], learning_rate=0.05, weight_decay=0.01)
+    opt = nn.AdamW([p], learning_rate=0.05, betas=(0.9, 0.999), epsilon=1e-8, weight_decay=0.01)
     opt.step()
     assert p.data[0] == pytest.approx(2.0 - 0.05 * 0.01 * 2.0, abs=0.0)
 
 
 def test_adamw_missing_grad_raises():
     p = Tensor([1.0], requires_grad=True)
-    opt = nn.AdamW([p])
+    opt = nn.AdamW([p], learning_rate=1e-4, betas=(0.9, 0.999), epsilon=1e-8, weight_decay=0.0)
     with pytest.raises(GradError):
         opt.step()
 
@@ -70,7 +70,7 @@ def test_adamw_moment_shapes_and_counter():
     rng = np.random.default_rng(1)
     ps = [Tensor(rng.normal(size=(3, 4)), requires_grad=True),
           Tensor(rng.normal(size=(5,)), requires_grad=True)]
-    opt = nn.AdamW(ps, learning_rate=1e-3)
+    opt = nn.AdamW(ps, learning_rate=1e-3, betas=(0.9, 0.999), epsilon=1e-8, weight_decay=0.0)
     for t in range(1, 4):
         for p in ps:
             p.grad = rng.normal(size=p.shape)
@@ -84,7 +84,8 @@ def test_adamw_deterministic():
     def run():
         rng = np.random.default_rng(9)
         p = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        opt = nn.AdamW([p], learning_rate=0.01, weight_decay=0.02)
+        opt = nn.AdamW([p], learning_rate=0.01, betas=(0.9, 0.999), epsilon=1e-8,
+                       weight_decay=0.02)
         for _ in range(10):
             p.grad = rng.normal(size=(4,))
             opt.step()
