@@ -1,5 +1,6 @@
 """Cone, mask, and heatmap contracts; the brute-force cone and head-mask
-oracles are rows of ``gazecast.checks.ORACLE_CASES``."""
+oracles are rows of ``gazecast.checks.ORACLE_CASES``, and the cone tests here
+compare against the same cone oracle."""
 
 import math
 
@@ -8,6 +9,8 @@ import pytest
 
 from conftest import read_pgm
 from gazecast import geometry as G
+from gazecast import tensor as T
+from gazecast.checks import _cone_oracle, autodiff_grads, finite_diff_grads, max_rel_err
 from gazecast.errors import DomainError
 from gazecast.tensor import Tensor
 
@@ -29,6 +32,47 @@ def test_cone_values_in_unit_interval():
         eye = rng.uniform(0.1, 0.9, size=(1, 2))
         img = G.cone_batch(gaze, eye, 32, 32).data
         assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+def test_cone_matches_bruteforce_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        g = rng.normal(size=2)
+        g /= np.linalg.norm(g)
+        eye = rng.uniform(0.05, 0.95, size=2)
+        img = G.cone_batch(Tensor(g.reshape(1, 2)), eye.reshape(1, 2), 64, 64).data[0, 0]
+        ref = _cone_oracle(g, eye, math.pi, n=64)
+        assert np.max(np.abs(img - ref)) < 1e-12
+
+
+def test_cone_narrow_aperture_zeroes_outside():
+    aperture = math.pi / 2
+    h = w = 33
+    img = G.cone_batch(Tensor([[1.0, 0.0]]), np.array([[0.5, 0.5]]), h, w, aperture).data[0, 0]
+    ref = _cone_oracle(np.array([1.0, 0.0]), np.array([0.5, 0.5]), aperture, n=h)
+    np.testing.assert_allclose(img, ref, atol=1e-12)
+    # pixels at >45 degrees from +x are exactly zero
+    assert img[0, 20] == 0.0
+
+
+def test_cone_gradient_matches_fd_at_interior_pixels():
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=2)
+    g /= np.linalg.norm(g)
+    gaze = Tensor(g.reshape(1, 2), requires_grad=True)
+    eyes = np.array([[0.43, 0.61]])
+    h = w = 16
+
+    probe = G.cone_batch(Tensor(g.reshape(1, 2)), eyes, h, w).data[0, 0]
+    sel = (probe > 1e-3) & (probe < 1.0 - 1e-9)
+    r = rng.normal(size=(1, 1, h, w)) * sel
+
+    def forward():
+        return T.tsum(T.mul(G.cone_batch(gaze, eyes, h, w), Tensor(r)))
+
+    fd = finite_diff_grads(forward, [gaze])
+    ad = autodiff_grads(forward, [gaze])
+    assert max_rel_err(ad[0], fd[0]) < 1e-4
 
 
 def test_cone_rotational_consistency():
