@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import DatasetError, DomainError
 from .geometry import EyePoint, GazeVector2D, HeadBox, pixel_centers
+from .serialization import atomic_write
 from .tensor import read_tensor, write_tensor
 
 IN_CONE_COS = 0.5          # checker threshold: candidate counts as "in cone"
@@ -526,7 +527,12 @@ TENSOR_DIR = "tensors"
 
 
 def write_dataset(samples: list[SceneSample], path) -> None:
-    """Directory layout: manifest.jsonl plus per-modality tensor files."""
+    """Directory layout: manifest.jsonl plus per-modality tensor files.
+
+    The tensor files are written in place, then the manifest through
+    ``atomic_write``: an interrupted write leaves the previous manifest, never
+    a new one that names tensors which were not written.
+    """
     os.makedirs(os.path.join(path, TENSOR_DIR), exist_ok=True)
     lines = []
     for s in samples:
@@ -544,7 +550,7 @@ def write_dataset(samples: list[SceneSample], path) -> None:
             "oracle_gaze_dir": [s.oracle_gaze_dir.x, s.oracle_gaze_dir.y],
             "files": files,
         }))
-    with open(os.path.join(path, MANIFEST_NAME), "w") as f:
+    with atomic_write(os.path.join(path, MANIFEST_NAME)) as f:
         f.write("\n".join(lines) + ("\n" if lines else ""))
 
 

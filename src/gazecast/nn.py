@@ -67,7 +67,7 @@ class Module:
                 raise CheckpointError(
                     f"shape mismatch for {name}: checkpoint {tuple(arr.shape)} vs model {p.shape}"
                 )
-            p.data = arr.astype(p.data.dtype).copy()
+            p.data = arr.astype(p.data.dtype)
             loaded.append(name)
         return loaded
 

@@ -156,8 +156,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # one pass; a copy, since callers may hand the same array to two leaves
+        t.grad = np.array(g, dtype=t.data.dtype, order="C")
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -389,10 +391,10 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def fn(g):
         if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).copy() if np.ndim(g) else np.full(a.shape, g, dtype=a.dtype))
+            _accum(a, np.broadcast_to(g, a.shape) if np.ndim(g) else np.full(a.shape, g, dtype=a.dtype))
         else:
             gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.shape).copy())
+            _accum(a, np.broadcast_to(gg, a.shape))
 
     _record(out, fn)
     return out
@@ -727,7 +729,7 @@ def upsample_conv2d(
             _accum(weight, dw.reshape(kh, kw, k, c).transpose(2, 3, 0, 1))
         if x.requires_grad:
             dxp = dxf.reshape(n, c, hp, wp)
-            _accum(x, np.ascontiguousarray(dxp[:, :, top : top + h, left : left + w]))
+            _accum(x, dxp[:, :, top : top + h, left : left + w])
 
     _record(out, fn)
     return out

@@ -1,9 +1,11 @@
 """End-to-end command flows via the CLI entry point (in-process)."""
 
+import ctypes
 import hashlib
 import json
 import os
 import shutil
+import types
 
 import numpy as np
 import pytest
@@ -54,6 +56,16 @@ def workspace(tmp_path_factory):
 def test_gen_empty_dataset(tmp_path):
     assert main(["gen", "--out", str(tmp_path / "empty"), "--count", "0"]) == 0
     assert (tmp_path / "empty" / "manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("has_mallopt", [True, False], ids=["glibc", "no-mallopt"])
+def test_main_keeps_heap_mapped_only_where_libc_has_mallopt(tmp_path, monkeypatch, has_mallopt):
+    calls = []
+    libc = types.SimpleNamespace(mallopt=lambda *args: calls.append(args)) if has_mallopt \
+        else types.SimpleNamespace()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    assert main(["gen", "--out", str(tmp_path / "data"), "--count", "2"]) == 0
+    assert calls == ([(-2, 64 << 20)] if has_mallopt else [])
 
 
 def test_gen_deterministic_hash(tmp_path):

@@ -206,6 +206,49 @@ def test_empty_dataset_roundtrip(tmp_path):
     assert D.read_dataset(tmp_path) == []
 
 
+@pytest.mark.parametrize("failing", ["tensor", "manifest"])
+def test_interrupted_write_keeps_previous_manifest(tmp_path, mixed_samples, monkeypatch,
+                                                   failing):
+    """A write that fails partway, among the tensor files or within the
+    manifest itself, leaves the previous manifest byte-for-byte and no new or
+    temporary manifest beside it."""
+    D.write_dataset(mixed_samples[:3], tmp_path)
+    before = (tmp_path / D.MANIFEST_NAME).read_bytes()
+    if failing == "tensor":
+        written = []
+        write_tensor = D.write_tensor
+
+        def failing_write(path, arr):
+            if len(written) == 4:
+                raise OSError("disk full")
+            written.append(path)
+            write_tensor(path, arr)
+
+        monkeypatch.setattr(D, "write_tensor", failing_write)
+    else:
+        fdopen = os.fdopen
+
+        class HalfWritten:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.f.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: HalfWritten(fdopen(fd, mode)))
+    with pytest.raises(OSError, match="disk full"):
+        D.write_dataset(mixed_samples[:6], tmp_path)
+    assert (tmp_path / D.MANIFEST_NAME).read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == sorted([D.MANIFEST_NAME, D.TENSOR_DIR])
+
+
 def test_tampered_magic_is_typed_error(tmp_path, mixed_samples):
     D.write_dataset(mixed_samples[:3], tmp_path)
     victim = next((tmp_path / "tensors").iterdir())

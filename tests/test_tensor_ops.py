@@ -382,6 +382,21 @@ def test_grad_accumulates_across_uses():
     assert x.grad[0] == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("upstream", [np.float32, np.float64])
+def test_leaves_given_one_upstream_array_keep_their_own_gradients(upstream):
+    """``add`` hands one upstream array to both leaves; ``a`` is then
+    accumulated into again by the earlier ``scale`` node, which must leave
+    ``b``'s gradient alone. An f32 leaf keeps an f32 gradient."""
+    a = Tensor(np.array([1.0, 2.0, 3.0], dtype=np.float32), requires_grad=True)
+    b = Tensor(np.array([4.0, 5.0, 6.0], dtype=np.float32), requires_grad=True)
+    r = Tensor(np.array([0.5, -1.0, 2.0], dtype=upstream))
+    tripled = T.scale(a, 3.0)
+    T.backward(T.tsum(T.add(tripled, T.mul(T.add(a, b), r))))
+    np.testing.assert_array_equal(a.grad, [3.5, 2.0, 5.0])
+    np.testing.assert_array_equal(b.grad, [0.5, -1.0, 2.0])
+    assert a.grad.dtype == b.grad.dtype == np.float32
+
+
 def test_no_grad_suppresses_recording():
     x = Tensor([1.0], requires_grad=True)
     with T.no_grad():
