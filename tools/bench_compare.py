@@ -91,8 +91,8 @@ def quartiles(values: list[float]) -> dict:
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     out = {}
     for name, direction in better.items():
-        base = [p["base"]["metrics"][name] for p in pairs]
-        head = [p["head"]["metrics"][name] for p in pairs]
+        base = [p["base"]["metrics"][name]["value"] for p in pairs]
+        head = [p["head"]["metrics"][name]["value"] for p in pairs]
         ratios = [h / b for h, b in zip(head, base)]
         wins = sum((h > b) if direction == "higher" else (h < b) for h, b in zip(head, base))
         out[name] = {"better": direction, "base": quartiles(base), "head": quartiles(head),
@@ -139,8 +139,9 @@ def main() -> int:
                 pair = {"seed": seed, "order": list(order)}
                 for side in order:
                     pair[side] = bench_run(trees[side], workload, seed, args.seconds)
-                    print(f"{workload} seed {seed} {side}: "
-                          f"{pair[side]['metrics']}", file=sys.stderr, flush=True)
+                    rate = pair[side]["metrics"]["samples_per_s"]["value"]
+                    print(f"{workload} seed {seed} {side}: {rate:.1f} samples/s",
+                          file=sys.stderr, flush=True)
                 pairs.append(pair)
                 seed += 1
             result["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
