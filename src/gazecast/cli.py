@@ -215,8 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-M_TOP_PAD = -2              # glibc mallopt parameter
+M_TOP_PAD = -2              # glibc mallopt parameters
+M_MMAP_THRESHOLD = -3
 HEAP_TOP_PAD = 64 << 20     # bytes of freed heap kept mapped
+MMAP_THRESHOLD = 32 << 20   # glibc's ceiling for its own dynamic threshold
 
 
 def _keep_heap_mapped() -> None:
@@ -224,18 +226,23 @@ def _keep_heap_mapped() -> None:
 
     Each train step builds and frees a working set of tens of MB; by default
     glibc trims it from the heap at the end of the step and the next step
-    faults it in again, 10-20K minor faults per request. Kernel-level fixes
-    (fewer or reused temporaries) only moved the faults to wherever the
+    faults it in again, thousands of minor faults per step. Kernel-level
+    fixes (fewer or reused temporaries) only moved the faults to wherever the
     trimmed heap grew back, so this takes the process-wide setting instead.
     No output depends on it, and it is set here at the command's entry point,
     so ``import gazecast`` alone changes nothing.
 
-    Do not set M_TRIM_THRESHOLD on its own instead: any mallopt of it freezes
-    glibc's dynamic mmap threshold at 128 KiB, so every large array is mapped
-    and unmapped per call (953 ms and 236K faults per train request).
+    Any mallopt of M_TOP_PAD or M_TRIM_THRESHOLD also turns off glibc's
+    dynamic mmap threshold and freezes it where it stands, 128 KiB in a fresh
+    process, so that every larger array is mapped and unmapped per call. The
+    threshold is therefore set to the ceiling the dynamic one would reach:
+    with M_TOP_PAD alone a fresh ``gazecast train`` still took about 4,600
+    faults per step. Never set M_TRIM_THRESHOLD on its own: that measured
+    953 ms and 236K faults per train request.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
         mallopt(M_TOP_PAD, HEAP_TOP_PAD)
 
 

@@ -65,7 +65,7 @@ def test_main_keeps_heap_mapped_only_where_libc_has_mallopt(tmp_path, monkeypatc
         else types.SimpleNamespace()
     monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
     assert main(["gen", "--out", str(tmp_path / "data"), "--count", "2"]) == 0
-    assert calls == ([(-2, 64 << 20)] if has_mallopt else [])
+    assert calls == ([(-3, 32 << 20), (-2, 64 << 20)] if has_mallopt else [])
 
 
 def test_gen_deterministic_hash(tmp_path):

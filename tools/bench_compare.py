@@ -120,6 +120,9 @@ def main() -> int:
     ap.add_argument("--fault-rounds", type=int, default=3)
     ap.add_argument("--fault-requests", type=int, default=8)
     args = ap.parse_args()
+    pair_counts = [spec.partition("=") for spec in args.pairs]
+    if any(not n.isdigit() or int(n) < 2 for _, _, n in pair_counts):
+        ap.error("--pairs takes WORKLOAD=N with N >= 2, for quartiles")
 
     with open("BENCHMARK.json") as f:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
@@ -131,8 +134,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: export(rev, tmp) for side, rev in revs.items()}
         seed = args.seed
-        for spec in args.pairs:
-            workload, n = spec.split("=")
+        for workload, _, n in pair_counts:
             pairs = []
             for i in range(int(n)):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
