@@ -391,7 +391,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def fn(g):
         if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape) if np.ndim(g) else np.full(a.shape, g, dtype=a.dtype))
+            _accum(a, np.broadcast_to(g, a.shape))
         else:
             gg = g if keepdims else np.expand_dims(g, axis)
             _accum(a, np.broadcast_to(gg, a.shape))

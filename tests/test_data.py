@@ -211,7 +211,8 @@ def test_interrupted_write_keeps_previous_manifest(tmp_path, mixed_samples, monk
                                                    failing):
     """A write that fails partway, among the tensor files or within the
     manifest itself, leaves the previous manifest byte-for-byte and no new or
-    temporary manifest beside it."""
+    temporary manifest beside it. The manifest is written after every tensor,
+    so only the ``manifest`` case needs its atomic write."""
     D.write_dataset(mixed_samples[:3], tmp_path)
     before = (tmp_path / D.MANIFEST_NAME).read_bytes()
     if failing == "tensor":
