@@ -37,8 +37,10 @@ class CheckResult:
         return f"[{status}] {self.name}: max err {self.max_err:.3e} (tol {self.tolerance:.0e})"
 
 
-def finite_diff_grads(forward: Callable[[], Tensor], inputs: list[Tensor],
-                      h: float = 1e-5) -> list[np.ndarray]:
+_FD_STEP = 1e-5  # central-difference step of every finite-difference check
+
+
+def finite_diff_grads(forward: Callable[[], Tensor], inputs: list[Tensor]) -> list[np.ndarray]:
     """Central-difference gradients of a scalar-valued ``forward()``.
 
     ``forward`` must rebuild its graph from the current contents of the
@@ -52,14 +54,15 @@ def finite_diff_grads(forward: Callable[[], Tensor], inputs: list[Tensor],
             flat = t.data.reshape(-1)
             gflat = g.reshape(-1)
             for i in range(flat.size):
-                gflat[i] = central_difference(lambda: float(forward().data), flat, i, h)
+                gflat[i] = central_difference(lambda: float(forward().data), flat, i)
             grads.append(g)
     return grads
 
 
-def central_difference(f: Callable[[], float], flat: np.ndarray, i: int, h: float) -> float:
-    """``(f() at flat[i] + h  -  f() at flat[i] - h) / 2h``; ``flat[i]`` is
-    perturbed in place and restored."""
+def central_difference(f: Callable[[], float], flat: np.ndarray, i: int) -> float:
+    """``(f() at flat[i] + h  -  f() at flat[i] - h) / 2h`` with h the
+    module's ``_FD_STEP``; ``flat[i]`` is perturbed in place and restored."""
+    h = _FD_STEP
     orig = flat[i]
     flat[i] = orig + h
     up = f()
@@ -91,10 +94,10 @@ def _max_abs_err(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))))
 
 
-def _fd_check(forward: Callable[[], Tensor], inputs: list[Tensor], h: float = 1e-5) -> float:
+def _fd_check(forward: Callable[[], Tensor], inputs: list[Tensor]) -> float:
     """Worst relative error between tape gradients and central differences."""
     ad = autodiff_grads(forward, inputs)
-    fd = finite_diff_grads(forward, inputs, h)
+    fd = finite_diff_grads(forward, inputs)
     return max(max_rel_err(a, f) for a, f in zip(ad, fd))
 
 
@@ -240,7 +243,7 @@ GRAD_CASES = (
              mask=_interior),
     OracleCase("pipeline_loss_fd", _pipeline_draws,
                lambda loss, p, i: p.grad.reshape(-1)[i],
-               lambda loss, p, i: central_difference(loss, p.data.reshape(-1), i, 1e-5),
+               lambda loss, p, i: central_difference(loss, p.data.reshape(-1), i),
                tolerance=1e-3, error=max_rel_err),
 )
 

@@ -277,14 +277,12 @@ def parse_config_lines(lines) -> dict[str, str]:
     return out
 
 
-def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Build a RunConfig from an optional file plus key=value overrides."""
+def load_config(path=None) -> RunConfig:
+    """Build a RunConfig from an optional file; without one, the defaults."""
     raw: dict[str, str] = {}
     if path is not None:
         with open(path) as f:
-            raw.update(parse_config_lines(f))
-    if overrides:
-        raw.update(overrides)
+            raw = parse_config_lines(f)
     return RunConfig(**typed_fields(raw, _KEYMAP, RunConfig))
 
 

@@ -62,6 +62,12 @@ class SceneSpec:
             raise DatasetError("person rule needs n_people >= 2")
         if self.depth_layers < 2:
             raise DatasetError("need at least two depth layers")
+        if self.n_objects < 0:
+            raise DatasetError(f"n_objects must be >= 0, got {self.n_objects}")
+        if self.rng_seed < 0:
+            raise DatasetError(f"seed must be >= 0, got {self.rng_seed}")
+        if not 0.0 <= self.p_out_of_frame <= 1.0:  # NaN fails too
+            raise DatasetError(f"p_out_of_frame must lie in [0, 1], got {self.p_out_of_frame}")
 
 
 @dataclass
@@ -91,7 +97,6 @@ class SceneLayout:
     persons: list[PersonInfo]
     subject_idx: int
     rule: str
-    target_point: np.ndarray | None   # None when the target is off-frame
 
 
 @dataclass
@@ -415,8 +420,7 @@ def generate_scene(spec: SceneSpec, sample_id: int = 0) -> SceneSample:
         objects.append(ObjectInfo(pos, obj_r, layer, rng.uniform(0.5, 1.0, size=3)))
         placed.append((pos, obj_r))
 
-    layout = SceneLayout(objects=objects, persons=persons, subject_idx=subject_idx,
-                         rule=rule, target_point=target_point)
+    layout = SceneLayout(objects=objects, persons=persons, subject_idx=subject_idx, rule=rule)
 
     images = {
         "raw": _render_raw(layout, res, rng),

@@ -45,9 +45,8 @@ def concat_modality_inputs(modality: Tensor, cone: Tensor, mask: Tensor) -> Tens
 class GazeSubnet(nn.Module):
     """Head crop -> (unit 2D gaze direction, gaze embedding)."""
 
-    def __init__(self, cfg: RunConfig, rng: np.random.Generator, in_channels: int = 3):
-        self.in_channels = in_channels
-        chans = [in_channels, *cfg.stage_channels]
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
+        chans = [3, *cfg.stage_channels]
         self.stages = [
             nn.Conv2d(chans[i], chans[i + 1], 3, rng, stride=2, padding=1)
             for i in range(len(cfg.stage_channels))
@@ -56,10 +55,8 @@ class GazeSubnet(nn.Module):
         self.head = nn.Linear(cfg.embedding_size, 2, rng)
 
     def forward(self, crop: Tensor) -> GazeSubnetOutput:
-        if crop.ndim != 4 or crop.shape[1] != self.in_channels:
-            raise ShapeMismatchError(
-                f"gaze subnet expects [N,{self.in_channels},H,W], got {crop.shape}"
-            )
+        if crop.ndim != 4 or crop.shape[1] != 3:
+            raise ShapeMismatchError(f"gaze subnet expects [N,3,H,W], got {crop.shape}")
         x = crop
         for stage in self.stages:
             x = T.relu(stage(x))

@@ -5,28 +5,26 @@ from __future__ import annotations
 from . import tensor as T
 from .config import RunConfig
 from .data import SceneSample
-from .fusion import EMPTY_PLAN, DropoutPlan
 from .heads import argmax_point
 from .metrics import MetricsReport, SampleDump, aggregate, auc_score, distance_scores
 from .model import GazeTargetModel, build_batch
 
+BATCH_SIZE = 32
 
-def evaluate_model(model: GazeTargetModel, samples: list[SceneSample],
-                   cfg: RunConfig, plan: DropoutPlan = EMPTY_PLAN,
-                   oracle_heatmaps: bool = False,
-                   batch_size: int = 32) -> tuple[MetricsReport, list[SampleDump]]:
+
+def evaluate_model(model: GazeTargetModel, samples: list[SceneSample], cfg: RunConfig,
+                   oracle_heatmaps: bool = False) -> tuple[MetricsReport, list[SampleDump]]:
     """Run the model over ``samples`` and aggregate metrics.
 
     ``oracle_heatmaps`` substitutes the ground-truth heatmap for the
-    prediction (upper-bound sanity: AUC 1, distances 0). ``plan`` lets
-    callers noise-substitute modalities to probe attention behavior.
+    prediction (upper-bound sanity: AUC 1, distances 0).
     """
     dumps = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
+    for start in range(0, len(samples), BATCH_SIZE):
+        chunk = samples[start : start + BATCH_SIZE]
         batch = build_batch(chunk, cfg)
         with T.no_grad():
-            result = model(batch, plan)
+            result = model(batch)
         for k, sample in enumerate(chunk):
             if oracle_heatmaps:
                 pred_map = batch.gt_heatmaps[k, 0]
@@ -47,8 +45,8 @@ def evaluate_model(model: GazeTargetModel, samples: list[SceneSample],
                 mn = av = auc = None
             dumps.append(SampleDump(
                 sample_id=sample.sample_id, in_frame=sample.in_frame,
-                pred_point=point, min_dist=mn, avg_dist=av, auc=auc,
-                weights=weights, inout_score=io_score,
+                p_gaze=point, min_dist=mn, avg_dist=av, auc=auc,
+                weights=weights, inout=io_score,
                 config_hash=cfg.config_hash(),
             ))
     return aggregate(dumps, cfg.binarization_radius, cfg.config_hash()), dumps

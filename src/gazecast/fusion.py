@@ -39,7 +39,6 @@ EMPTY_PLAN = DropoutPlan(frozenset(), 0)
 class FusionOutput:
     combined: Tensor                 # [N, d, h, w]
     weights: Tensor | None           # [N, M] rows on the simplex; None when unfused
-    transformed: dict[str, Tensor]   # modality -> [N, d, h, w]
 
 
 class ModalityEmbedder(nn.Module):
@@ -92,7 +91,7 @@ class AttentionFusion(nn.Module):
         weights = self.attention_weights(
             [self.embedders[m](transformed[m]) for m in self.modalities])
         combined = fuse([transformed[m] for m in self.modalities], weights)
-        return FusionOutput(combined=combined, weights=weights, transformed=transformed)
+        return FusionOutput(combined=combined, weights=weights)
 
 
 def fuse(transformed_maps: list[Tensor], weights: Tensor) -> Tensor:

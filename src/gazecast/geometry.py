@@ -19,6 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DomainError
+from .serialization import atomic_write
 from .tensor import Tensor
 
 
@@ -171,12 +172,13 @@ def make_gt_heatmap(points: list[tuple[float, float]], h: int, w: int,
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Binary PGM (P5, maxval 255) from a 2D float image in [0,1]."""
+    """Binary PGM (P5, maxval 255) from a 2D float image in [0,1], written
+    atomically."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"PGM writer expects a 2D image, got shape {img.shape}")
     data = np.rint(255.0 * np.clip(img, 0.0, 1.0)).astype(np.uint8)
     h, w = data.shape
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode())
         f.write(data.tobytes())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,26 +27,13 @@ class MetricsReport:
     min_dist: float
     ap: float | None
     n_samples: int
+    config_hash: str
     binarization_radius: float
-    config_hash: str = ""
     ap_interpolation: str = "step"
     attention_means: dict[str, float] | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "auc": self.auc,
-                "avg_dist": self.avg_dist,
-                "min_dist": self.min_dist,
-                "ap": self.ap,
-                "n_samples": self.n_samples,
-                "config_hash": self.config_hash,
-                "binarization_radius": self.binarization_radius,
-                "ap_interpolation": self.ap_interpolation,
-                "attention_means": self.attention_means,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def binarize_gt(gt_points: list[tuple[float, float]], h: int, w: int,
@@ -132,26 +119,16 @@ class SampleDump:
 
     sample_id: int
     in_frame: int
-    pred_point: tuple[float, float]
+    p_gaze: tuple[float, float]
     min_dist: float | None
     avg_dist: float | None
     auc: float | None
     weights: dict[str, float]
-    inout_score: float | None
+    inout: float | None
     config_hash: str = ""
 
     def to_json(self) -> str:
-        return json.dumps({
-            "sample_id": self.sample_id,
-            "in_frame": self.in_frame,
-            "p_gaze": list(self.pred_point),
-            "min_dist": self.min_dist,
-            "avg_dist": self.avg_dist,
-            "auc": self.auc,
-            "weights": self.weights,
-            "inout": self.inout_score,
-            "config_hash": self.config_hash,
-        })
+        return json.dumps(asdict(self))
 
 
 def aggregate(per_sample: list[SampleDump], binarization_radius: float,
@@ -167,7 +144,7 @@ def aggregate(per_sample: list[SampleDump], binarization_radius: float,
     if not aucs:
         raise DomainError("every in-frame sample was excluded from AUC")
     ap = None
-    scores = [s.inout_score for s in per_sample]
+    scores = [s.inout for s in per_sample]
     if all(sc is not None for sc in scores):
         ap = average_precision(scores, [1 if s.in_frame else 0 for s in per_sample])
     modalities = dict.fromkeys(m for s in per_sample for m in s.weights)

@@ -38,7 +38,6 @@ class ForwardResult:
     heatmap: Tensor                # (N, 1, hm, hm)
     direction: Tensor              # (N, 2) unit rows
     cone: Tensor                   # (N, 1, H, W)
-    combined: Tensor               # (N, d, h, w)
     weights: Tensor | None         # (N, M) or None for single-modality variants
     inout: Tensor | None           # (N,) or None when the head is disabled
 
@@ -132,7 +131,7 @@ class GazeTargetModel(nn.Module):
         inout = self.inout(combined, subnet_out.embedding) if cfg.inout_head else None
         return ForwardResult(
             heatmap=heatmap, direction=subnet_out.direction, cone=cone,
-            combined=combined, weights=weights, inout=inout,
+            weights=weights, inout=inout,
         )
 
 

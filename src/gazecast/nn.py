@@ -139,10 +139,6 @@ class AdamW:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
     def step(self) -> None:
         b1, b2 = self.betas
         self.step_count += 1

@@ -386,23 +386,20 @@ def tslice(a: Tensor, key) -> Tensor:
     return out
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = _make(a.data.sum(axis=axis, keepdims=keepdims), a.requires_grad)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out = _make(a.data.sum(axis=axis), a.requires_grad)
 
     def fn(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.shape))
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.shape))
 
     _record(out, fn)
     return out
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
+def tmean(a: Tensor) -> Tensor:
+    return scale(tsum(a), 1.0 / float(a.size))
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
                     )
                 T.backward(losses.total)
                 optimizer.step()
-                optimizer.zero_grad()
+                model.zero_grad()
                 step += 1
                 csv_rows.append(f"{step},{losses.gaze!r},{losses.direction!r},"
                                 f"{losses.inout!r},{losses.attention!r},{total!r}")

@@ -81,13 +81,20 @@ def test_gen_negative_count_is_usage_error(tmp_path):
     assert not (tmp_path / "neg").exists()
 
 
-@pytest.mark.parametrize("spec", ["scene.bogus = 1\n", "scene.n_objects = abc\n",
-                                  "scene.resolution = 16\n"],
-                         ids=["unknown-key", "bad-value", "out-of-range"])
-def test_gen_rejects_bad_spec(tmp_path, spec):
+@pytest.mark.parametrize("spec,flags", [
+    ("scene.bogus = 1\n", []), ("scene.n_objects = abc\n", []), ("scene.resolution = 16\n", []),
+    ("scene.seed = -1\n", []), ("", ["--seed", "-1"]), ("scene.p_out_of_frame = 2\n", []),
+    ("scene.p_out_of_frame = -0.5\n", []), ("scene.p_out_of_frame = nan\n", []),
+    ("scene.n_objects = -1\n", []),
+], ids=["unknown-key", "bad-value", "out-of-range", "negative-seed", "negative-seed-flag",
+        "p-out-above-1", "p-out-below-0", "p-out-nan", "negative-objects"])
+def test_gen_rejects_bad_spec(tmp_path, capsys, spec, flags):
     bad = tmp_path / "bad.cfg"
     bad.write_text(spec)
-    assert main(["gen", "--spec", str(bad), "--out", str(tmp_path / "x"), "--count", "1"]) == 1
+    assert main(["gen", "--spec", str(bad), "--out", str(tmp_path / "x"), "--count", "1",
+                 *flags]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_loss_csv_written(workspace):
@@ -519,25 +526,31 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["definitely-not-a-command"]) == 1
 
 
-def test_check_all_suites_pass(capsys):
-    """Every finite-difference case and brute-force oracle of
-    ``gazecast check`` passes, printed in table order: ``GRAD_CASES``, then
-    ``ORACLE_CASES``."""
-    assert main(["check", "--suite", "all"]) == 0
-    *results, summary = capsys.readouterr().out.splitlines()
-    assert results and all(line.startswith("[PASS] ") for line in results), results
-    assert summary == f"all {len(results)} checks passed"
-    assert [line.split()[1].rstrip(":") for line in results] == \
-        [case.name for case in GRAD_CASES + ORACLE_CASES]
-
-
-@pytest.mark.parametrize("suite", ["grad", "oracle"])
-def test_check_suite_prints_its_table_in_order(capsys, monkeypatch, suite):
-    """``--suite grad`` and ``--suite oracle`` print one line per row of
-    their table, in table order (rows stubbed: they run in test_gradcheck)."""
+def _stub_check_rows(monkeypatch, failing: str | None = None) -> None:
+    """Rows report without running: each runs once, in test_gradcheck."""
     for case_type in (GradCase, OracleCase):
-        monkeypatch.setattr(case_type, "run", lambda case: CheckResult(case.name, True, 0.0, 0.0))
+        monkeypatch.setattr(case_type, "run",
+                            lambda case: CheckResult(case.name, case.name != failing, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("suite", ["grad", "oracle", "all"])
+def test_check_suite_prints_its_table_in_order(capsys, monkeypatch, suite):
+    """Each suite prints one PASS line per row of its table, in table order
+    (``all``: ``GRAD_CASES``, then ``ORACLE_CASES``), then a summary."""
+    _stub_check_rows(monkeypatch)
     assert main(["check", "--suite", suite]) == 0
-    *results, _ = capsys.readouterr().out.splitlines()
-    table = {"grad": GRAD_CASES, "oracle": ORACLE_CASES}[suite]
+    *results, summary = capsys.readouterr().out.splitlines()
+    table = {"grad": GRAD_CASES, "oracle": ORACLE_CASES, "all": GRAD_CASES + ORACLE_CASES}[suite]
     assert [line.split()[1].rstrip(":") for line in results] == [case.name for case in table]
+    assert all(line.startswith("[PASS] ") for line in results)
+    assert summary == f"all {len(table)} checks passed"
+
+
+def test_check_failing_row_exits_2(capsys, monkeypatch):
+    failing = ORACLE_CASES[0].name
+    _stub_check_rows(monkeypatch, failing)
+    assert main(["check", "--suite", "all"]) == 2
+    *results, summary = capsys.readouterr().out.splitlines()
+    assert [line for line in results if line.startswith("[FAIL] ")] == \
+        [f"[FAIL] {failing}: max err 0.000e+00 (tol 0e+00)"]
+    assert summary == f"1/{len(GRAD_CASES) + len(ORACLE_CASES)} checks FAILED"

@@ -180,7 +180,7 @@ def test_full_forward_weights_and_recombination():
     maps = rand_maps(18)
     out = fus(maps)
     np.testing.assert_allclose(out.weights.data.sum(axis=1), 1.0, atol=1e-9)
-    recombined = F.fuse([out.transformed[m] for m in MODALITIES], out.weights)
+    recombined = F.fuse([fus.transforms[m](maps[m]) for m in MODALITIES], out.weights)
     np.testing.assert_array_equal(out.combined.data, recombined.data)
 
 

@@ -3,6 +3,7 @@ oracles are rows of ``gazecast.checks.ORACLE_CASES``, and the cone tests here
 compare against the same cone oracle."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -147,6 +148,35 @@ def test_pgm_roundtrip(tmp_path):
     data1 = path.read_bytes()
     G.write_pgm(path, img)
     assert path.read_bytes() == data1
+
+
+def test_pgm_write_that_fails_keeps_previous_file(tmp_path, monkeypatch):
+    """A render interrupted after the PGM header leaves the previous image
+    byte for byte and no temporary file."""
+    path = tmp_path / "cone.pgm"
+    G.write_pgm(path, np.full((8, 8), 0.5))
+    before = path.read_bytes()
+    real = G.atomic_write
+
+    class HeaderOnly:
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, data):
+            if self.f.tell():
+                raise OSError("disk full")
+            return self.f.write(data)
+
+    @contextmanager
+    def interrupted(target, mode):
+        with real(target, mode) as f:
+            yield HeaderOnly(f)
+
+    monkeypatch.setattr(G, "atomic_write", interrupted)
+    with pytest.raises(OSError, match="disk full"):
+        G.write_pgm(path, np.zeros((8, 8)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cone.pgm"]
 
 
 def test_headbox_validation():

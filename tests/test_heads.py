@@ -191,5 +191,5 @@ def test_one_optimizer_step_decreases_total_loss():
         T.fresh_tape()
         if run_loss().item() < loss0.item():
             wins += 1
-        opt.zero_grad()
+        head.zero_grad()
     assert wins >= 9

@@ -1,6 +1,7 @@
 """Metric contracts; the brute-force AUC and AP oracles are rows of
 ``gazecast.checks.ORACLE_CASES``."""
 
+import json
 import math
 
 import numpy as np
@@ -12,11 +13,11 @@ from gazecast import metrics as M
 from gazecast.errors import DomainError
 
 
-def dump(in_frame, auc=None, min_dist=None, avg_dist=None, inout_score=None):
+def dump(in_frame, auc=None, min_dist=None, avg_dist=None, inout=None):
     """A per-sample record holding the fields ``aggregate`` reads."""
-    return M.SampleDump(sample_id=0, in_frame=int(in_frame), pred_point=(0.5, 0.5),
+    return M.SampleDump(sample_id=0, in_frame=int(in_frame), p_gaze=(0.5, 0.5),
                         min_dist=min_dist, avg_dist=avg_dist, auc=auc, weights={},
-                        inout_score=inout_score)
+                        inout=inout)
 
 
 def test_auc_perfect_prediction():
@@ -82,7 +83,7 @@ def test_ap_invariant_appending_zero_score_negative(pairs):
 
 
 def test_aggregate_single_sample_and_duplicates():
-    s = dump(in_frame=True, auc=0.9, min_dist=0.1, avg_dist=0.2, inout_score=0.8)
+    s = dump(in_frame=True, auc=0.9, min_dist=0.1, avg_dist=0.2, inout=0.8)
     r1 = M.aggregate([s], 9.0)
     assert (r1.auc, r1.min_dist, r1.avg_dist) == (0.9, 0.1, 0.2)
     r2 = M.aggregate([s, s, s], 9.0)
@@ -105,8 +106,8 @@ def test_aggregate_min_leq_avg():
 
 
 def test_aggregate_out_of_frame_contract():
-    outs = [dump(in_frame=False, inout_score=0.3),
-            dump(in_frame=False, inout_score=0.9)]
+    outs = [dump(in_frame=False, inout=0.3),
+            dump(in_frame=False, inout=0.9)]
     with pytest.raises(DomainError):
         M.aggregate(outs, 9.0)
     # AP itself is still computable across the same set
@@ -115,9 +116,9 @@ def test_aggregate_out_of_frame_contract():
 
 def test_aggregate_ap_over_all_samples():
     samples = [
-        dump(in_frame=True, auc=0.8, min_dist=0.1, avg_dist=0.1, inout_score=0.9),
-        dump(in_frame=False, inout_score=0.2),
-        dump(in_frame=True, auc=0.6, min_dist=0.3, avg_dist=0.4, inout_score=0.7),
+        dump(in_frame=True, auc=0.8, min_dist=0.1, avg_dist=0.1, inout=0.9),
+        dump(in_frame=False, inout=0.2),
+        dump(in_frame=True, auc=0.6, min_dist=0.3, avg_dist=0.4, inout=0.7),
     ]
     rep = M.aggregate(samples, 9.0)
     assert rep.ap == M.average_precision([0.9, 0.2, 0.7], [1, 0, 1])
@@ -129,7 +130,23 @@ def test_aggregate_ap_over_all_samples():
 def test_report_json_fields():
     rep = M.MetricsReport(auc=0.9, avg_dist=0.1, min_dist=0.05, ap=None, n_samples=7,
                           config_hash="abc", binarization_radius=9.0)
-    import json
-
     data = json.loads(rep.to_json())
     assert data["auc"] == 0.9 and data["ap"] is None and data["config_hash"] == "abc"
+
+
+def test_record_json_key_order():
+    """The report and dump schemas are their dataclass fields, in order."""
+    rep = M.MetricsReport(auc=0.9, avg_dist=0.1, min_dist=0.05, ap=0.5, n_samples=7,
+                          config_hash="abc", binarization_radius=9.0,
+                          attention_means={"raw": 1.0})
+    assert list(json.loads(rep.to_json())) == [
+        "auc", "avg_dist", "min_dist", "ap", "n_samples", "config_hash",
+        "binarization_radius", "ap_interpolation", "attention_means"]
+    line = M.SampleDump(sample_id=3, in_frame=1, p_gaze=(0.25, 0.75), min_dist=0.1,
+                        avg_dist=0.2, auc=0.9, weights={"raw": 1.0}, inout=0.8,
+                        config_hash="abc").to_json()
+    assert "\n" not in line
+    data = json.loads(line)
+    assert list(data) == ["sample_id", "in_frame", "p_gaze", "min_dist", "avg_dist", "auc",
+                          "weights", "inout", "config_hash"]
+    assert data["p_gaze"] == [0.25, 0.75]

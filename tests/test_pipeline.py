@@ -104,7 +104,7 @@ def test_inout_variant_trains(tiny_sets):
     model = train_model(cfg, with_out)
     report, dumps = evaluate_model(model, with_out, cfg)
     assert report.ap is not None
-    assert all(d.inout_score is not None for d in dumps)
+    assert all(d.inout is not None for d in dumps)
 
 
 @pytest.mark.parametrize("first,second", [("f64", "f32"), ("f32", "f64")])
@@ -129,9 +129,9 @@ def test_eval_results_repeat_exactly(tiny_sets):
     model = GazeTargetModel(cfg)
     runs = []
     for _ in range(2):
-        report, dumps = evaluate_model(model, plain + with_out, cfg, batch_size=8)
+        report, dumps = evaluate_model(model, plain + with_out, cfg)
         runs.append((report.to_json(), [d.to_json() for d in dumps]))
-    assert len(runs[0][1]) == 40  # five batches
+    assert len(runs[0][1]) == 40  # two batches: 32 + 8
     assert runs[0] == runs[1]
     assert len(T.tape()) == 0
 
