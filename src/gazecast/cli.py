@@ -95,9 +95,7 @@ def _load_model(ckpt_path) -> tuple[GazeTargetModel, RunConfig]:
     if cfg.config_hash() != config_hash:
         raise CheckpointError(f"{ckpt_path}: config hash mismatch "
                               f"({config_hash} vs {cfg.config_hash()})")
-    model = GazeTargetModel(cfg)
-    model.load_state_dict(state)
-    return model, cfg
+    return GazeTargetModel(cfg, state), cfg
 
 
 def cmd_eval(args) -> int:

@@ -41,6 +41,11 @@ IN_CONE_COS = 0.5          # checker threshold: candidate counts as "in cone"
 CLEAR_MARGIN_COS = 0.35    # generator keeps non-targets below this
 
 
+MAX_RESOLUTION = 512     # one sample's three f64 modalities then take 18.9 MB
+MAX_DEPTH_LAYERS = 64    # neighbouring layers stay >= 0.01 apart in depth intensity
+MAX_ITEMS = 64           # bound on n_objects and on n_people
+
+
 @dataclass
 class SceneSpec:
     n_objects: int = 3
@@ -52,18 +57,20 @@ class SceneSpec:
     p_out_of_frame: float = 0.0
 
     def __post_init__(self):
-        if self.n_people < 1:
-            raise DatasetError("scene needs at least one person")
-        if self.resolution < 32:
-            raise DatasetError("resolution must be >= 32")
+        if not 1 <= self.n_people <= MAX_ITEMS:
+            raise DatasetError(f"n_people must lie in [1, {MAX_ITEMS}], got {self.n_people}")
+        if not 32 <= self.resolution <= MAX_RESOLUTION:
+            raise DatasetError(
+                f"resolution must lie in [32, {MAX_RESOLUTION}], got {self.resolution}")
         if self.target_rule not in ("object", "depth_distractor", "person", "hand", "mixed"):
             raise DatasetError(f"unknown target rule {self.target_rule!r}")
         if self.target_rule == "person" and self.n_people < 2:
             raise DatasetError("person rule needs n_people >= 2")
-        if self.depth_layers < 2:
-            raise DatasetError("need at least two depth layers")
-        if self.n_objects < 0:
-            raise DatasetError(f"n_objects must be >= 0, got {self.n_objects}")
+        if not 2 <= self.depth_layers <= MAX_DEPTH_LAYERS:
+            raise DatasetError(
+                f"depth_layers must lie in [2, {MAX_DEPTH_LAYERS}], got {self.depth_layers}")
+        if not 0 <= self.n_objects <= MAX_ITEMS:
+            raise DatasetError(f"n_objects must lie in [0, {MAX_ITEMS}], got {self.n_objects}")
         if self.rng_seed < 0:
             raise DatasetError(f"seed must be >= 0, got {self.rng_seed}")
         if not 0.0 <= self.p_out_of_frame <= 1.0:  # NaN fails too
@@ -528,6 +535,7 @@ def self_check(samples: list[SceneSample]) -> dict:
 
 MANIFEST_NAME = "manifest.jsonl"
 TENSOR_DIR = "tensors"
+_TENSOR_PREFIX = TENSOR_DIR + "/"
 
 
 def write_dataset(samples: list[SceneSample], path) -> None:
@@ -581,12 +589,13 @@ def read_dataset(path, sample_id: int | None = None) -> list[SceneSample]:
                 if not line:
                     continue
                 rec = json.loads(line)
-                sample = _sample_from_record(rec, path, sample_id, tensor_files)
-                for rel in rec["files"].values():
-                    name = os.path.basename(rel)
+                names = _tensor_names(rec["files"], path, tensor_files)
+                for name in names.values():
                     if name in named:
-                        raise DatasetError(f"{manifest}:{line_no}: {rel} is named twice")
+                        raise DatasetError(
+                            f"{manifest}:{line_no}: {TENSOR_DIR}/{name} is named twice")
                     named.add(name)
+                sample = _sample_from_record(rec, tensor_dir, names, sample_id)
                 if sample_id is None or sample.sample_id == sample_id:
                     samples.append(sample)
             except json.JSONDecodeError as exc:
@@ -603,29 +612,37 @@ def read_dataset(path, sample_id: int | None = None) -> list[SceneSample]:
     return samples
 
 
-def _sample_from_record(rec: dict, path, decode_id: int | None,
-                        tensor_files: set[str]) -> SceneSample:
-    """One checked manifest record. Its tensors are decoded when
-    ``decode_id`` is None or its sample id; otherwise ``images`` stays empty.
-    Every file must be ``tensors/<name>`` with ``name`` in ``tensor_files``,
-    the directory's listing, so nothing outside the dataset is read."""
-    sample_id = int(rec["sample_id"])
-    decode = decode_id is None or decode_id == sample_id
-    images = {}
-    for m, rel in rec["files"].items():
-        folder, name = os.path.split(rel)
-        if folder != TENSOR_DIR:
+def _tensor_names(files: dict, path, tensor_files: set[str]) -> dict[str, str]:
+    """Modality -> ``name`` for a record's files. Every file must be exactly
+    ``tensors/<name>`` with ``name`` in ``tensor_files``, the directory's
+    listing, so nothing outside the dataset is read."""
+    names = {}
+    for m, rel in files.items():
+        name = rel[len(_TENSOR_PREFIX):]
+        if not rel.startswith(_TENSOR_PREFIX) or "/" in name:
             raise ValueError(f"file {rel} is not {TENSOR_DIR}/<name>")
         if name not in tensor_files:
             raise DatasetError(f"{path}: manifest references missing file {rel}")
-        if decode:
-            images[m] = read_tensor(os.path.join(path, rel))
-    shapes = {img.shape for img in images.values()}
-    if len(shapes) > 1 or any(len(s) != 3 or s[0] != 3 or s[1] != s[2] for s in shapes):
-        raise ValueError(f"modality images must share one (3, R, R) shape, got {sorted(shapes)}")
+        names[m] = name
+    return names
+
+
+def _sample_from_record(rec: dict, tensor_dir, names: dict[str, str],
+                        decode_id: int | None) -> SceneSample:
+    """One checked manifest record, with its files already checked as
+    ``names``. Its tensors are decoded when ``decode_id`` is None or its
+    sample id; otherwise ``images`` stays empty."""
+    sample_id = int(rec["sample_id"])
+    images = {}
+    if decode_id is None or decode_id == sample_id:
+        images = {m: read_tensor(os.path.join(tensor_dir, name)) for m, name in names.items()}
+        shapes = {img.shape for img in images.values()}
+        if len(shapes) > 1 or any(len(s) != 3 or s[0] != 3 or s[1] != s[2] for s in shapes):
+            raise ValueError(
+                f"modality images must share one (3, R, R) shape, got {sorted(shapes)}")
     gaze_points = []
-    for p in rec["gaze_points"]:
-        if len(p) != 2 or not all(0.0 <= float(v) <= 1.0 for v in p):   # NaN fails too
+    for p in rec["gaze_points"]:   # NaN fails the range check too
+        if len(p) != 2 or not (0.0 <= float(p[0]) <= 1.0 and 0.0 <= float(p[1]) <= 1.0):
             raise ValueError(f"gaze point {p} is not an (x, y) pair in [0,1]^2")
         gaze_points.append((float(p[0]), float(p[1])))
     in_frame = rec["in_frame"]

@@ -45,7 +45,7 @@ def concat_modality_inputs(modality: Tensor, cone: Tensor, mask: Tensor) -> Tens
 class GazeSubnet(nn.Module):
     """Head crop -> (unit 2D gaze direction, gaze embedding)."""
 
-    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator | None):
         chans = [3, *cfg.stage_channels]
         self.stages = [
             nn.Conv2d(chans[i], chans[i + 1], 3, rng, stride=2, padding=1)
@@ -75,7 +75,7 @@ class SceneExtractor(nn.Module):
     late-fusion variant feeds the modality image alone.
     """
 
-    def __init__(self, cfg: RunConfig, rng: np.random.Generator, in_channels: int = 5):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator | None, in_channels: int = 5):
         c = cfg.stage_channels
         d = cfg.feature_channels
         self.in_channels = in_channels

@@ -48,7 +48,7 @@ class ModalityEmbedder(nn.Module):
     layer reconciles d with the configured embedding size.
     """
 
-    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator | None):
         d = cfg.feature_channels
         self.convs = [nn.Conv2d(d, d, 3, rng, stride=2, padding=1) for _ in range(3)]
         self.project = nn.Linear(d, cfg.embedding_size, rng)
@@ -68,7 +68,7 @@ class AttentionFusion(nn.Module):
     """Soft-selection across modalities; see module docstring for the steps."""
 
     def __init__(self, cfg: RunConfig, modalities: tuple[str, ...],
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.modalities = tuple(modalities)
         self.transforms = {m: nn.Conv2d(cfg.feature_channels, cfg.feature_channels, 1, rng)
                            for m in self.modalities}
@@ -114,7 +114,7 @@ class LateFusionInject(nn.Module):
     resolution, concatenate onto the modality's feature map, and project
     back to the original channel count with a 1x1 conv."""
 
-    def __init__(self, map_channels: int, rng: np.random.Generator):
+    def __init__(self, map_channels: int, rng: np.random.Generator | None):
         self.project = nn.Conv2d(map_channels + 2, map_channels, 1, rng)
 
     def forward(self, fmap: Tensor, cone: Tensor, mask: Tensor) -> Tensor:

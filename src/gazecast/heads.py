@@ -43,7 +43,7 @@ class HeatmapHead(nn.Module):
     upsample is folded into the first conv, which runs at the feature
     resolution."""
 
-    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator | None):
         d = cfg.feature_channels
         self.factor = cfg.heatmap_resolution // cfg.feature_resolution
         self.bounded = cfg.heatmap_bounded
@@ -63,7 +63,7 @@ class InOutHead(nn.Module):
     """Scene embedding (same architecture as the modality embedder) joined
     with the gaze embedding, then two linear layers and a sigmoid."""
 
-    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator | None):
         self.scene_embed = ModalityEmbedder(cfg, rng)
         self.fc1 = nn.Linear(2 * cfg.embedding_size, cfg.embedding_size, rng)
         self.fc2 = nn.Linear(cfg.embedding_size, 1, rng)

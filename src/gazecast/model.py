@@ -83,8 +83,12 @@ def build_batch(samples: list[SceneSample], cfg: RunConfig,
 
 
 class GazeTargetModel(nn.Module):
-    def __init__(self, cfg: RunConfig):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA11CE)))
+    def __init__(self, cfg: RunConfig, state: dict[str, np.ndarray] | None = None):
+        """A model with freshly drawn weights or, given a checkpoint's
+        ``state``, one whose layers draw nothing and whose every parameter
+        the strict ``load_state_dict`` fills."""
+        rng = None if state is not None else np.random.default_rng(
+            np.random.SeedSequence((cfg.seed, 0xA11CE)))
         self.cfg = cfg
         self.gaze_subnet = GazeSubnet(cfg, rng)
         in_ch = 3 if cfg.late_fusion else 5
@@ -101,6 +105,8 @@ class GazeTargetModel(nn.Module):
         # layers initialize in float64; precision is applied once, here
         for p in self.parameters():
             p.data = p.data.astype(cfg.dtype, copy=False)
+        if state is not None:
+            self.load_state_dict(state)
 
     def forward(self, batch: Batch, plan: DropoutPlan = EMPTY_PLAN) -> ForwardResult:
         cfg = self.cfg

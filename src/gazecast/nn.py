@@ -75,7 +75,12 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
-def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+def kaiming_uniform(rng: np.random.Generator | None, shape: tuple[int, ...],
+                    fan_in: int) -> np.ndarray:
+    """Uniform draws in +-sqrt(6 / fan_in); without ``rng``, zeros that a
+    checkpoint's state then fills, so no random number is drawn."""
+    if rng is None:
+        return np.zeros(shape)
     bound = math.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
@@ -86,7 +91,7 @@ class Conv2d(Module):
         in_channels: int,
         out_channels: int,
         kernel_size: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         stride: int = 1,
         padding: int = 0,
     ):
@@ -104,7 +109,7 @@ class Conv2d(Module):
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None):
         self.weight = Tensor(
             kaiming_uniform(rng, (out_features, in_features), in_features), requires_grad=True
         )

@@ -85,9 +85,11 @@ def test_gen_negative_count_is_usage_error(tmp_path):
     ("scene.bogus = 1\n", []), ("scene.n_objects = abc\n", []), ("scene.resolution = 16\n", []),
     ("scene.seed = -1\n", []), ("", ["--seed", "-1"]), ("scene.p_out_of_frame = 2\n", []),
     ("scene.p_out_of_frame = -0.5\n", []), ("scene.p_out_of_frame = nan\n", []),
-    ("scene.n_objects = -1\n", []),
+    ("scene.n_objects = -1\n", []), ("scene.n_objects = 65\n", []), ("scene.n_people = 65\n", []),
+    ("scene.depth_layers = 1000000000000\n", []), ("scene.resolution = 100000\n", []),
 ], ids=["unknown-key", "bad-value", "out-of-range", "negative-seed", "negative-seed-flag",
-        "p-out-above-1", "p-out-below-0", "p-out-nan", "negative-objects"])
+        "p-out-above-1", "p-out-below-0", "p-out-nan", "negative-objects", "objects-above-64",
+        "people-above-64", "depth-layers-huge", "resolution-huge"])
 def test_gen_rejects_bad_spec(tmp_path, capsys, spec, flags):
     bad = tmp_path / "bad.cfg"
     bad.write_text(spec)
@@ -238,6 +240,33 @@ def test_eval_corrupt_checkpoint_config_is_data_error(workspace, tmp_path, old, 
     bad.write_bytes(raw.replace(old, new))
     assert main(["eval", "--ckpt", str(bad), "--data", str(workspace / "data"),
                  "--report", str(tmp_path / "r.json")]) == 3
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+@pytest.mark.parametrize("fault", ["missing", "extra", "wrong-shape"])
+def test_checkpoint_whose_state_does_not_fit_is_data_error(workspace, tmp_path, capsys,
+                                                           command, fault):
+    """The model is built from the checkpoint's state without drawing its
+    weights, so a parameter the state does not fill must stop the command."""
+    state, config_hash, text = load_checkpoint(workspace / "model.ckpt")
+    name = next(iter(state))
+    if fault == "missing":
+        del state[name]
+    elif fault == "extra":
+        state["heatmap_head.extra.weight"] = np.zeros(3, dtype=state[name].dtype)
+    else:
+        state[name] = state[name][..., :1]
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, state, config_hash, text)
+    render = tmp_path / "render"
+    args = {"eval": ["eval", "--ckpt", str(bad), "--data", str(workspace / "data"),
+                     "--report", str(tmp_path / "r.json")],
+            "infer": ["infer", "--ckpt", str(bad), "--data", str(workspace / "data"),
+                      "--sample", "0", "--render", str(render)]}[command]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "mismatch" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists() and not render.exists()
 
 
 def test_run_config_with_removed_upsample_key_is_usage_error(workspace, tmp_path, capsys):
@@ -444,7 +473,7 @@ def test_privacy_variant_runs_on_raw_free_data(workspace, tmp_path):
                  "--report", str(tmp_path / "r2.json")]) == 3
 
 
-@pytest.mark.parametrize("field,value", [
+MALFORMED_RECORDS = [
     ("files", None),
     ("head_box", [0.5, 0.5, 0.1, 0.1]),
     pytest.param("gaze_points", [[0.1, 0.2, 0.3]], id="gaze-point-3-values"),
@@ -459,13 +488,38 @@ def test_privacy_variant_runs_on_raw_free_data(workspace, tmp_path):
     pytest.param("files", {"raw": "tensors/00000000_raw.gzt",
                            "depth": "tensors/00000001_depth.gzt",
                            "pose": "tensors/00000001_pose.gzt"}, id="file-named-twice"),
-])
+    # a file must be exactly tensors/<name>, also where the OS would open
+    # the same file
+    pytest.param("files", {"raw": "tensors/sub/x.gzt"}, id="path-in-subdirectory"),
+    pytest.param("files", {"raw": "./tensors/x.gzt"}, id="path-with-dot-prefix"),
+    # the record's own raw file behind a doubled slash is rejected too
+    pytest.param("files", {"raw": "tensors//00000001_raw.gzt",
+                           "depth": "tensors/00000001_depth.gzt",
+                           "pose": "tensors/00000001_pose.gzt"}, id="path-with-double-slash"),
+]
+
+
+@pytest.mark.parametrize("field,value", MALFORMED_RECORDS)
 def test_malformed_manifest_record_is_data_error(workspace, tmp_path, capsys, field, value):
     data = _dataset_with_record(workspace, tmp_path, field, value)
     assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--data", str(data),
                  "--report", str(tmp_path / "r.json")]) == 3
     err = capsys.readouterr().err
     assert "manifest.jsonl:2:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", MALFORMED_RECORDS)
+def test_malformed_record_that_infer_does_not_decode_is_data_error(workspace, tmp_path, capsys,
+                                                                  field, value):
+    """``infer`` decodes only the requested sample but checks the whole
+    manifest: record 2 is bad, sample 0 is requested."""
+    data = _dataset_with_record(workspace, tmp_path, field, value)
+    render = tmp_path / "render"
+    assert main(["infer", "--ckpt", str(workspace / "model.ckpt"), "--data", str(data),
+                 "--sample", "0", "--render", str(render)]) == 3
+    err = capsys.readouterr().err
+    assert "manifest.jsonl:2:" in err and "Traceback" not in err
+    assert not render.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "infer"])

@@ -104,6 +104,16 @@ def test_infeasible_spec_raises():
         D.SceneSpec(resolution=16)
 
 
+@pytest.mark.parametrize("field,bound", [
+    ("n_objects", D.MAX_ITEMS), ("n_people", D.MAX_ITEMS),
+    ("depth_layers", D.MAX_DEPTH_LAYERS), ("resolution", D.MAX_RESOLUTION),
+])
+def test_scene_spec_upper_bounds_are_inclusive(field, bound):
+    assert getattr(D.SceneSpec(**{field: bound}), field) == bound
+    with pytest.raises(DatasetError, match=f"{field} must lie in"):
+        D.SceneSpec(**{field: bound + 1})
+
+
 def test_dataset_roundtrip_bit_exact(tmp_path, mixed_samples):
     subset = mixed_samples[:100]
     D.write_dataset(subset, tmp_path)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import without_raw
 from gazecast import data as D
+from gazecast import nn
 from gazecast import tensor as T
 from gazecast.config import VARIANTS, RunConfig, config_from_text, load_config
 from gazecast.errors import ConfigError
@@ -158,6 +159,42 @@ def test_init_from_single_modality_checkpoint(tiny_sets):
     for name, param in model.named_parameters():
         if name in single_state:
             np.testing.assert_array_equal(param.data, single_state[name])
+
+
+@pytest.mark.parametrize("variant,precision", [("multimodal", "f32"), ("late_fusion", "f64")])
+def test_model_built_from_state_equals_fresh_model_loaded_with_it(variant, precision):
+    """A state from a differently seeded f64 model, so that every weight
+    differs from the fresh draw and the f32 model casts it."""
+    cfg = small_cfg(variant, precision=precision, inout_head=True)
+    state = GazeTargetModel(small_cfg(variant, inout_head=True, seed=4)).state_dict()
+    loaded = GazeTargetModel(cfg)
+    loaded.load_state_dict(state)
+    built = GazeTargetModel(cfg, state)
+    want, got = dict(loaded.named_parameters()), dict(built.named_parameters())
+    assert list(got) == list(want)
+    for name, p in got.items():
+        assert p.data.dtype == want[name].data.dtype == cfg.dtype
+        assert p.data.tobytes() == want[name].data.tobytes(), name
+
+
+def test_model_built_from_state_draws_no_random_number(monkeypatch):
+    cfg = small_cfg("multimodal", inout_head=True)
+    state = GazeTargetModel(cfg).state_dict()
+    kaiming_uniform = nn.kaiming_uniform
+
+    def undrawn(rng, shape, fan_in):
+        if rng is not None:
+            raise AssertionError(f"a {shape} weight was drawn")
+        return kaiming_uniform(rng, shape, fan_in)
+
+    def no_generator(*args):
+        raise AssertionError("a random generator was made")
+
+    monkeypatch.setattr(nn, "kaiming_uniform", undrawn)
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    model = GazeTargetModel(cfg, state)
+    for name, p in model.named_parameters():
+        np.testing.assert_array_equal(p.data, state[name])
 
 
 def test_loss_decreases_over_training(tiny_sets):
