@@ -596,7 +596,7 @@ def read_dataset(path, sample_id: int | None = None) -> list[SceneSample]:
                             f"{manifest}:{line_no}: {TENSOR_DIR}/{name} is named twice")
                     named.add(name)
                 sample = _sample_from_record(rec, tensor_dir, names, sample_id)
-                if sample_id is None or sample.sample_id == sample_id:
+                if sample is not None:
                     samples.append(sample)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{manifest}:{line_no}: invalid JSON ({exc})") from exc
@@ -628,18 +628,11 @@ def _tensor_names(files: dict, path, tensor_files: set[str]) -> dict[str, str]:
 
 
 def _sample_from_record(rec: dict, tensor_dir, names: dict[str, str],
-                        decode_id: int | None) -> SceneSample:
+                        sample_id: int | None) -> SceneSample | None:
     """One checked manifest record, with its files already checked as
-    ``names``. Its tensors are decoded when ``decode_id`` is None or its
-    sample id; otherwise ``images`` stays empty."""
-    sample_id = int(rec["sample_id"])
-    images = {}
-    if decode_id is None or decode_id == sample_id:
-        images = {m: read_tensor(os.path.join(tensor_dir, name)) for m, name in names.items()}
-        shapes = {img.shape for img in images.values()}
-        if len(shapes) > 1 or any(len(s) != 3 or s[0] != 3 or s[1] != s[2] for s in shapes):
-            raise ValueError(
-                f"modality images must share one (3, R, R) shape, got {sorted(shapes)}")
+    ``names``. Every field is checked; the tensors are decoded and a sample
+    returned only when ``sample_id`` is None or the record's id."""
+    rec_id = int(rec["sample_id"])
     gaze_points = []
     for p in rec["gaze_points"]:   # NaN fails the range check too
         if len(p) != 2 or not (0.0 <= float(p[0]) <= 1.0 and 0.0 <= float(p[1]) <= 1.0):
@@ -648,15 +641,17 @@ def _sample_from_record(rec: dict, tensor_dir, names: dict[str, str],
     in_frame = rec["in_frame"]
     if in_frame not in (0, 1) or (in_frame == 1 and not gaze_points):
         raise ValueError(f"in_frame {in_frame!r} is not 0, or 1 with a gaze point")
-    return SceneSample(
-        images=images,
-        head_box=HeadBox(*rec["head_box"]),
-        eye=EyePoint(rec["eye"]["x"], rec["eye"]["y"]),   # an older "source" key is ignored
-        gaze_points=gaze_points,
-        in_frame=int(in_frame),
-        oracle_gaze_dir=GazeVector2D(*rec["oracle_gaze_dir"]),
-        sample_id=sample_id,
-    )
+    head_box = HeadBox(*rec["head_box"])
+    eye = EyePoint(rec["eye"]["x"], rec["eye"]["y"])   # an older "source" key is ignored
+    gaze_dir = GazeVector2D(*rec["oracle_gaze_dir"])
+    if sample_id is not None and sample_id != rec_id:
+        return None
+    images = {m: read_tensor(os.path.join(tensor_dir, name)) for m, name in names.items()}
+    shapes = {img.shape for img in images.values()}
+    if len(shapes) > 1 or any(len(s) != 3 or s[0] != 3 or s[1] != s[2] for s in shapes):
+        raise ValueError(f"modality images must share one (3, R, R) shape, got {sorted(shapes)}")
+    return SceneSample(images=images, head_box=head_box, eye=eye, gaze_points=gaze_points,
+                       in_frame=int(in_frame), oracle_gaze_dir=gaze_dir, sample_id=rec_id)
 
 
 def resize_nearest(img: np.ndarray, out_res: int) -> np.ndarray:
