@@ -232,7 +232,7 @@ GRAD_CASES = (
     GradCase("cosine_similarity", T.cosine_similarity,
              (_normal(2, shift=1.0), _normal(2, shift=-1.5))),
     GradCase("elementwise_chain",
-             lambda a, b: T.tlog(T.tsqrt(T.div(T.mul(a, b), T.add(a, b))) + 1.0),
+             lambda a, b: T.tlog(T.add(T.tsqrt(T.div(T.mul(a, b), T.add(a, b))), Tensor(1.0))),
              (_normal(3, 4, shift=3.0), _normal(3, 4, shift=3.0))),
     GradCase("broadcast_mul", T.mul, (_normal(4, 1), _normal(1, 5))),
     GradCase("concat_slice", lambda a, b: T.concat([a, b], axis=1)[:, 1:],

@@ -18,7 +18,7 @@ from . import tensor as T
 from .config import RunConfig, config_from_text, load_config, parse_config_lines, typed_fields
 from .errors import CheckpointError, ConfigError, DatasetError, GazecastError
 from .evaluate import evaluate_model
-from .geometry import write_pgm
+from .geometry import containing_pixel, write_pgm
 from .heads import argmax_point
 from .model import GazeTargetModel, build_batch
 from .serialization import atomic_write, load_checkpoint, save_checkpoint
@@ -92,6 +92,8 @@ def _load_model(ckpt_path) -> tuple[GazeTargetModel, RunConfig]:
         cfg = config_from_text(config_text)
     except ConfigError as exc:
         raise CheckpointError(f"{ckpt_path}: bad embedded config: {exc}") from exc
+    if config_text != cfg.to_text():
+        raise CheckpointError(f"{ckpt_path}: embedded config is not in canonical form")
     if cfg.config_hash() != config_hash:
         raise CheckpointError(f"{ckpt_path}: config hash mismatch "
                               f"({config_hash} vs {cfg.config_hash()})")
@@ -145,8 +147,7 @@ def cmd_infer(args) -> int:
 
 def _mark(img: np.ndarray, x: float, y: float, res: int, value: float) -> None:
     """Draw a small cross at a normalized point."""
-    ci = min(int(y * res), res - 1)
-    cj = min(int(x * res), res - 1)
+    ci, cj = containing_pixel(x, y, res, res)
     for di in range(-2, 3):
         i = min(max(ci + di, 0), res - 1)
         img[i, cj] = value

@@ -16,11 +16,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-VARIANTS = (
-    "multimodal", "image_only", "depth_only", "pose_only",
-    "privacy", "late_fusion", "no_skip", "no_modrop",
-)
-
 _VARIANT_MODALITIES = {
     "multimodal": ("raw", "depth", "pose"),
     "image_only": ("raw",),
@@ -31,6 +26,7 @@ _VARIANT_MODALITIES = {
     "no_skip": ("raw",),
     "no_modrop": ("raw", "depth", "pose"),
 }
+VARIANTS = tuple(_VARIANT_MODALITIES)
 
 
 @dataclass(frozen=True)

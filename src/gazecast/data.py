@@ -101,8 +101,7 @@ class PersonInfo:
 @dataclass
 class SceneLayout:
     objects: list[ObjectInfo]
-    persons: list[PersonInfo]
-    subject_idx: int
+    persons: list[PersonInfo]          # persons[0] is the subject
     rule: str
 
 
@@ -229,13 +228,9 @@ def _render_raw(layout: SceneLayout, res: int, rng: np.random.Generator) -> np.n
 
 def _render_depth(layout: SceneLayout, res: int, n_layers: int) -> np.ndarray:
     img = np.full((3, res, res), 0.08)
-    order = sorted(
-        [("obj", o) for o in layout.objects] + [("per", p) for p in layout.persons],
-        key=lambda kv: kv[1].layer,
-    )
-    for kind, item in order:
+    for item in sorted([*layout.objects, *layout.persons], key=lambda it: it.layer):
         val = _layer_intensity(item.layer, n_layers)
-        if kind == "obj":
+        if isinstance(item, ObjectInfo):
             _paint(img, _disk(res, item.center, item.radius_px), (val, val, val))
         else:
             shape = _disk(res, item.head_center, item.head_radius_px)
@@ -398,7 +393,6 @@ def generate_scene(spec: SceneSpec, sample_id: int = 0) -> SceneSample:
     subject = _build_person(subject_center, head_r, subject_layer, gaze_dir, res, rng,
                             extended_hand=extended_hand, keep_hands_off_gaze=True)
     persons.append(subject)
-    subject_idx = 0
     if target_person is not None:
         persons.append(target_person)
 
@@ -427,7 +421,7 @@ def generate_scene(spec: SceneSpec, sample_id: int = 0) -> SceneSample:
         objects.append(ObjectInfo(pos, obj_r, layer, rng.uniform(0.5, 1.0, size=3)))
         placed.append((pos, obj_r))
 
-    layout = SceneLayout(objects=objects, persons=persons, subject_idx=subject_idx, rule=rule)
+    layout = SceneLayout(objects=objects, persons=persons, rule=rule)
 
     images = {
         "raw": _render_raw(layout, res, rng),
@@ -489,12 +483,11 @@ def expected_target(layout: SceneLayout, eye: np.ndarray,
     """Recompute the target from the layout alone: the nearest candidate
     inside the cone (cos >= 0.5) at the subject's depth layer. Candidate set
     depends on the scene's rule. Returns None when the cone is empty."""
-    subject = layout.persons[layout.subject_idx]
+    subject = layout.persons[0]
     if layout.rule in ("object", "depth_distractor"):
         candidates = [o.center for o in layout.objects if o.layer == subject.layer]
     elif layout.rule == "person":
-        candidates = [p.head_center for i, p in enumerate(layout.persons)
-                      if i != layout.subject_idx]
+        candidates = [p.head_center for p in layout.persons[1:]]
     elif layout.rule == "hand":
         candidates = list(subject.hands)
     else:
@@ -589,8 +582,11 @@ def read_dataset(path, sample_id: int | None = None) -> list[SceneSample]:
                 if not line:
                     continue
                 rec = json.loads(line)
-                names = _tensor_names(rec["files"], path, tensor_files)
+                names = _tensor_names(rec["files"])
                 for name in names.values():
+                    if name not in tensor_files:
+                        raise DatasetError(f"{manifest}:{line_no}: manifest references "
+                                           f"missing file {TENSOR_DIR}/{name}")
                     if name in named:
                         raise DatasetError(
                             f"{manifest}:{line_no}: {TENSOR_DIR}/{name} is named twice")
@@ -612,17 +608,15 @@ def read_dataset(path, sample_id: int | None = None) -> list[SceneSample]:
     return samples
 
 
-def _tensor_names(files: dict, path, tensor_files: set[str]) -> dict[str, str]:
+def _tensor_names(files: dict) -> dict[str, str]:
     """Modality -> ``name`` for a record's files. Every file must be exactly
-    ``tensors/<name>`` with ``name`` in ``tensor_files``, the directory's
+    ``tensors/<name>``; the caller checks ``name`` against the directory's
     listing, so nothing outside the dataset is read."""
     names = {}
     for m, rel in files.items():
         name = rel[len(_TENSOR_PREFIX):]
         if not rel.startswith(_TENSOR_PREFIX) or "/" in name:
             raise ValueError(f"file {rel} is not {TENSOR_DIR}/<name>")
-        if name not in tensor_files:
-            raise DatasetError(f"{path}: manifest references missing file {rel}")
         names[m] = name
     return names
 

@@ -19,9 +19,6 @@ from .config import RunConfig
 from .errors import ShapeMismatchError
 from .tensor import Tensor
 
-MODALITIES = ("raw", "depth", "pose")  # fixed order, pinned for checkpoints
-
-
 @dataclass
 class GazeSubnetOutput:
     direction: Tensor  # [N, 2], unit rows

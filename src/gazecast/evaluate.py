@@ -31,12 +31,7 @@ def evaluate_model(model: GazeTargetModel, samples: list[SceneSample], cfg: RunC
             else:
                 pred_map = result.heatmap.data[k, 0]
             point = argmax_point(pred_map)
-            weights = {}
-            if result.weights is not None:
-                for mi, m in enumerate(cfg.modalities):
-                    weights[m] = float(result.weights.data[k, mi])
-            else:
-                weights[cfg.modalities[0]] = 1.0
+            weights = {m: float(w) for m, w in zip(cfg.modalities, result.weights.data[k])}
             io_score = float(result.inout.data[k]) if result.inout is not None else None
             if sample.in_frame and sample.gaze_points:
                 mn, av = distance_scores(point, sample.gaze_points)

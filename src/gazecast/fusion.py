@@ -23,13 +23,10 @@ from .errors import DomainError, ShapeMismatchError
 from .tensor import Tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class DropoutPlan:
     dropped: frozenset[str]
     noise_seed: int
-
-    def __post_init__(self):
-        self.dropped = frozenset(self.dropped)
 
 
 EMPTY_PLAN = DropoutPlan(frozenset(), 0)
@@ -38,7 +35,7 @@ EMPTY_PLAN = DropoutPlan(frozenset(), 0)
 @dataclass
 class FusionOutput:
     combined: Tensor                 # [N, d, h, w]
-    weights: Tensor | None           # [N, M] rows on the simplex; None when unfused
+    weights: Tensor                  # [N, M] rows on the simplex
 
 
 class ModalityEmbedder(nn.Module):
@@ -166,5 +163,4 @@ def apply_dropout(image: Tensor, plan: DropoutPlan, modality: str) -> Tensor:
 
 
 def _stable_id(modality: str) -> int:
-    # independent of MODALITIES ordering so custom modalities also work
     return int.from_bytes(modality.encode(), "little") % (2**31)

@@ -143,6 +143,17 @@ def render_head_mask(box: HeadBox, h: int, w: int) -> np.ndarray:
     return inside.astype(np.float64)
 
 
+def pixel_sq_dist(points: list[tuple[float, float]], h: int, w: int) -> np.ndarray:
+    """(h, w) squared pixel distance from every pixel to the nearest
+    point's containing pixel."""
+    if not points:
+        raise DomainError("pixel distances need at least one point")
+    pixels = [containing_pixel(x, y, h, w) for x, y in points]
+    rows = np.arange(h)[:, None]
+    cols = np.arange(w)[None, :]
+    return np.minimum.reduce([(rows - i) ** 2 + (cols - j) ** 2 for i, j in pixels])
+
+
 def make_gt_heatmap(points: list[tuple[float, float]], h: int, w: int,
                     sigma: float) -> np.ndarray:
     """(h, w) per-pixel maximum of per-point Gaussians, peak exactly 1.
@@ -156,14 +167,7 @@ def make_gt_heatmap(points: list[tuple[float, float]], h: int, w: int,
     for x, y in points:
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
             raise DomainError(f"gaze point ({x},{y}) outside [0,1]^2")
-    rows = np.arange(h)[:, None]
-    cols = np.arange(w)[None, :]
-    acc = np.zeros((h, w))
-    for x, y in points:
-        ci, cj = containing_pixel(x, y, h, w)
-        d2 = (rows - ci) ** 2 + (cols - cj) ** 2
-        np.maximum(acc, np.exp(-d2 / (2.0 * sigma * sigma)), out=acc)
-    return acc
+    return np.exp(-pixel_sq_dist(points, h, w) / (2.0 * sigma * sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import containing_pixel
+from .geometry import pixel_sq_dist
 
 
 @dataclass
@@ -40,13 +40,7 @@ def binarize_gt(gt_points: list[tuple[float, float]], h: int, w: int,
                 radius: float) -> np.ndarray:
     """Positive pixels lie within ``radius`` pixels of any annotated point
     (points snapped to their containing pixel, as in heatmap construction)."""
-    rows = np.arange(h)[:, None]
-    cols = np.arange(w)[None, :]
-    mask = np.zeros((h, w), dtype=bool)
-    for x, y in gt_points:
-        ci, cj = containing_pixel(x, y, h, w)
-        mask |= (rows - ci) ** 2 + (cols - cj) ** 2 <= radius * radius
-    return mask
+    return pixel_sq_dist(gt_points, h, w) <= radius * radius
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:

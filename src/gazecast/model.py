@@ -38,7 +38,7 @@ class ForwardResult:
     heatmap: Tensor                # (N, 1, hm, hm)
     direction: Tensor              # (N, 2) unit rows
     cone: Tensor                   # (N, 1, H, W)
-    weights: Tensor | None         # (N, M) or None for single-modality variants
+    weights: Tensor                # (N, M); ones (N, 1) for single-modality variants
     inout: Tensor | None           # (N,) or None when the head is disabled
 
 
@@ -131,7 +131,7 @@ class GazeTargetModel(nn.Module):
             weights = fusion_out.weights
         else:
             combined = feature_maps[cfg.modalities[0]]
-            weights = None
+            weights = Tensor(np.ones((combined.shape[0], 1), dtype=cfg.dtype))
 
         heatmap = self.heatmap_head(combined)
         inout = self.inout(combined, subnet_out.embedding) if cfg.inout_head else None
@@ -146,8 +146,7 @@ def compute_losses(result: ForwardResult, batch: Batch, cfg: RunConfig,
     mask = batch.in_frame
     gaze_l = loss_gaze(result.heatmap, Tensor(batch.gt_heatmaps), mask)
     dir_l = loss_dir(result.direction, Tensor(batch.gt_dirs), mask)
-    zero = Tensor(np.zeros((), dtype=cfg.dtype))
-    io_l = loss_io(result.inout, batch.in_frame) if result.inout is not None else zero
-    att_l = loss_att(result.weights, plan, cfg.modalities) if result.weights is not None \
-        else zero
+    io_l = loss_io(result.inout, batch.in_frame) if result.inout is not None \
+        else Tensor(np.zeros((), dtype=cfg.dtype))
+    att_l = loss_att(result.weights, plan, cfg.modalities)
     return total_loss(gaze_l, dir_l, io_l, att_l, cfg)

@@ -51,7 +51,8 @@ class Module:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> list[str]:
-        """Copy arrays into same-named parameters; returns loaded names."""
+        """Set same-named parameters to the arrays; returns loaded names. An
+        array of the parameter's dtype is taken, not copied: the model owns it."""
         own = dict(self.named_parameters())
         if strict:
             missing = sorted(set(own) - set(state))
@@ -67,7 +68,7 @@ class Module:
                 raise CheckpointError(
                     f"shape mismatch for {name}: checkpoint {tuple(arr.shape)} vs model {p.shape}"
                 )
-            p.data = arr.astype(p.data.dtype)
+            p.data = arr.astype(p.data.dtype, copy=False)
             loaded.append(name)
         return loaded
 

@@ -124,19 +124,8 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    # -- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _wrap(other, self.dtype))
-
     def __getitem__(self, key):
         return tslice(self, key)
-
-
-def _wrap(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _make(data: np.ndarray, requires_grad: bool) -> Tensor:
@@ -847,7 +836,10 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     nbytes = count * dtype.itemsize
     if len(buf) < pos + nbytes:
         raise DatasetError("truncated tensor record (payload)")
-    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).reshape(tuple(int(d) for d in dims))
+    try:
+        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).reshape(tuple(dims.tolist()))
+    except ValueError as exc:  # a product of dims that wrapped, or rank above 64
+        raise DatasetError(f"bad tensor shape of rank {rank} ({exc})") from exc
     return arr.astype(dtype.newbyteorder("=")), pos + nbytes
 
 

@@ -13,7 +13,7 @@ from . import tensor as T
 from .config import RunConfig
 from .data import SceneSample
 from .errors import GazecastError
-from .fusion import EMPTY_PLAN, sample_dropout_plan
+from .fusion import sample_dropout_plan
 from .model import GazeTargetModel, build_batch, compute_losses, sample_features
 from .serialization import atomic_write
 
@@ -51,9 +51,7 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
             for start in range(0, len(samples), cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 batch = build_batch(None, cfg, cache=[feature_cache[i] for i in idx])
-                plan = EMPTY_PLAN
-                if cfg.effective_p_drop > 0.0:
-                    plan = sample_dropout_plan(cfg.modalities, cfg.effective_p_drop, plan_rng)
+                plan = sample_dropout_plan(cfg.modalities, cfg.effective_p_drop, plan_rng)
                 result = model(batch, plan)
                 losses = compute_losses(result, batch, cfg, plan)
                 total = losses.total_value

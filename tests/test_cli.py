@@ -1,7 +1,9 @@
 """End-to-end command flows via the CLI entry point (in-process)."""
 
+import contextlib
 import ctypes
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -9,13 +11,17 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import read_pgm, without_raw
 from gazecast.checks import GRAD_CASES, ORACLE_CASES, CheckResult, GradCase, OracleCase
 from gazecast.cli import main
+from gazecast.config import RunConfig
 from gazecast.data import read_dataset, write_dataset
 from gazecast.evaluate import SampleDump
 from gazecast.errors import DatasetError
+from gazecast.model import GazeTargetModel
 from gazecast.serialization import load_checkpoint, save_checkpoint
 from gazecast.tensor import write_tensor
 
@@ -240,6 +246,79 @@ def test_eval_corrupt_checkpoint_config_is_data_error(workspace, tmp_path, old, 
     bad.write_bytes(raw.replace(old, new))
     assert main(["eval", "--ckpt", str(bad), "--data", str(workspace / "data"),
                  "--report", str(tmp_path / "r.json")]) == 3
+
+
+@pytest.fixture(scope="module")
+def tiny_ckpt(tmp_path_factory):
+    """A checkpoint of an untrained image_only model small enough to rewrite
+    once per corrupted byte; it runs on ``workspace``'s 32x32 data."""
+    cfg = RunConfig(variant="image_only", input_resolution=32, heatmap_resolution=32,
+                    stage_channels=(4, 4, 4, 4), feature_channels=4, embedding_size=4)
+    path = tmp_path_factory.mktemp("tiny") / "tiny.ckpt"
+    save_checkpoint(path, GazeTargetModel(cfg).state_dict(), cfg.config_hash(), cfg.to_text())
+    return path
+
+
+def _infer_args(ckpt, workspace) -> list[str]:
+    return ["infer", "--ckpt", str(ckpt), "--data", str(workspace / "data"),
+            "--sample", "0", "--render", str(ckpt.parent / "render")]
+
+
+def test_checkpoint_config_text_flipped_at_any_byte_is_data_error(workspace, tiny_ckpt, capsys):
+    """The embedded config text must be the canonical text of the config it
+    parses to. Every byte XOR 0x01 stops the command: a newline flipped to a
+    vertical tab used to load, since ``str.splitlines`` splits on both."""
+    raw = tiny_ckpt.read_bytes()
+    _, config_hash, text = load_checkpoint(tiny_ckpt)
+    start = 4 + 4 + 4 + len(config_hash) + 4   # magic, count, hash, text length
+    assert raw[start:start + len(text)] == text.encode()
+    assert main(_infer_args(tiny_ckpt, workspace)) == 0
+    shutil.rmtree(tiny_ckpt.parent / "render")
+    capsys.readouterr()
+
+    bad = tiny_ckpt.with_name("flipped.ckpt")
+    for offset in range(start, start + len(text)):
+        flipped = bytearray(raw)
+        flipped[offset] ^= 0x01
+        bad.write_bytes(flipped)
+        assert main(_infer_args(bad, workspace)) == 3, f"byte {offset - start} of the text"
+    err = capsys.readouterr().err
+    assert err.count("data error: ") == len(text) and "Traceback" not in err
+    assert not (tiny_ckpt.parent / "render").exists()
+
+
+def _checkpoint_header_offsets(path) -> list[int]:
+    """Offsets of every byte of a checkpoint that is not parameter payload."""
+    state, config_hash, text = load_checkpoint(path)
+    pos = 4 + 4 + 4 + len(config_hash) + 4 + len(text.encode())
+    offsets = list(range(pos))
+    for name, arr in state.items():
+        head = 4 + len(name.encode()) + 6 + 4 * arr.ndim   # name, GZT1 header
+        offsets += range(pos, pos + head)
+        pos += head + arr.nbytes
+    return offsets
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cut_or_header_corrupt_checkpoint_exits_3(workspace, tiny_ckpt, data):
+    """A checkpoint cut at any offset, or with one non-payload byte changed,
+    stops ``infer`` with exit 3 and a data error instead of a traceback.
+    Payload bytes are left out: nothing can tell them from trained weights."""
+    raw = tiny_ckpt.read_bytes()
+    if data.draw(st.booleans(), label="cut"):
+        bad = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        offset = data.draw(st.sampled_from(_checkpoint_header_offsets(tiny_ckpt)), label="offset")
+        value = data.draw(st.integers(0, 255).filter(lambda v: v != raw[offset]), label="value")
+        bad = raw[:offset] + bytes([value]) + raw[offset + 1:]
+    path = tiny_ckpt.with_name("fuzzed.ckpt")
+    path.write_bytes(bad)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(_infer_args(path, workspace)) == 3
+    assert err.getvalue().startswith("data error: ")
+    assert not (tiny_ckpt.parent / "render").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "infer"])

@@ -185,7 +185,8 @@ def test_deleted_tensor_file_is_same_error_without_a_stat_per_file(tmp_path, mix
     assert stats == [D.MANIFEST_NAME]
 
     (tmp_path / "tensors" / "00000002_depth.gzt").unlink()
-    missing = f"{tmp_path}: manifest references missing file tensors/00000002_depth.gzt"
+    missing = (f"{tmp_path / D.MANIFEST_NAME}:3: manifest references missing file "
+               "tensors/00000002_depth.gzt")
     for sample_id in (None, 0):
         with pytest.raises(DatasetError) as info:
             D.read_dataset(tmp_path, sample_id=sample_id)

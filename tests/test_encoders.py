@@ -87,7 +87,7 @@ def test_gradient_reaches_every_stage_with_skips():
 
 def test_extractors_have_disjoint_parameters():
     rng = np.random.default_rng(11)
-    nets = {m: E.SceneExtractor(CFG, rng) for m in E.MODALITIES}
+    nets = {m: E.SceneExtractor(CFG, rng) for m in CFG.modalities}
     ids = {}
     for m, net in nets.items():
         for name, p in net.named_parameters():

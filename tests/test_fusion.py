@@ -6,11 +6,11 @@ import pytest
 from gazecast import fusion as F
 from gazecast import tensor as T
 from gazecast.config import RunConfig
-from gazecast.encoders import MODALITIES
 from gazecast.errors import DomainError, ShapeMismatchError
 from gazecast.tensor import Tensor
 
 CFG = RunConfig()
+MODALITIES = CFG.modalities
 D = CFG.feature_channels
 
 

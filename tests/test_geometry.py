@@ -10,6 +10,7 @@ import pytest
 
 from conftest import read_pgm
 from gazecast import geometry as G
+from gazecast import metrics as M
 from gazecast import tensor as T
 from gazecast.checks import _cone_oracle, autodiff_grads, finite_diff_grads, max_rel_err
 from gazecast.errors import DomainError
@@ -127,6 +128,24 @@ def test_gt_heatmap_flip_symmetry_odd_grid():
 def test_gt_heatmap_empty_points_rejected():
     with pytest.raises(DomainError):
         G.make_gt_heatmap([], 64, 64, 3.0)
+    with pytest.raises(DomainError):
+        G.pixel_sq_dist([], 64, 64)
+
+
+def test_pixel_sq_dist_heatmap_and_mask_match_per_point_loops():
+    """One distance grid serves the heatmap (the per-point maximum of
+    Gaussians, bit for bit) and the AUC mask (the per-point union)."""
+    rng = np.random.default_rng(8)
+    for n_points in (1, 2, 5):
+        points = [tuple(p) for p in rng.random((n_points, 2))]
+        rows, cols = np.mgrid[0:24, 0:20]
+        per_point = [(rows - i) ** 2 + (cols - j) ** 2
+                     for i, j in (G.containing_pixel(x, y, 24, 20) for x, y in points)]
+        np.testing.assert_array_equal(G.pixel_sq_dist(points, 24, 20), np.min(per_point, axis=0))
+        np.testing.assert_array_equal(G.make_gt_heatmap(points, 24, 20, 2.5),
+                                      np.max([np.exp(-d2 / 12.5) for d2 in per_point], axis=0))
+        np.testing.assert_array_equal(M.binarize_gt(points, 24, 20, 4.0),
+                                      np.any([d2 <= 16.0 for d2 in per_point], axis=0))
 
 
 def test_geometry_outputs_content_independent():

@@ -7,12 +7,12 @@ from gazecast import heads as H
 from gazecast import nn
 from gazecast import tensor as T
 from gazecast.config import RunConfig
-from gazecast.encoders import MODALITIES
 from gazecast.errors import ShapeMismatchError
 from gazecast.fusion import DropoutPlan
 from gazecast.tensor import Tensor
 
 CFG = RunConfig()
+MODALITIES = CFG.modalities
 D = CFG.feature_channels
 
 

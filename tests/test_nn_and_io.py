@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazecast import nn
 from gazecast import tensor as T
@@ -119,6 +121,44 @@ def test_tensor_truncated(tmp_path):
     path.write_bytes(full[:-8])
     with pytest.raises(DatasetError, match="truncated"):
         T.read_tensor(path)
+
+
+GZT1_ARRAYS = (np.random.default_rng(5).random((3, 8, 8)),
+               np.arange(6, dtype=np.float32).reshape(2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cut_or_header_corrupt_tensor_file_is_dataset_error(tmp_path_factory, data):
+    """A GZT1 file cut at any offset, or with one header byte changed, is a
+    DatasetError."""
+    arr = data.draw(st.sampled_from(GZT1_ARRAYS), label="array")
+    raw = T.tensor_to_bytes(arr)
+    if data.draw(st.booleans(), label="cut"):
+        bad = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        offset = data.draw(st.integers(0, 6 + 4 * arr.ndim - 1), label="offset")
+        value = data.draw(st.integers(0, 255).filter(lambda v: v != raw[offset]), label="value")
+        bad = raw[:offset] + bytes([value]) + raw[offset + 1:]
+    path = tmp_path_factory.getbasetemp() / "fuzzed.gzt"
+    path.write_bytes(bad)
+    with pytest.raises(DatasetError):
+        T.read_tensor(path)
+
+
+def test_tensor_of_any_rank_byte_is_dataset_error(tmp_path):
+    """Rank bytes above the real one read dims from the payload; their
+    product can wrap, or the rank exceed numpy's 64, and either was a
+    ValueError from the reshape."""
+    raw = bytearray(T.tensor_to_bytes(GZT1_ARRAYS[0]))
+    path = tmp_path / "rank.gzt"
+    for rank in range(256):
+        if rank == 3:
+            continue
+        raw[5] = rank
+        path.write_bytes(raw)
+        with pytest.raises(DatasetError):
+            T.read_tensor(path)
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -93,10 +93,9 @@ def test_variant_matrix_smoke(variant, tiny_sets):
     assert np.isfinite(losses.total_value)
     assert result.heatmap.shape == (4, 1, 32, 32)
     assert np.isfinite(result.heatmap.data).all()
-    if cfg.fusion_enabled:
-        np.testing.assert_allclose(result.weights.data.sum(axis=1), 1.0, atol=1e-6)
-    else:
-        assert result.weights is None
+    assert result.weights.shape == (4, len(cfg.modalities))
+    assert result.weights.dtype == cfg.dtype
+    np.testing.assert_allclose(result.weights.data.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_inout_variant_trains(tiny_sets):
