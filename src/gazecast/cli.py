@@ -16,7 +16,7 @@ import numpy as np
 from . import data as D
 from . import tensor as T
 from .config import RunConfig, config_from_text, load_config, parse_config_lines, typed_fields
-from .errors import CheckpointError, ConfigError, DatasetError, GazecastError
+from .errors import CheckpointError, ConfigError, DatasetError, GazecastError, ModelOutputError
 from .evaluate import evaluate_model
 from .geometry import containing_pixel, write_pgm
 from .heads import argmax_point
@@ -257,8 +257,8 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TrainingDivergedError as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
+    except (TrainingDivergedError, ModelOutputError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
     except (DatasetError, CheckpointError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

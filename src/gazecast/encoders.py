@@ -16,7 +16,7 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .config import RunConfig
-from .errors import ShapeMismatchError
+from .errors import ModelOutputError, ShapeMismatchError
 from .tensor import Tensor
 
 @dataclass
@@ -61,6 +61,10 @@ class GazeSubnet(nn.Module):
         emb = T.relu(self.embed(pooled))
         raw_dir = self.head(emb)
         norm = T.reshape(T.tsqrt(T.tsum(T.mul(raw_dir, raw_dir), axis=1)), (raw_dir.shape[0], 1))
+        bad = np.flatnonzero(~(np.isfinite(norm.data) & (norm.data >= 1e-12)))
+        if bad.size:
+            raise ModelOutputError(f"gaze subnet emitted no gaze direction: raw direction "
+                                   f"norm {norm.data[bad[0], 0]} in batch row {bad[0]}")
         direction = T.div(raw_dir, norm)
         return GazeSubnetOutput(direction=direction, embedding=emb)
 

@@ -18,6 +18,12 @@ class DomainError(GazecastError):
     vector, coincident points, log of a non-positive value, ...)."""
 
 
+class ModelOutputError(DomainError):
+    """A model emitted an output with no meaning, such as a gaze direction
+    of zero or non-finite norm. No input is at fault, so the CLI exits 2 for
+    it, as for a diverged training run."""
+
+
 class TapeError(GazecastError):
     """Misuse of the autodiff tape: non-scalar loss, or a loss that is not
     on the calling thread's tape (already replayed, built under no_grad or

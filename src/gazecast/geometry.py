@@ -108,8 +108,8 @@ def cone_batch(gaze: Tensor, eyes: np.ndarray, h: int, w: int,
         raise DomainError(f"gaze must be [N,2], got {gaze.shape}")
     n = gaze.shape[0]
     norms = np.linalg.norm(gaze.data, axis=1)
-    if np.any(norms < 1e-12):
-        raise DomainError("zero gaze vector in cone generation")
+    if not np.all(np.isfinite(norms) & (norms >= 1e-12)):
+        raise DomainError("zero or non-finite gaze vector in cone generation")
 
     cx, cy = pixel_centers(h, w)
     dx = cx[None] - eyes[:, 0, None, None]  # (N, h, w)

@@ -1,7 +1,8 @@
 """Dense n-dimensional arrays with tape-based reverse-mode differentiation.
 
-Design: eager numpy forward passes; every differentiable op appends a node
-(output tensor, backward closure) to the calling thread's tape.
+Design: eager numpy forward passes; every differentiable op returns through
+``_op``, which appends a node (output tensor, backward closure) to the
+calling thread's tape when an input needs a gradient.
 ``backward(loss)`` seeds the loss gradient, replays that tape in reverse,
 visiting each node once, and empties it. Execution order is a valid
 topological order, so no sorting is needed.
@@ -128,17 +129,22 @@ class Tensor:
         return tslice(self, key)
 
 
-def _make(data: np.ndarray, requires_grad: bool) -> Tensor:
-    t = Tensor.__new__(Tensor)
-    t.data = data
-    t.requires_grad = requires_grad
-    t.grad = None
-    return t
-
-
-def _record(out: Tensor, fn) -> None:
-    if out.requires_grad and _TAPE.recording:
-        _TAPE._nodes.append((out, fn))
+def _op(data: np.ndarray, fn, *inputs: Tensor | None) -> Tensor:
+    """An op's output wrapping ``data``. It requires a gradient when an input
+    does (``None`` inputs, such as an absent bias, are skipped), and then,
+    while the calling thread's tape records, ``(out, fn)`` is appended to it:
+    ``fn(g)`` takes the gradient of ``out`` and accumulates into the inputs."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.requires_grad = False
+    out.grad = None
+    for t in inputs:
+        if t is not None and t.requires_grad:
+            out.requires_grad = True
+            if _TAPE.recording:
+                _TAPE._nodes.append((out, fn))
+            break
+    return out
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -192,107 +198,85 @@ def backward(loss: Tensor) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data + b.data, a.requires_grad or b.requires_grad)
-
     def fn(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    _record(out, fn)
-    return out
+    return _op(a.data + b.data, fn, a, b)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data - b.data, a.requires_grad or b.requires_grad)
-
     def fn(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(-g, b.shape))
 
-    _record(out, fn)
-    return out
+    return _op(a.data - b.data, fn, a, b)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data * b.data, a.requires_grad or b.requires_grad)
-
     def fn(g):
         _accum(a, _unbroadcast(g * b.data, a.shape))
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    _record(out, fn)
-    return out
+    return _op(a.data * b.data, fn, a, b)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data / b.data, a.requires_grad or b.requires_grad)
-
     def fn(g):
         _accum(a, _unbroadcast(g / b.data, a.shape))
         _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    _record(out, fn)
-    return out
+    return _op(a.data / b.data, fn, a, b)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     """Multiply by a python scalar (recorded symbol: scale_by_scalar)."""
     s = float(s)
-    out = _make(a.data * s, a.requires_grad)
 
     def fn(g):
         _accum(a, g * s)
 
-    _record(out, fn)
-    return out
+    return _op(a.data * s, fn, a)
 
 
 def tlog(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log requires strictly positive input")
-    out = _make(np.log(a.data), a.requires_grad)
 
     def fn(g):
         _accum(a, g / a.data)
 
-    _record(out, fn)
-    return out
+    return _op(np.log(a.data), fn, a)
 
 
 def tsqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0.0):
         raise DomainError("sqrt requires non-negative input")
     y = np.sqrt(a.data)
-    out = _make(y, a.requires_grad)
 
     def fn(g):
         _accum(a, g / (2.0 * y))
 
-    _record(out, fn)
-    return out
+    return _op(y, fn, a)
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     y = np.clip(a.data, lo, hi)
-    out = _make(y, a.requires_grad)
     mask = (a.data >= lo) & (a.data <= hi)
 
     def fn(g):
         _accum(a, g * mask)
 
-    _record(out, fn)
-    return out
+    return _op(y, fn, a)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = _make(np.maximum(a.data, 0.0), a.requires_grad)
     mask = a.data > 0.0
 
     def fn(g):
         _accum(a, g * mask)
 
-    _record(out, fn)
-    return out
+    return _op(np.maximum(a.data, 0.0), fn, a)
 
 
 # sigmoid would round to exactly 0.0 / 1.0 once |x| exceeds the dtype's
@@ -306,27 +290,23 @@ def sigmoid(a: Tensor) -> Tensor:
     y = 1.0 / (1.0 + np.exp(-z))
     fi = np.finfo(a.data.dtype)
     np.clip(y, fi.tiny, 1.0 - fi.epsneg, out=y)
-    out = _make(y, a.requires_grad)
 
     def fn(g):
         _accum(a, g * y * (1.0 - y))
 
-    _record(out, fn)
-    return out
+    return _op(y, fn, a)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = _make(y, a.requires_grad)
 
     def fn(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
         _accum(a, y * (g - inner))
 
-    _record(out, fn)
-    return out
+    return _op(y, fn, a)
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +316,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
-    out = _make(a.data.reshape(shape), a.requires_grad)
 
     def fn(g):
         _accum(a, g.reshape(a.shape))
 
-    _record(out, fn)
-    return out
+    return _op(a.data.reshape(shape), fn, a)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -350,7 +328,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("concat of zero tensors")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = _make(data, any(t.requires_grad for t in tensors))
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
 
@@ -358,33 +335,26 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
             _accum(t, piece)
 
-    _record(out, fn)
-    return out
+    return _op(data, fn, *tensors)
 
 
 def tslice(a: Tensor, key) -> Tensor:
     """Basic slicing / integer indexing; backward scatters into zeros."""
-    out = _make(a.data[key], a.requires_grad)
-
     def fn(g):
         buf = np.zeros_like(a.data)
         buf[key] += g
         _accum(a, buf)
 
-    _record(out, fn)
-    return out
+    return _op(a.data[key], fn, a)
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
-    out = _make(a.data.sum(axis=axis), a.requires_grad)
-
     def fn(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.shape))
 
-    _record(out, fn)
-    return out
+    return _op(a.data.sum(axis=axis), fn, a)
 
 
 def tmean(a: Tensor) -> Tensor:
@@ -406,8 +376,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     y = xd @ weight.data.T
     if bias is not None:
         y = y + bias.data
-    req = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
-    out = _make(y, req)
 
     def fn(g):
         _accum(x, g @ weight.data)
@@ -415,8 +383,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias is not None:
             _accum(bias, g.sum(axis=0))
 
-    _record(out, fn)
-    return out
+    return _op(y, fn, x, weight, bias)
 
 
 def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
@@ -585,9 +552,6 @@ def conv2d(
     else:
         np.add(yv, bias.data[:, None, None], out=y)
 
-    req = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
-    out = _make(y, req)
-
     def fn(g):
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
@@ -608,8 +572,7 @@ def conv2d(
                 dxt[src] = dxph[dst]
             _accum(x, dx)
 
-    _record(out, fn)
-    return out
+    return _op(y, fn, x, weight, bias)
 
 
 def _axis_phases(k: int, factor: int, padding: int) -> tuple[list, list[list[int]]]:
@@ -684,9 +647,6 @@ def upsample_conv2d(
     if bias is not None:
         y += bias.data[:, None, None]
 
-    req = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
-    out = _make(y, req)
-
     def fn(g):
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
@@ -717,8 +677,7 @@ def upsample_conv2d(
             dxp = dxf.reshape(n, c, hp, wp)
             _accum(x, dxp[:, :, top : top + h, left : left + w])
 
-    _record(out, fn)
-    return out
+    return _op(y, fn, x, weight, bias)
 
 
 def _block_sum(a: np.ndarray, f: int) -> np.ndarray:
@@ -747,13 +706,11 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     if factor < 1:
         raise ValueError("upsample factor must be >= 1")
     f = int(factor)
-    out = _make(_block_repeat(x.data, f), x.requires_grad)
 
     def fn(g):
         _accum(x, _block_sum(g, f))
 
-    _record(out, fn)
-    return out
+    return _op(_block_repeat(x.data, f), fn, x)
 
 
 def avg_pool2d(x: Tensor, factor: int) -> Tensor:
@@ -764,13 +721,11 @@ def avg_pool2d(x: Tensor, factor: int) -> Tensor:
         raise ShapeMismatchError(f"avg_pool2d: spatial dims ({h},{w}) not divisible by {f}")
     y = _block_sum(x.data, f)
     y /= f * f
-    out = _make(y, x.requires_grad)
 
     def fn(g):
         _accum(x, _block_repeat(g / (f * f), f))
 
-    _record(out, fn)
-    return out
+    return _op(y, fn, x)
 
 
 def global_max_pool(x: Tensor) -> Tensor:
@@ -780,15 +735,13 @@ def global_max_pool(x: Tensor) -> Tensor:
     flat = x.data.reshape(n, c, h * w)
     idx = flat.argmax(axis=2)
     y = np.take_along_axis(flat, idx[:, :, None], axis=2)[:, :, 0]
-    out = _make(np.ascontiguousarray(y), x.requires_grad)
 
     def fn(g):
         dflat = np.zeros_like(flat)
         np.put_along_axis(dflat, idx[:, :, None], g[:, :, None], axis=2)
         _accum(x, dflat.reshape(n, c, h, w))
 
-    _record(out, fn)
-    return out
+    return _op(np.ascontiguousarray(y), fn, x)
 
 
 # ---------------------------------------------------------------------------

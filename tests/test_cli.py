@@ -687,3 +687,63 @@ def test_check_failing_row_exits_2(capsys, monkeypatch):
     assert [line for line in results if line.startswith("[FAIL] ")] == \
         [f"[FAIL] {failing}: max err 0.000e+00 (tol 0e+00)"]
     assert summary == f"1/{len(GRAD_CASES) + len(ORACLE_CASES)} checks FAILED"
+
+
+@pytest.fixture(scope="module")
+def no_direction(tmp_path_factory):
+    """Four scenes and an untrained image_only model of stage widths 2,2,2,2,
+    whose gaze embedding is all zeros after its ReLU on sample 0: its raw
+    gaze direction there is the zero vector."""
+    tmp = tmp_path_factory.mktemp("no_direction")
+    scene = tmp / "scene.cfg"
+    scene.write_text("scene.seed = 21\nscene.resolution = 32\n")
+    assert main(["gen", "--spec", str(scene), "--out", str(tmp / "data"), "--count", "4"]) == 0
+    cfg = tmp / "zero.cfg"
+    cfg.write_text("model.variant = image_only\nmodel.stage_channels = 2,2,2,2\n"
+                   "model.input_resolution = 32\nmodel.heatmap_resolution = 32\n"
+                   "train.epochs = 0\n")
+    assert main(["train", "--config", str(cfg), "--data", str(tmp / "data"),
+                 "--out", str(tmp / "zero.ckpt")]) == 0
+    return tmp
+
+
+def _one_line_failure(capsys, command) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command} failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_infer_model_without_gaze_direction_exits_2(no_direction, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["infer", "--ckpt", str(no_direction / "zero.ckpt"),
+                 "--data", str(no_direction / "data"), "--sample", "0",
+                 "--render", str(tmp_path / "render")]) == 2
+    assert "no gaze direction" in _one_line_failure(capsys, "infer")
+    assert not (tmp_path / "render").exists()
+
+
+def test_eval_model_without_gaze_direction_exits_2(no_direction, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(no_direction / "zero.ckpt"),
+                 "--data", str(no_direction / "data"), "--report", str(tmp_path / "r.json"),
+                 "--dump", str(tmp_path / "d.jsonl")]) == 2
+    assert "no gaze direction" in _one_line_failure(capsys, "eval")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lr", ["1e10", "1e300"])
+def test_diverging_train_exits_2(no_direction, tmp_path, capsys, lr):
+    """Weights blown up by a huge learning rate fail training with exit 2,
+    whether the gaze direction or the loss is the first output to break,
+    and leave no checkpoint or loss CSV."""
+    cfg = tmp_path / "lr.cfg"
+    cfg.write_text("model.variant = image_only\nmodel.input_resolution = 32\n"
+                   "model.heatmap_resolution = 32\ntrain.batch_size = 2\n"
+                   f"train.epochs = 3\ntrain.lr = {lr}\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--data", str(no_direction / "data"),
+                 "--out", str(tmp_path / "model.ckpt")]) == 2
+    _one_line_failure(capsys, "train")
+    assert os.listdir(tmp_path) == ["lr.cfg"]

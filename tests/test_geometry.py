@@ -98,6 +98,12 @@ def test_cone_rejects_zero_vector():
         G.cone_batch(Tensor([[0.0, 0.0]]), np.array([[0.5, 0.5]]), 8, 8)
 
 
+@pytest.mark.parametrize("gaze", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+def test_cone_rejects_non_finite_vector(gaze):
+    with pytest.raises(DomainError, match="non-finite"):
+        G.cone_batch(Tensor([[0.6, 0.8], gaze]), np.array([[0.5, 0.5], [0.5, 0.5]]), 8, 8)
+
+
 def test_head_mask_full_and_half():
     full = G.render_head_mask(G.HeadBox(0.0, 0.0, 1.0, 1.0), 4, 4)
     np.testing.assert_array_equal(full, np.ones((4, 4)))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazecast import tensor as T
+from gazecast.checks import GRAD_CASES, GradCase
 from gazecast.errors import DomainError, ShapeMismatchError, TapeError
 from gazecast.tensor import Tensor
 
@@ -403,6 +404,33 @@ def test_no_grad_suppresses_recording():
         y = T.mul(x, x)
     assert len(T.tape()) == 0
     assert not np.isnan(y.data).any()
+
+
+# every finite-difference row, plus both convs without a bias: a None input
+_OP_ROWS = [(case, False) for case in GRAD_CASES if isinstance(case, GradCase)]
+_OP_ROWS += [(case, True) for case, _ in _OP_ROWS if case.name in ("conv2d", "upsample_conv2d")]
+
+
+@pytest.mark.parametrize("case,no_bias", _OP_ROWS,
+                         ids=[case.name + ("_no_bias" if no_bias else "") for case, no_bias in _OP_ROWS])
+def test_op_records_only_when_an_input_needs_a_gradient(case, no_bias):
+    rng = np.random.default_rng(0)
+    arrays = [draw(rng) for draw in case.draws]
+
+    def run(needs_grad):
+        inputs = [Tensor(a, requires_grad=need) for a, need in zip(arrays, needs_grad)]
+        return case.op(*inputs[:-1], None) if no_bias else case.op(*inputs)
+
+    n = len(arrays)
+    out = run([False] * n)
+    assert not out.requires_grad and len(T.tape()) == 0
+    for i in range(n - no_bias):  # any single input is enough
+        out = run([j == i for j in range(n)])
+        assert out.requires_grad and len(T.tape()) > 0
+        T.fresh_tape()
+    with T.no_grad():
+        assert run([True] * n).requires_grad
+    assert len(T.tape()) == 0
 
 
 @settings(max_examples=25, deadline=None)
