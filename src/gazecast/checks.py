@@ -362,6 +362,54 @@ def _containment_mask(box: G.HeadBox) -> np.ndarray:
                       for j in range(w)] for i in range(h)])
 
 
+def _raster_draws(rng: np.random.Generator):
+    """Disks, rings and segments on 32- and 64-pixel frames: random ones
+    across [-0.3, 1.3]^2, so that many cross the border or miss the frame,
+    then ones centred on the border and corners, wholly off-frame ones and
+    segments shorter than the degenerate threshold."""
+    for res in (32, 64):
+        for _ in range(60):
+            c = rng.uniform(-0.3, 1.3, size=2)
+            r = float(rng.uniform(0.3, 9.0))
+            yield "disk", res, (c, r)
+            yield "ring", res, (c, r, float(rng.uniform(0.5, 2.0)))
+            yield "segment", res, (c, rng.uniform(-0.3, 1.3, size=2), r)
+        for c in ([0.0, 0.0], [1.0, 1.0], [0.0, 0.5], [1.0, 0.3], [0.5, 0.0], [0.7, 1.0],
+                  [-0.5, 0.5], [1.4, -0.2], [0.5, 1.6]):
+            c = np.array(c)
+            yield "disk", res, (c, 3.0)
+            yield "ring", res, (c, 3.0, 1.0)
+            yield "segment", res, (c, c + np.array([0.1, -0.05]), 1.6)
+        p = rng.uniform(0.0, 1.0, size=2)
+        for step in (0.0, 1e-10, 5e-10):   # den = 0, 1e-20 and 5e-19
+            yield "segment", res, (p, p + step, 1.5)
+        yield "segment", res, (np.array([0.0, 0.0]), np.array([1.0, 0.0]), 1.0)
+
+
+def _window_vs_frame(kind: str, res: int, args: tuple) -> np.ndarray:
+    return D._full_frame(res, {"disk": D._disk, "ring": D._ring,
+                                "segment": D._segment}[kind](res, *args))
+
+
+def _whole_frame_shape(kind: str, res: int, args: tuple) -> np.ndarray:
+    """The primitive's per-pixel test evaluated on every pixel centre."""
+    gx, gy = G.pixel_centers(res, res)
+    if kind == "disk":
+        c, radius_px = args
+        r = radius_px / res
+        return (gx - c[0]) ** 2 + (gy - c[1]) ** 2 <= r * r
+    if kind == "ring":
+        c, radius_px, width_px = args
+        return np.abs(np.hypot(gx - c[0], gy - c[1]) * res - radius_px) <= width_px
+    p0, p1, thickness_px = args
+    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+    den = dx * dx + dy * dy
+    if den < 1e-18:
+        return _whole_frame_shape("disk", res, (p0, thickness_px))
+    t = np.clip(((gx - p0[0]) * dx + (gy - p0[1]) * dy) / den, 0.0, 1.0)
+    return np.hypot(gx - (p0[0] + t * dx), gy - (p0[1] + t * dy)) * res <= thickness_px
+
+
 ORACLE_CASES = (
     OracleCase("cone_vs_bruteforce", _cone_draws,
                lambda g, eye, aperture: G.cone_batch(Tensor(g.reshape(1, 2)), eye.reshape(1, 2),
@@ -379,6 +427,8 @@ ORACLE_CASES = (
                argmax_point, _scan_argmax, tolerance=0.0),
     OracleCase("head_mask_vs_count", _box_draws, lambda box: G.render_head_mask(box, 17, 23),
                _containment_mask, tolerance=0.0),
+    OracleCase("raster_window_vs_frame", _raster_draws, _window_vs_frame,
+               _whole_frame_shape, tolerance=0.0),
 )
 
 def run_checks(suite: str) -> list[CheckResult]:

@@ -129,31 +129,62 @@ class SceneSample:
 # ---------------------------------------------------------------------------
 
 
-def _disk(res: int, center: np.ndarray, radius_px: float) -> np.ndarray:
+Window = tuple[slice, slice]       # (rows, columns) of the frame a mask covers
+Shape = tuple[Window, np.ndarray]  # a window and the shape's mask on it
+
+
+def _span(a: float, b: float, res: int, pad_px: float) -> slice:
+    lo, hi = sorted((float(a), float(b)))
+    return slice(max(0, math.floor(lo * res - pad_px)),
+                 min(res, max(0, math.ceil(hi * res + pad_px))))
+
+
+def _window(res: int, p0: np.ndarray, p1: np.ndarray,
+            pad_px: float) -> tuple[Window, np.ndarray, np.ndarray]:
+    """The frame's pixel-centre coordinates on the box spanned by the
+    normalized points ``p0`` and ``p1``, grown by ``pad_px`` pixels plus one
+    and clipped to the frame: a shape within ``pad_px`` of the box is tested
+    on these pixels only."""
+    rows = _span(p0[1], p1[1], res, pad_px + 1.0)
+    cols = _span(p0[0], p1[0], res, pad_px + 1.0)
     gx, gy = pixel_centers(res, res)
+    return (rows, cols), gx[rows, cols], gy[rows, cols]
+
+
+def _disk(res: int, center: np.ndarray, radius_px: float) -> Shape:
+    win, gx, gy = _window(res, center, center, radius_px)
     r = radius_px / res
-    return (gx - center[0]) ** 2 + (gy - center[1]) ** 2 <= r * r
+    return win, (gx - center[0]) ** 2 + (gy - center[1]) ** 2 <= r * r
 
 
-def _ring(res: int, center: np.ndarray, radius_px: float, width_px: float) -> np.ndarray:
-    gx, gy = pixel_centers(res, res)
+def _ring(res: int, center: np.ndarray, radius_px: float, width_px: float) -> Shape:
+    win, gx, gy = _window(res, center, center, radius_px + width_px)
     d = np.hypot(gx - center[0], gy - center[1]) * res
-    return np.abs(d - radius_px) <= width_px
+    return win, np.abs(d - radius_px) <= width_px
 
 
-def _segment(res: int, p0: np.ndarray, p1: np.ndarray, thickness_px: float) -> np.ndarray:
-    gx, gy = pixel_centers(res, res)
+def _segment(res: int, p0: np.ndarray, p1: np.ndarray, thickness_px: float) -> Shape:
     dx, dy = p1[0] - p0[0], p1[1] - p0[1]
     den = dx * dx + dy * dy
     if den < 1e-18:
         return _disk(res, p0, thickness_px)
+    win, gx, gy = _window(res, p0, p1, thickness_px)
     t = np.clip(((gx - p0[0]) * dx + (gy - p0[1]) * dy) / den, 0.0, 1.0)
     px, py = p0[0] + t * dx, p0[1] + t * dy
-    return np.hypot(gx - px, gy - py) * res <= thickness_px
+    return win, np.hypot(gx - px, gy - py) * res <= thickness_px
 
 
-def _paint(img: np.ndarray, mask: np.ndarray, color) -> None:
-    img[:, mask] = np.asarray(color, dtype=img.dtype)[:, None]
+def _paint(img: np.ndarray, shape: Shape, color) -> None:
+    (rows, cols), mask = shape
+    img[:, rows, cols][:, mask] = np.asarray(color, dtype=img.dtype)[:, None]
+
+
+def _full_frame(res: int, shape: Shape) -> np.ndarray:
+    """A windowed shape's mask on the whole ``res x res`` frame."""
+    (rows, cols), mask = shape
+    full = np.zeros((res, res), dtype=bool)
+    full[rows, cols] = mask
+    return full
 
 
 def _rot(v: np.ndarray, angle: float) -> np.ndarray:
@@ -205,39 +236,45 @@ def _build_person(head_center: np.ndarray, head_radius_px: float, layer: int,
     )
 
 
-def _render_raw(layout: SceneLayout, res: int, rng: np.random.Generator) -> np.ndarray:
+def _person_parts(person: PersonInfo, res: int) -> list[Shape]:
+    """A person's silhouette in the order raw paints it: body, then arm and
+    hand for each hand, then head."""
+    parts = [_segment(res, person.neck, person.hip, 1.6)]
+    for hand in person.hands:
+        parts += [_segment(res, person.neck, hand, 1.0), _disk(res, hand, 1.6)]
+    parts.append(_disk(res, person.head_center, person.head_radius_px))
+    return parts
+
+
+def _render_raw(layout: SceneLayout, res: int, rng: np.random.Generator,
+                object_shapes: list[Shape], person_parts: list[list[Shape]]) -> np.ndarray:
     img = np.empty((3, res, res))
     base = rng.uniform(0.08, 0.30, size=3)
     img[:] = base[:, None, None]
     img += rng.uniform(0.0, 0.22, size=(3, res, res))
-    for obj in sorted(layout.objects, key=lambda o: o.layer):
-        _paint(img, _disk(res, obj.center, obj.radius_px), obj.color)
-    for person in layout.persons:
+    for obj, shape in sorted(zip(layout.objects, object_shapes), key=lambda pair: pair[0].layer):
+        _paint(img, shape, obj.color)
+    for person, parts in zip(layout.persons, person_parts):
         r = person.head_radius_px
         skin = rng.uniform(0.75, 0.95)
         skin_color = (skin, 0.8 * skin, 0.62 * skin)
-        _paint(img, _segment(res, person.neck, person.hip, 1.6), person.body_color)
-        for hand in person.hands:
-            _paint(img, _segment(res, person.neck, hand, 1.0), person.body_color)
-            _paint(img, _disk(res, hand, 1.6), skin_color)
-        _paint(img, _disk(res, person.head_center, r), skin_color)
+        colors = [person.body_color, *[person.body_color, skin_color] * len(person.hands),
+                  skin_color]
+        for part, color in zip(parts, colors):
+            _paint(img, part, color)
         marker = person.head_center + 0.45 * (r / res) * person.facing
         _paint(img, _disk(res, marker, 0.38 * r), (0.08, 0.08, 0.1))
     return np.clip(img, 0.0, 1.0)
 
 
-def _render_depth(layout: SceneLayout, res: int, n_layers: int) -> np.ndarray:
+def _render_depth(layout: SceneLayout, res: int, n_layers: int,
+                  object_shapes: list[Shape], person_parts: list[list[Shape]]) -> np.ndarray:
     img = np.full((3, res, res), 0.08)
-    for item in sorted([*layout.objects, *layout.persons], key=lambda it: it.layer):
+    items = [*zip(layout.objects, ([s] for s in object_shapes)),
+             *zip(layout.persons, person_parts)]
+    for item, shapes in sorted(items, key=lambda it: it[0].layer):
         val = _layer_intensity(item.layer, n_layers)
-        if isinstance(item, ObjectInfo):
-            _paint(img, _disk(res, item.center, item.radius_px), (val, val, val))
-        else:
-            shape = _disk(res, item.head_center, item.head_radius_px)
-            shape |= _segment(res, item.neck, item.hip, 1.6)
-            for hand in item.hands:
-                shape |= _segment(res, item.neck, hand, 1.0)
-                shape |= _disk(res, hand, 1.6)
+        for shape in shapes:   # one grey: part by part paints their union
             _paint(img, shape, (val, val, val))
     return img
 
@@ -423,9 +460,12 @@ def generate_scene(spec: SceneSpec, sample_id: int = 0) -> SceneSample:
 
     layout = SceneLayout(objects=objects, persons=persons, rule=rule)
 
+    # raw and depth paint the same object and person silhouettes
+    object_shapes = [_disk(res, o.center, o.radius_px) for o in objects]
+    person_parts = [_person_parts(p, res) for p in persons]
     images = {
-        "raw": _render_raw(layout, res, rng),
-        "depth": _render_depth(layout, res, n_layers),
+        "raw": _render_raw(layout, res, rng, object_shapes, person_parts),
+        "depth": _render_depth(layout, res, n_layers, object_shapes, person_parts),
         "pose": _render_pose(layout, res),
     }
 

@@ -45,30 +45,37 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
     csv_rows = [CSV_HEADER]
 
     step = 0
+    # a diverging run overflows inside numpy before its loss or weights show
+    # it; it is reported once, as TrainingDivergedError, not as warnings
     try:
-        for epoch in range(cfg.epochs):
-            order = shuffle_rng.permutation(len(samples))
-            for start in range(0, len(samples), cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                batch = build_batch(None, cfg, cache=[feature_cache[i] for i in idx])
-                plan = sample_dropout_plan(cfg.modalities, cfg.effective_p_drop, plan_rng)
-                result = model(batch, plan)
-                losses = compute_losses(result, batch, cfg, plan)
-                total = losses.total_value
-                if not math.isfinite(total):
-                    raise TrainingDivergedError(
-                        f"non-finite loss {total} at step {step} (epoch {epoch})"
-                    )
-                T.backward(losses.total)
-                optimizer.step()
-                model.zero_grad()
-                step += 1
-                csv_rows.append(f"{step},{losses.gaze!r},{losses.direction!r},"
-                                f"{losses.inout!r},{losses.attention!r},{total!r}")
-            if log:
-                log(f"epoch {epoch + 1}/{cfg.epochs}: loss {total:.6f}")
+        with np.errstate(all="ignore"):
+            for epoch in range(cfg.epochs):
+                order = shuffle_rng.permutation(len(samples))
+                for start in range(0, len(samples), cfg.batch_size):
+                    idx = order[start : start + cfg.batch_size]
+                    batch = build_batch(None, cfg, cache=[feature_cache[i] for i in idx])
+                    plan = sample_dropout_plan(cfg.modalities, cfg.effective_p_drop, plan_rng)
+                    result = model(batch, plan)
+                    losses = compute_losses(result, batch, cfg, plan)
+                    total = losses.total_value
+                    if not math.isfinite(total):
+                        raise TrainingDivergedError(
+                            f"non-finite loss {total} at step {step} (epoch {epoch})"
+                        )
+                    T.backward(losses.total)
+                    optimizer.step()
+                    model.zero_grad()
+                    step += 1
+                    csv_rows.append(f"{step},{losses.gaze!r},{losses.direction!r},"
+                                    f"{losses.inout!r},{losses.attention!r},{total!r}")
+                if log:
+                    log(f"epoch {epoch + 1}/{cfg.epochs}: loss {total:.6f}")
     finally:
         T.fresh_tape()
+    for name, p in model.named_parameters():
+        if not np.isfinite(p.data).all():
+            # the last step's update overflowed: no later loss shows it
+            raise TrainingDivergedError(f"non-finite weights in {name} after step {step}")
     if csv_path:
         with atomic_write(csv_path) as f:
             f.write("\n".join(csv_rows) + "\n")

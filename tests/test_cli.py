@@ -732,16 +732,20 @@ def test_eval_model_without_gaze_direction_exits_2(no_direction, tmp_path, capsy
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("lr", ["1e10", "1e300"])
-def test_diverging_train_exits_2(no_direction, tmp_path, capsys, lr):
+@pytest.mark.parametrize("lr, precision, batch_size, epochs", [
+    ("1e10", "f64", 2, 3), ("1e300", "f64", 2, 3), ("1e39", "f32", 4, 1),
+], ids=["1e10", "1e300", "f32-last-step"])
+def test_diverging_train_exits_2(no_direction, tmp_path, capsys, lr, precision,
+                                 batch_size, epochs):
     """Weights blown up by a huge learning rate fail training with exit 2,
-    whether the gaze direction or the loss is the first output to break,
-    and leave no checkpoint or loss CSV."""
+    whether the gaze direction, the loss or only the weights of the last
+    step break, print one line and no numpy warning, and leave no
+    checkpoint or loss CSV."""
     cfg = tmp_path / "lr.cfg"
     cfg.write_text("model.variant = image_only\nmodel.input_resolution = 32\n"
-                   "model.heatmap_resolution = 32\ntrain.batch_size = 2\n"
-                   f"train.epochs = 3\ntrain.lr = {lr}\n")
+                   f"model.heatmap_resolution = 32\nmodel.precision = {precision}\n"
+                   f"train.batch_size = {batch_size}\ntrain.epochs = {epochs}\n"
+                   f"train.lr = {lr}\n")
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--data", str(no_direction / "data"),
                  "--out", str(tmp_path / "model.ckpt")]) == 2

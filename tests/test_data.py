@@ -66,19 +66,20 @@ def test_depth_has_no_color_or_texture(mixed_samples):
 
 
 def test_pose_contains_no_object_pixels(mixed_samples):
-    from gazecast.data import _disk
+    def frame(shape):
+        return D._full_frame(64, shape)
 
     for s in mixed_samples[:30]:
         pose = s.images["pose"]
         painted = pose.sum(axis=0) > 0.0
         for obj in s.layout.objects:
-            blob = _disk(64, obj.center, obj.radius_px)
+            blob = frame(D._disk(64, obj.center, obj.radius_px))
             person_parts = np.zeros_like(blob)
             for p in s.layout.persons:
-                person_parts |= _disk(64, p.head_center, p.head_radius_px + 2.0)
-                person_parts |= D._segment(64, p.neck, p.hip, 3.0)
+                person_parts |= frame(D._disk(64, p.head_center, p.head_radius_px + 2.0))
+                person_parts |= frame(D._segment(64, p.neck, p.hip, 3.0))
                 for hand in p.hands:
-                    person_parts |= D._segment(64, p.neck, hand, 3.0)
+                    person_parts |= frame(D._segment(64, p.neck, hand, 3.0))
             only_blob = blob & ~person_parts
             assert not painted[only_blob].any()
 
