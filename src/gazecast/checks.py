@@ -381,7 +381,7 @@ def _raster_draws(rng: np.random.Generator):
             yield "ring", res, (c, 3.0, 1.0)
             yield "segment", res, (c, c + np.array([0.1, -0.05]), 1.6)
         p = rng.uniform(0.0, 1.0, size=2)
-        for step in (0.0, 1e-10, 5e-10):   # den = 0, 1e-20 and 5e-19
+        for step in (0.0, 1e-10, 5e-10):   # den = 0, 2e-20 and 5e-19
             yield "segment", res, (p, p + step, 1.5)
         yield "segment", res, (np.array([0.0, 0.0]), np.array([1.0, 0.0]), 1.0)
 

@@ -45,8 +45,8 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
     csv_rows = [CSV_HEADER]
 
     step = 0
-    # a diverging run overflows inside numpy before its loss or weights show
-    # it; it is reported once, as TrainingDivergedError, not as warnings
+    # a diverging run overflows inside numpy; the checks on the loss, the
+    # gaze direction and the final weights report it once, not numpy warnings
     try:
         with np.errstate(all="ignore"):
             for epoch in range(cfg.epochs):
