@@ -181,7 +181,7 @@ def _pipeline_draws(rng: np.random.Generator):
     five randomly chosen parameter entries."""
     cfg = RunConfig(variant="multimodal", input_resolution=32, heatmap_resolution=32,
                     seed=5, p_drop=0.0)
-    samples = D.generate_dataset(D.SceneSpec(rng_seed=17, resolution=32, n_objects=2), 2)
+    samples = D.generate_dataset(D.SceneSpec(seed=17, resolution=32, n_objects=2), 2)
     model = GazeTargetModel(cfg)
     batch = build_batch(samples, cfg)
     T.fresh_tape()

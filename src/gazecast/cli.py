@@ -1,13 +1,14 @@
 """Command-line entry point: gen / train / eval / infer / check.
 
-Exit codes: 0 success, 1 usage or config error, 2 check or training
-failure, 3 data or checkpoint error.
+Exit codes: 0 success, 1 usage or config error or a path that cannot be
+read or written, 2 check or training failure, 3 data or checkpoint error.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import os
 import sys
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import data as D
 from . import tensor as T
-from .config import RunConfig, config_from_text, load_config, parse_config_lines, typed_fields
+from .config import RunConfig, config_from_text, load_config, read_settings, settings_text
 from .errors import CheckpointError, ConfigError, DatasetError, GazecastError, ModelOutputError
 from .evaluate import evaluate_model
 from .geometry import containing_pixel, write_pgm
@@ -29,28 +30,15 @@ EXIT_USAGE = 1
 EXIT_CHECK = 2
 EXIT_DATA = 3
 
-_SCENE_KEYS = {
-    "scene.n_objects": "n_objects",
-    "scene.n_people": "n_people",
-    "scene.depth_layers": "depth_layers",
-    "scene.resolution": "resolution",
-    "scene.target_rule": "target_rule",
-    "scene.p_out_of_frame": "p_out_of_frame",
-    "scene.seed": "rng_seed",
-}
+SCENE_KEYS = {f"scene.{f.name}": f.name for f in dataclasses.fields(D.SceneSpec)}
 
 
-def _load_scene_spec(path, seed_override=None) -> D.SceneSpec:
-    kwargs = {}
-    if path:
-        with open(path) as f:
-            kwargs = typed_fields(parse_config_lines(f), _SCENE_KEYS, D.SceneSpec)
-    if seed_override is not None:
-        kwargs["rng_seed"] = seed_override
+def _load_scene_spec(path, seed=None) -> D.SceneSpec:
     try:
-        return D.SceneSpec(**kwargs)
+        spec = read_settings(D.SceneSpec, settings_text(path), SCENE_KEYS)
+        return spec if seed is None else dataclasses.replace(spec, seed=seed)
     except DatasetError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path or 'scene spec'}: {exc}") from exc
 
 
 def cmd_gen(args) -> int:
@@ -254,7 +242,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TrainingDivergedError, ModelOutputError) as exc:

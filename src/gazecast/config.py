@@ -48,7 +48,7 @@ class RunConfig:
     lambda_io: float = 1.0
     lambda_att: float = 1.0
     # training
-    learning_rate: float = 1e-4
+    lr: float = 1e-4
     weight_decay: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
@@ -75,8 +75,8 @@ class RunConfig:
         # comparison, so each check is written to reject it
         if self.seed < 0:
             raise ConfigError(f"train.seed {self.seed} is negative")
-        if not (0.0 < self.learning_rate < math.inf):
-            raise ConfigError(f"train.lr {self.learning_rate} is not finite and > 0")
+        if not (0.0 < self.lr < math.inf):
+            raise ConfigError(f"train.lr {self.lr} is not finite and > 0")
         for key, beta in (("train.beta1", self.beta1), ("train.beta2", self.beta2)):
             if not (0.0 <= beta < 1.0):
                 raise ConfigError(f"{key} {beta} outside [0,1)")
@@ -84,7 +84,7 @@ class RunConfig:
             raise ConfigError(f"train.epsilon {self.epsilon} is not > 0")
         for key in ("train.weight_decay", "loss.lambda_gaze", "loss.lambda_dir",
                     "loss.lambda_io", "loss.lambda_att"):
-            value = getattr(self, _KEYMAP[key])
+            value = getattr(self, key.partition(".")[2])
             if not (0.0 <= value < math.inf):
                 raise ConfigError(f"{key} {value} is not finite and >= 0")
         if not (self.sigma > 0.0):
@@ -171,7 +171,7 @@ class RunConfig:
 
     def to_text(self) -> str:
         lines = []
-        for key, attr in sorted(_KEYMAP.items()):
+        for key, attr in sorted(RUN_KEYS.items()):
             val = getattr(self, attr)
             if isinstance(val, tuple):
                 val = ",".join(str(v) for v in val)
@@ -186,102 +186,81 @@ class RunConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
 
-_KEYMAP = {
-    "model.variant": "variant",
-    "model.input_resolution": "input_resolution",
-    "model.heatmap_resolution": "heatmap_resolution",
-    "model.feature_channels": "feature_channels",
-    "model.embedding_size": "embedding_size",
-    "model.stage_channels": "stage_channels",
-    "model.heatmap_bounded": "heatmap_bounded",
-    "model.inout_head": "inout_head",
-    "model.aperture": "aperture",
-    "model.precision": "precision",
-    "loss.lambda_gaze": "lambda_gaze",
-    "loss.lambda_dir": "lambda_dir",
-    "loss.lambda_io": "lambda_io",
-    "loss.lambda_att": "lambda_att",
-    "train.lr": "learning_rate",
-    "train.weight_decay": "weight_decay",
-    "train.beta1": "beta1",
-    "train.beta2": "beta2",
-    "train.epsilon": "epsilon",
-    "train.epochs": "epochs",
-    "train.batch_size": "batch_size",
-    "train.p_drop": "p_drop",
-    "train.seed": "seed",
-    "data.sigma": "sigma",
-    "metrics.binarization_radius": "binarization_radius",
+# file keys are ``<section>.<field>``; the sections are listed here once
+_SECTIONS = {
+    "model": ("variant", "input_resolution", "heatmap_resolution", "feature_channels",
+              "embedding_size", "stage_channels", "heatmap_bounded", "inout_head",
+              "aperture", "precision"),
+    "loss": ("lambda_gaze", "lambda_dir", "lambda_io", "lambda_att"),
+    "train": ("lr", "weight_decay", "beta1", "beta2", "epsilon", "epochs", "batch_size",
+              "p_drop", "seed"),
+    "data": ("sigma",),
+    "metrics": ("binarization_radius",),
+}
+RUN_KEYS = {f"{section}.{name}": name for section, names in _SECTIONS.items() for name in names}
+
+
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_PARSERS = {  # field annotation -> (name in errors, parser); other fields take the text
+    "bool": ("boolean", lambda raw: _BOOLEANS[raw.lower()]),
+    "int": ("integer", int),
+    "float": ("float", float),
+    "tuple[int, ...]": ("integer list", lambda raw: tuple(int(v) for v in raw.split(","))),
 }
 
 
 def _parse_value(kind: str, raw: str):
     """Parse ``raw`` as a dataclass field annotated ``kind``."""
-    raw = raw.strip()
-    kind = kind.removesuffix(" | None")
-    if kind == "tuple[int, ...]":
-        try:
-            return tuple(int(v) for v in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad integer list {raw!r}") from exc
-    if kind == "bool":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"bad boolean {raw!r}")
-    if kind == "int":
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad integer {raw!r}") from exc
-    if kind == "float":
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad float {raw!r}") from exc
-    return raw
+    name, parse = _PARSERS.get(kind.removesuffix(" | None"), ("text", str))
+    try:
+        return parse(raw)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad {name} {raw!r}") from exc
 
 
-def typed_fields(raw: dict[str, str], keymap: dict[str, str], cls) -> dict:
-    """Keyword arguments for dataclass ``cls`` from 'key = value' pairs.
+def read_settings(cls, text: str, keymap: dict[str, str]):
+    """An instance of dataclass ``cls`` from 'key = value' lines.
 
-    ``keymap`` maps each file key to a field name; an unknown key or a value
-    that does not parse as its field's type raises ConfigError.
+    '#' starts a comment and blank lines are skipped. ``keymap`` maps each
+    file key to a field name; an unknown or repeated key, or a value that
+    does not parse as its field's type, raises ConfigError.
     """
     kinds = {f.name: f.type for f in fields(cls)}
     kwargs = {}
-    for key, val in raw.items():
-        if key not in keymap:
-            raise ConfigError(f"unknown config key {key!r}")
-        attr = keymap[key]
-        kwargs[attr] = _parse_value(kinds[attr], val)
-    return kwargs
-
-
-def parse_config_lines(lines) -> dict[str, str]:
-    """'key = value' pairs; '#' starts a comment; blank lines ignored."""
-    out: dict[str, str] = {}
-    for no, line in enumerate(lines, start=1):
+    for no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {no}: expected 'key = value', got {line.rstrip()!r}")
-        key, val = stripped.split("=", 1)
-        out[key.strip()] = val.strip()
-    return out
+        key, val = (part.strip() for part in stripped.split("=", 1))
+        attr = keymap.get(key)
+        if attr is None:
+            raise ConfigError(f"line {no}: unknown config key {key!r}")
+        if attr in kwargs:
+            raise ConfigError(f"line {no}: {key} is set a second time")
+        kwargs[attr] = _parse_value(kinds[attr], val)
+    return cls(**kwargs)
+
+
+def settings_text(path) -> str:
+    """The text of settings file ``path``, which must be UTF-8; no path
+    reads as an empty file."""
+    if path is None:
+        return ""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def load_config(path=None) -> RunConfig:
     """Build a RunConfig from an optional file; without one, the defaults."""
-    raw: dict[str, str] = {}
-    if path is not None:
-        with open(path) as f:
-            raw = parse_config_lines(f)
-    return RunConfig(**typed_fields(raw, _KEYMAP, RunConfig))
+    return read_settings(RunConfig, settings_text(path), RUN_KEYS)
 
 
 def config_from_text(text: str) -> RunConfig:
     """Rebuild a config from its canonical serialization (checkpoints)."""
-    return RunConfig(**typed_fields(parse_config_lines(text.splitlines()), _KEYMAP, RunConfig))
+    return read_settings(RunConfig, text, RUN_KEYS)

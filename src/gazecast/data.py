@@ -52,7 +52,7 @@ class SceneSpec:
     n_people: int = 2
     depth_layers: int = 3
     resolution: int = 64
-    rng_seed: int = 0
+    seed: int = 0
     target_rule: str = "mixed"
     p_out_of_frame: float = 0.0
 
@@ -71,8 +71,8 @@ class SceneSpec:
                 f"depth_layers must lie in [2, {MAX_DEPTH_LAYERS}], got {self.depth_layers}")
         if not 0 <= self.n_objects <= MAX_ITEMS:
             raise DatasetError(f"n_objects must lie in [0, {MAX_ITEMS}], got {self.n_objects}")
-        if self.rng_seed < 0:
-            raise DatasetError(f"seed must be >= 0, got {self.rng_seed}")
+        if self.seed < 0:
+            raise DatasetError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.p_out_of_frame <= 1.0:  # NaN fails too
             raise DatasetError(f"p_out_of_frame must lie in [0, 1], got {self.p_out_of_frame}")
 
@@ -324,7 +324,7 @@ def _far_from(point: np.ndarray, others: list[tuple[np.ndarray, float]],
 
 def generate_scene(spec: SceneSpec, sample_id: int = 0) -> SceneSample:
     """Render one sample; bit-identical for identical (spec, sample_id)."""
-    rng = np.random.default_rng(np.random.SeedSequence((spec.rng_seed, sample_id)))
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, sample_id)))
     res = spec.resolution
     n_layers = spec.depth_layers
 

@@ -76,12 +76,12 @@ class SceneExtractor(nn.Module):
     late-fusion variant feeds the modality image alone.
     """
 
-    def __init__(self, cfg: RunConfig, rng: np.random.Generator | None, in_channels: int = 5):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator | None):
         c = cfg.stage_channels
         d = cfg.feature_channels
-        self.in_channels = in_channels
+        self.in_channels = 3 if cfg.late_fusion else 5
         self.skip_connections = cfg.skip_connections
-        chans = [in_channels, *c]
+        chans = [self.in_channels, *c]
         self.stages = [
             nn.Conv2d(chans[i], chans[i + 1], 3, rng, stride=2, padding=1)
             for i in range(len(c))

@@ -19,6 +19,7 @@ def evaluate_model(model: GazeTargetModel, samples: list[SceneSample], cfg: RunC
     ``oracle_heatmaps`` substitutes the ground-truth heatmap for the
     prediction (upper-bound sanity: AUC 1, distances 0).
     """
+    config_hash = cfg.config_hash()
     dumps = []
     for start in range(0, len(samples), BATCH_SIZE):
         chunk = samples[start : start + BATCH_SIZE]
@@ -42,6 +43,6 @@ def evaluate_model(model: GazeTargetModel, samples: list[SceneSample], cfg: RunC
                 sample_id=sample.sample_id, in_frame=sample.in_frame,
                 p_gaze=point, min_dist=mn, avg_dist=av, auc=auc,
                 weights=weights, inout=io_score,
-                config_hash=cfg.config_hash(),
+                config_hash=config_hash,
             ))
-    return aggregate(dumps, cfg.binarization_radius, cfg.config_hash()), dumps
+    return aggregate(dumps, cfg.binarization_radius, config_hash), dumps

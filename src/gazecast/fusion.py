@@ -64,9 +64,8 @@ class ModalityEmbedder(nn.Module):
 class AttentionFusion(nn.Module):
     """Soft-selection across modalities; see module docstring for the steps."""
 
-    def __init__(self, cfg: RunConfig, modalities: tuple[str, ...],
-                 rng: np.random.Generator | None):
-        self.modalities = tuple(modalities)
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator | None):
+        self.modalities = cfg.modalities
         self.transforms = {m: nn.Conv2d(cfg.feature_channels, cfg.feature_channels, 1, rng)
                            for m in self.modalities}
         self.embedders = {m: ModalityEmbedder(cfg, rng) for m in self.modalities}

@@ -91,14 +91,12 @@ class GazeTargetModel(nn.Module):
             np.random.SeedSequence((cfg.seed, 0xA11CE)))
         self.cfg = cfg
         self.gaze_subnet = GazeSubnet(cfg, rng)
-        in_ch = 3 if cfg.late_fusion else 5
-        self.extractors = {m: SceneExtractor(cfg, rng, in_channels=in_ch)
-                           for m in cfg.modalities}
+        self.extractors = {m: SceneExtractor(cfg, rng) for m in cfg.modalities}
         if cfg.late_fusion:
             self.injectors = {m: LateFusionInject(cfg.feature_channels, rng)
                               for m in cfg.modalities}
         if cfg.fusion_enabled:
-            self.fusion = AttentionFusion(cfg, cfg.modalities, rng)
+            self.fusion = AttentionFusion(cfg, rng)
         self.heatmap_head = HeatmapHead(cfg, rng)
         if cfg.inout_head:
             self.inout = InOutHead(cfg, rng)

@@ -131,13 +131,13 @@ class AdamW:
     def __init__(
         self,
         params: list[Tensor],
-        learning_rate: float,
+        lr: float,
         betas: tuple[float, float],
         epsilon: float,
         weight_decay: float,
     ):
         self.params = list(params)
-        self.learning_rate = float(learning_rate)
+        self.lr = float(lr)
         self.betas = (float(betas[0]), float(betas[1]))
         self.epsilon = float(epsilon)
         self.weight_decay = float(weight_decay)
@@ -151,7 +151,6 @@ class AdamW:
         t = self.step_count
         bias1 = 1.0 - b1**t
         bias2 = 1.0 - b2**t
-        lr = self.learning_rate
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise GradError(f"parameter {i} has no gradient; run backward first")
@@ -163,4 +162,4 @@ class AdamW:
             update = m_hat / (np.sqrt(v_hat) + self.epsilon)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
-            p.data = p.data - lr * update
+            p.data = p.data - self.lr * update

@@ -34,7 +34,7 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
         model.load_state_dict(state, strict=False)
 
     optimizer = nn.AdamW(
-        model.parameters(), learning_rate=cfg.learning_rate,
+        model.parameters(), lr=cfg.lr,
         betas=(cfg.beta1, cfg.beta2), epsilon=cfg.epsilon,
         weight_decay=cfg.weight_decay,
     )

@@ -659,6 +659,53 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["definitely-not-a-command"]) == 1
 
 
+@pytest.mark.parametrize("case", ["config-not-utf8", "config-directory", "spec-directory",
+                                  "ckpt-directory", "render-is-a-file"])
+def test_unreadable_or_wrong_kind_of_path_is_usage_error(workspace, tmp_path, capsys, case):
+    """A settings file that is not UTF-8, or a path of the wrong kind, ends
+    in one error line and exit 1, not a traceback."""
+    (tmp_path / "bad.cfg").write_bytes(b"train.epochs = 0\n\xff\n")
+    (tmp_path / "file").write_text("")
+    data, ckpt = str(workspace / "data"), str(workspace / "model.ckpt")
+    args = {
+        "config-not-utf8": ["train", "--config", str(tmp_path / "bad.cfg"), "--data", data,
+                            "--out", str(tmp_path / "x.ckpt")],
+        "config-directory": ["train", "--config", str(tmp_path), "--data", data,
+                             "--out", str(tmp_path / "x.ckpt")],
+        "spec-directory": ["gen", "--spec", str(tmp_path), "--out", str(tmp_path / "x"),
+                           "--count", "1"],
+        "ckpt-directory": ["eval", "--ckpt", str(tmp_path), "--data", data,
+                           "--report", str(tmp_path / "r.json")],
+        "render-is-a-file": ["infer", "--ckpt", ckpt, "--data", data, "--sample", "0",
+                             "--render", str(tmp_path / "file")],
+    }[case]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["bad.cfg", "file"]
+
+
+@pytest.mark.parametrize("command", ["train", "gen"])
+def test_repeated_settings_key_is_usage_error(workspace, tmp_path, capsys, command):
+    """A key set twice is an error naming the line, not a silent override."""
+    cfg = tmp_path / "twice.cfg"
+    if command == "train":
+        cfg.write_text("train.lr = 1e-3\ntrain.epochs = 0\ntrain.lr = 5e-1\n")
+        args = ["train", "--config", str(cfg), "--data", str(workspace / "data"),
+                "--out", str(tmp_path / "x.ckpt")]
+        key = "train.lr"
+    else:
+        cfg.write_text("scene.seed = 1\nscene.resolution = 32\nscene.seed = 2\n")
+        args = ["gen", "--spec", str(cfg), "--out", str(tmp_path / "x"), "--count", "1"]
+        key = "scene.seed"
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err and key in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["twice.cfg"]
+
+
 def _stub_check_rows(monkeypatch, failing: str | None = None) -> None:
     """Rows report without running: each runs once, in test_gradcheck."""
     for case_type in (GradCase, OracleCase):

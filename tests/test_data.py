@@ -12,18 +12,18 @@ from gazecast.errors import DatasetError
 
 @pytest.fixture(scope="module")
 def mixed_samples():
-    return D.generate_dataset(D.SceneSpec(rng_seed=71, target_rule="mixed"), 300)
+    return D.generate_dataset(D.SceneSpec(seed=71, target_rule="mixed"), 300)
 
 
 def test_single_candidate_scene_targets_it():
-    spec = D.SceneSpec(n_objects=1, n_people=1, rng_seed=5, target_rule="object")
+    spec = D.SceneSpec(n_objects=1, n_people=1, seed=5, target_rule="object")
     s = D.generate_scene(spec, 3)
     assert len(s.layout.objects) == 1
     assert s.gaze_points[0] == pytest.approx(tuple(s.layout.objects[0].center))
 
 
 def test_generation_deterministic(mixed_samples):
-    again = D.generate_scene(D.SceneSpec(rng_seed=71, target_rule="mixed"), 17)
+    again = D.generate_scene(D.SceneSpec(seed=71, target_rule="mixed"), 17)
     ref = mixed_samples[17]
     for m in ref.images:
         np.testing.assert_array_equal(again.images[m], ref.images[m])
@@ -85,7 +85,7 @@ def test_pose_contains_no_object_pixels(mixed_samples):
 
 
 def test_out_of_frame_mode():
-    spec = D.SceneSpec(rng_seed=13, p_out_of_frame=0.2)
+    spec = D.SceneSpec(seed=13, p_out_of_frame=0.2)
     samples = D.generate_dataset(spec, 300)
     outs = [s for s in samples if s.in_frame == 0]
     frac = len(outs) / len(samples)

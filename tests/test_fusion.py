@@ -15,7 +15,7 @@ D = CFG.feature_channels
 
 
 def make_fusion(seed=0):
-    return F.AttentionFusion(CFG, MODALITIES, np.random.default_rng(seed))
+    return F.AttentionFusion(CFG, np.random.default_rng(seed))
 
 
 def rand_maps(seed=0, n=2, hw=16):

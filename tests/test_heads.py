@@ -185,7 +185,7 @@ def test_one_optimizer_step_decreases_total_loss():
         T.fresh_tape()
         loss0 = run_loss()
         T.backward(T.scale(loss0, 100.0))
-        opt = nn.AdamW(head.parameters(), learning_rate=1e-3, betas=(0.9, 0.999),
+        opt = nn.AdamW(head.parameters(), lr=1e-3, betas=(0.9, 0.999),
                        epsilon=1e-8, weight_decay=0.0)
         opt.step()
         T.fresh_tape()

@@ -37,7 +37,7 @@ def test_named_parameters_dotted_paths():
 def test_adamw_zero_grad_zero_decay_is_noop():
     p = Tensor([1.5, -2.0], requires_grad=True)
     p.grad = np.zeros(2)
-    opt = nn.AdamW([p], learning_rate=0.1, betas=(0.9, 0.999), epsilon=1e-8, weight_decay=0.0)
+    opt = nn.AdamW([p], lr=0.1, betas=(0.9, 0.999), epsilon=1e-8, weight_decay=0.0)
     opt.step()
     np.testing.assert_array_equal(p.data, [1.5, -2.0])
 
@@ -46,7 +46,7 @@ def test_adamw_first_step_magnitude_is_lr():
     # hand evaluation at t=1: m_hat = g, v_hat = g^2, update = lr * g/(|g|+eps)
     p = Tensor([1.0], requires_grad=True)
     p.grad = np.array([1.0])
-    opt = nn.AdamW([p], learning_rate=0.1, betas=(0.9, 0.999), epsilon=1e-8,
+    opt = nn.AdamW([p], lr=0.1, betas=(0.9, 0.999), epsilon=1e-8,
                    weight_decay=0.0)
     opt.step()
     assert p.data[0] == pytest.approx(0.9, abs=1e-8)
@@ -56,14 +56,14 @@ def test_adamw_first_step_magnitude_is_lr():
 def test_adamw_decoupled_decay_exact():
     p = Tensor([2.0], requires_grad=True)
     p.grad = np.array([0.0])
-    opt = nn.AdamW([p], learning_rate=0.05, betas=(0.9, 0.999), epsilon=1e-8, weight_decay=0.01)
+    opt = nn.AdamW([p], lr=0.05, betas=(0.9, 0.999), epsilon=1e-8, weight_decay=0.01)
     opt.step()
     assert p.data[0] == pytest.approx(2.0 - 0.05 * 0.01 * 2.0, abs=0.0)
 
 
 def test_adamw_missing_grad_raises():
     p = Tensor([1.0], requires_grad=True)
-    opt = nn.AdamW([p], learning_rate=1e-4, betas=(0.9, 0.999), epsilon=1e-8, weight_decay=0.0)
+    opt = nn.AdamW([p], lr=1e-4, betas=(0.9, 0.999), epsilon=1e-8, weight_decay=0.0)
     with pytest.raises(GradError):
         opt.step()
 
@@ -72,7 +72,7 @@ def test_adamw_moment_shapes_and_counter():
     rng = np.random.default_rng(1)
     ps = [Tensor(rng.normal(size=(3, 4)), requires_grad=True),
           Tensor(rng.normal(size=(5,)), requires_grad=True)]
-    opt = nn.AdamW(ps, learning_rate=1e-3, betas=(0.9, 0.999), epsilon=1e-8, weight_decay=0.0)
+    opt = nn.AdamW(ps, lr=1e-3, betas=(0.9, 0.999), epsilon=1e-8, weight_decay=0.0)
     for t in range(1, 4):
         for p in ps:
             p.grad = rng.normal(size=p.shape)
@@ -86,7 +86,7 @@ def test_adamw_deterministic():
     def run():
         rng = np.random.default_rng(9)
         p = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        opt = nn.AdamW([p], learning_rate=0.01, betas=(0.9, 0.999), epsilon=1e-8,
+        opt = nn.AdamW([p], lr=0.01, betas=(0.9, 0.999), epsilon=1e-8,
                        weight_decay=0.02)
         for _ in range(10):
             p.grad = rng.normal(size=(4,))

@@ -1,5 +1,7 @@
 """Model assembly, variant matrix wiring, and training-loop contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from conftest import without_raw
 from gazecast import data as D
 from gazecast import nn
 from gazecast import tensor as T
-from gazecast.config import VARIANTS, RunConfig, config_from_text, load_config
+from gazecast.cli import SCENE_KEYS, _load_scene_spec
+from gazecast.config import RUN_KEYS, VARIANTS, RunConfig, config_from_text, load_config
 from gazecast.errors import ConfigError
 from gazecast.evaluate import evaluate_model
 from gazecast.model import GazeTargetModel, build_batch, compute_losses
@@ -16,25 +19,25 @@ from gazecast.train import train_model
 
 @pytest.fixture(scope="module")
 def tiny_sets():
-    plain = D.generate_dataset(D.SceneSpec(rng_seed=9), 20)
-    with_out = D.generate_dataset(D.SceneSpec(rng_seed=10, p_out_of_frame=0.3), 20)
+    plain = D.generate_dataset(D.SceneSpec(seed=9), 20)
+    with_out = D.generate_dataset(D.SceneSpec(seed=10, p_out_of_frame=0.3), 20)
     return plain, with_out
 
 
 def small_cfg(variant, **kw):
     defaults = dict(variant=variant, input_resolution=32, heatmap_resolution=32,
-                    epochs=1, batch_size=10, learning_rate=1e-3, seed=3)
+                    epochs=1, batch_size=10, lr=1e-3, seed=3)
     defaults.update(kw)
     return RunConfig(**defaults)
 
 
 def test_config_roundtrip_and_hash():
-    cfg = RunConfig(variant="privacy", epochs=7, learning_rate=3e-4)
+    cfg = RunConfig(variant="privacy", epochs=7, lr=3e-4)
     text = cfg.to_text()
     back = config_from_text(text)
     assert back == cfg
     assert back.config_hash() == cfg.config_hash()
-    other = RunConfig(variant="privacy", epochs=8, learning_rate=3e-4)
+    other = RunConfig(variant="privacy", epochs=8, lr=3e-4)
     assert other.config_hash() != cfg.config_hash()
 
 
@@ -49,10 +52,53 @@ def test_config_file_parsing(tmp_path):
     p.write_text("# comment\nmodel.variant = pose_only\ntrain.lr = 2e-3  # inline\n")
     cfg = load_config(p)
     assert cfg.variant == "pose_only"
-    assert cfg.learning_rate == 2e-3
+    assert cfg.lr == 2e-3
     p.write_text("bogus.key = 1\n")
     with pytest.raises(ConfigError):
         load_config(p)
+
+
+def test_every_setting_has_exactly_one_key():
+    """Each file key is ``<section>.<field>``, and each field has one key.
+    The pinned config hash fixes the run keys; the scene keys are pinned
+    here, since renaming a ``SceneSpec`` field renames its key."""
+    for keys, cls in ((RUN_KEYS, RunConfig), (SCENE_KEYS, D.SceneSpec)):
+        assert sorted(keys.values()) == sorted(f.name for f in dataclasses.fields(cls))
+        assert all(key.partition(".")[2] == name for key, name in keys.items())
+    assert sorted(SCENE_KEYS) == ["scene.depth_layers", "scene.n_objects", "scene.n_people",
+                                  "scene.p_out_of_frame", "scene.resolution", "scene.seed",
+                                  "scene.target_rule"]
+
+
+# every field of RunConfig set away from its default, as a valid combination
+NON_DEFAULT_RUN = dict(
+    variant="privacy", input_resolution=48, heatmap_resolution=24, feature_channels=8,
+    embedding_size=16, stage_channels=(4, 8, 12, 16), heatmap_bounded=False, inout_head=True,
+    aperture=2.5, precision="f32", lambda_gaze=50.0, lambda_dir=0.2, lambda_io=2.0,
+    lambda_att=0.5, lr=3e-4, weight_decay=0.02, beta1=0.8, beta2=0.99, epsilon=1e-7,
+    epochs=3, batch_size=4, p_drop=0.2, seed=9, sigma=2.0, binarization_radius=5.0,
+)
+
+
+def test_every_setting_round_trips(tmp_path):
+    """A field missing from the keys would drop out of the canonical text
+    and the hash, and come back from a checkpoint as its default."""
+    assert set(NON_DEFAULT_RUN) == {f.name for f in dataclasses.fields(RunConfig)}
+    default = RunConfig()
+    assert all(getattr(default, k) != v for k, v in NON_DEFAULT_RUN.items())
+    cfg = RunConfig(**NON_DEFAULT_RUN)
+    assert len(cfg.to_text().splitlines()) == len(NON_DEFAULT_RUN)
+    assert config_from_text(cfg.to_text()) == cfg
+    p = tmp_path / "run.cfg"
+    p.write_text(cfg.to_text())
+    assert load_config(p) == cfg
+
+    spec = D.SceneSpec(n_objects=5, n_people=3, depth_layers=4, resolution=48, seed=7,
+                       target_rule="person", p_out_of_frame=0.25)
+    assert all(getattr(spec, f.name) != f.default for f in dataclasses.fields(D.SceneSpec))
+    p.write_text("".join(f"{key} = {getattr(spec, name)}\n" for key, name in SCENE_KEYS.items()))
+    assert _load_scene_spec(str(p)) == spec
+    assert _load_scene_spec(str(p), seed=8) == dataclasses.replace(spec, seed=8)
 
 
 def test_binarization_radius_follows_sigma_unless_set(tmp_path):
