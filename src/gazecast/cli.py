@@ -45,10 +45,8 @@ def cmd_gen(args) -> int:
     if args.count < 0:
         raise ConfigError(f"--count must be >= 0, got {args.count}")
     spec = _load_scene_spec(args.spec, args.seed)
-    samples = D.generate_dataset(spec, args.count)
-    D.write_dataset(samples, args.out)
-    summary = D.self_check(samples)
-    print(f"wrote {len(samples)} samples to {args.out}")
+    summary = D.write_generated(spec, args.count, args.out)
+    print(f"wrote {args.count} samples to {args.out}")
     print(f"self-check: {summary['checked']} in-frame checked, "
           f"{summary['mismatches']} oracle mismatches, "
           f"{summary['cone_violations']} cone violations")
@@ -67,9 +65,13 @@ def cmd_train(args) -> int:
         state, _, _ = load_checkpoint(path)
         init_states.append(state)
     csv_path = args.csv or (os.path.splitext(args.out)[0] + "_loss.csv")
-    model = train_model(cfg, samples, init_states=init_states, csv_path=csv_path,
-                        log=lambda msg: print(msg, flush=True))
+    model, loss_csv = train_model(cfg, samples, init_states=init_states,
+                                  log=lambda msg: print(msg, flush=True))
+    # the CSV follows the checkpoint: a checkpoint that cannot be written
+    # leaves no CSV behind
     save_checkpoint(args.out, model.state_dict(), cfg.config_hash(), cfg.to_text())
+    with atomic_write(csv_path) as f:
+        f.write(loss_csv)
     print(f"checkpoint written to {args.out} (config {cfg.config_hash()})")
     return EXIT_OK
 

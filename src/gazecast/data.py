@@ -28,11 +28,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError, DomainError
+from .errors import DatasetError, DomainError, GazecastError
 from .geometry import EyePoint, GazeVector2D, HeadBox, pixel_centers
 from .serialization import atomic_write
 from .tensor import read_tensor, write_tensor
@@ -579,22 +581,116 @@ def write_dataset(samples: list[SceneSample], path) -> None:
     a new one that names tensors which were not written.
     """
     os.makedirs(os.path.join(path, TENSOR_DIR), exist_ok=True)
-    lines = []
-    for s in samples:
-        files = {}
-        for m, img in s.images.items():
-            rel = os.path.join(TENSOR_DIR, f"{s.sample_id:08d}_{m}.gzt")
-            write_tensor(os.path.join(path, rel), img)
-            files[m] = rel
-        lines.append(json.dumps({
-            "sample_id": s.sample_id,
-            "head_box": s.head_box.as_list(),
-            "eye": {"x": s.eye.x, "y": s.eye.y},
-            "gaze_points": [list(p) for p in s.gaze_points],
-            "in_frame": s.in_frame,
-            "oracle_gaze_dir": [s.oracle_gaze_dir.x, s.oracle_gaze_dir.y],
-            "files": files,
-        }))
+    _write_manifest(path, [_write_sample(s, path) for s in samples])
+
+
+def write_generated(spec: SceneSpec, count: int, path) -> dict:
+    """Generate samples ``0 .. count-1`` of ``spec`` into the dataset
+    directory ``path`` and return their ``self_check`` counts.
+
+    The ids are dealt round-robin into one share per CPU this process may run
+    on, at most ``count``. This process runs share 0 and a forked child runs
+    each other one. A share generates, writes and checks one scene at a time,
+    so no process holds more than one scene. Each scene depends on
+    ``(spec.seed, sample_id)`` alone, so the bytes written do not depend on
+    the number of shares. The manifest is written last, as by
+    ``write_dataset``. An error in a child is raised here as the same typed
+    error; every child is reaped before this returns or raises.
+
+    Children are forked, not spawned, so they start with this process's
+    imports: a spawned one would import numpy and gazecast again, which
+    takes longer than a typical request. They use no thread of the parent;
+    OpenBLAS stops its thread pool around a fork itself.
+    """
+    os.makedirs(os.path.join(path, TENSOR_DIR), exist_ok=True)
+    n = _share_count(count)
+    children: dict[int, int] = {}   # pid -> read end of the pipe it answers on
+    try:
+        for share in range(1, n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:   # never return into the caller's code, flush or run atexit
+                    os.close(r)
+                    payload = _share_payload(spec, range(share, count, n), path)
+                    with open(w, "wb") as f:
+                        f.write(payload)
+                finally:
+                    os._exit(0)
+            children[pid] = r
+            os.close(w)
+        lines: list[str] = [""] * count
+        lines[0::n], counts = _generate_share(spec, range(0, count, n), path)
+        for share, r in enumerate(children.values(), start=1):
+            with open(r, "rb", closefd=False) as f:
+                payload = f.read()
+            if not payload:
+                raise GazecastError(f"{path}: a gen process ended without a result")
+            result = pickle.loads(payload)
+            if isinstance(result, BaseException):
+                raise result
+            lines[share::n], share_counts = result
+            for key, value in share_counts.items():
+                counts[key] += value
+    finally:
+        # a child that has answered has nothing left to do; one that has not
+        # is abandoned because this process is raising
+        for pid, r in children.items():
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    _write_manifest(path, lines)
+    return counts
+
+
+def _share_count(count: int) -> int:
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), count))
+
+
+def _generate_share(spec: SceneSpec, ids: range, path) -> tuple[list[str], dict]:
+    """Manifest lines and ``self_check`` counts of the scenes ``ids``."""
+    lines, counts = [], self_check([])
+    for i in ids:
+        sample = generate_scene(spec, i)
+        lines.append(_write_sample(sample, path))
+        for key, value in self_check([sample]).items():
+            counts[key] += value
+    return lines, counts
+
+
+def _share_payload(spec: SceneSpec, ids: range, path) -> bytes:
+    """A child's answer: its share's result, or the error it raised."""
+    try:
+        result = _generate_share(spec, ids, path)
+    except BaseException as exc:   # an interrupt too: the parent re-raises it
+        result = exc
+    try:
+        return pickle.dumps(result)
+    except Exception:   # an error that does not pickle keeps its message
+        return pickle.dumps(GazecastError(f"{type(result).__name__}: {result}"))
+
+
+def _write_sample(s: SceneSample, path) -> str:
+    """Write a sample's tensor files; return its manifest line."""
+    files = {}
+    for m, img in s.images.items():
+        rel = os.path.join(TENSOR_DIR, f"{s.sample_id:08d}_{m}.gzt")
+        write_tensor(os.path.join(path, rel), img)
+        files[m] = rel
+    return json.dumps({
+        "sample_id": s.sample_id,
+        "head_box": s.head_box.as_list(),
+        "eye": {"x": s.eye.x, "y": s.eye.y},
+        "gaze_points": [list(p) for p in s.gaze_points],
+        "in_frame": s.in_frame,
+        "oracle_gaze_dir": [s.oracle_gaze_dir.x, s.oracle_gaze_dir.y],
+        "files": files,
+    })
+
+
+def _write_manifest(path, lines: list[str]) -> None:
     with atomic_write(os.path.join(path, MANIFEST_NAME)) as f:
         f.write("\n".join(lines) + ("\n" if lines else ""))
 

@@ -1,5 +1,5 @@
 """Training loop: deterministic shuffling, per-batch dropout plans, AdamW
-steps, and a plain-text loss CSV (step, components, total), written when
+steps, and a plain-text loss CSV (step, components, total), returned when
 training completes."""
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .data import SceneSample
 from .errors import GazecastError
 from .fusion import sample_dropout_plan
 from .model import GazeTargetModel, build_batch, compute_losses, sample_features
-from .serialization import atomic_write
 
 CSV_HEADER = "step,loss_gaze,loss_dir,loss_io,loss_att,loss_total"
 
@@ -26,9 +25,9 @@ class TrainingDivergedError(GazecastError):
 
 def train_model(cfg: RunConfig, samples: list[SceneSample],
                 init_states: list[dict] | None = None,
-                csv_path=None, log=None) -> GazeTargetModel:
-    """Train a fresh model on ``samples`` for cfg.epochs; deterministic
-    given (cfg, samples)."""
+                log=None) -> tuple[GazeTargetModel, str]:
+    """Train a fresh model on ``samples`` for cfg.epochs; return it with
+    its loss CSV text. Deterministic given (cfg, samples)."""
     model = GazeTargetModel(cfg)
     for state in init_states or []:
         model.load_state_dict(state, strict=False)
@@ -76,7 +75,4 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
         if not np.isfinite(p.data).all():
             # the last step's update overflowed: no later loss shows it
             raise TrainingDivergedError(f"non-finite weights in {name} after step {step}")
-    if csv_path:
-        with atomic_write(csv_path) as f:
-            f.write("\n".join(csv_rows) + "\n")
-    return model
+    return model, "\n".join(csv_rows) + "\n"

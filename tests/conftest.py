@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,18 @@ def clean_tape():
     T.fresh_tape()
     yield
     T.fresh_tape()
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """No test leaves a child process behind, running or exited unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process " +
+                ("running" if pid == 0 else f"{pid} exited but unreaped"))
 
 
 def read_pgm(path) -> np.ndarray:

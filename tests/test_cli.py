@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import read_pgm, without_raw
+from gazecast import data as D
 from gazecast.checks import GRAD_CASES, ORACLE_CASES, CheckResult, GradCase, OracleCase
 from gazecast.cli import main
 from gazecast.config import RunConfig
@@ -105,10 +106,75 @@ def test_gen_rejects_bad_spec(tmp_path, capsys, spec, flags):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("cpus", [None, {0}, {0, 1, 2}], ids=["affinity", "one-cpu", "three-cpus"])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7])
+def test_gen_bytes_do_not_depend_on_the_number_of_shares(tmp_path, monkeypatch, capsys,
+                                                         count, cpus):
+    """``gen`` splits the scenes over one process per CPU; its directory is
+    byte-identical to one process writing the whole list, out-of-frame
+    records included."""
+    spec = D.SceneSpec(resolution=32, seed=13, p_out_of_frame=0.4)
+    (tmp_path / "scene.cfg").write_text(
+        "scene.resolution = 32\nscene.seed = 13\nscene.p_out_of_frame = 0.4\n")
+    write_dataset(D.generate_dataset(spec, count), tmp_path / "serial")
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert main(["gen", "--spec", str(tmp_path / "scene.cfg"), "--out", str(tmp_path / "gen"),
+                 "--count", str(count)]) == 0
+    assert dir_hash(tmp_path / "gen") == dir_hash(tmp_path / "serial")
+    assert capsys.readouterr().out.startswith(f"wrote {count} samples to ")
+
+
+@pytest.mark.parametrize("failing_id,error", [
+    (3, DatasetError("no feasible target placement")),
+    (2, DatasetError("no feasible target placement")),
+    (3, KeyboardInterrupt()),
+    (0, KeyboardInterrupt()),
+], ids=["child-share", "own-share", "child-interrupted", "own-share-interrupted"])
+def test_gen_failing_scene_reaps_every_child(tmp_path, monkeypatch, capsys, failing_id, error):
+    """On two CPUs the odd ids are generated in a child. A scene that raises
+    in either share ends ``gen`` with its error, once, writes no manifest
+    and leaves no child process."""
+    generate_scene = D.generate_scene
+
+    def failing(spec, sample_id=0):
+        if sample_id == failing_id:
+            raise error
+        return generate_scene(spec, sample_id)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(D, "generate_scene", failing)
+    args = ["gen", "--out", str(tmp_path / "data"), "--count", "6"]
+    if isinstance(error, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            main(args)
+    else:
+        assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert "wrote" not in out
+    assert err == ("data error: no feasible target placement\n"
+                   if isinstance(error, DatasetError) else "")
+    assert not (tmp_path / "data" / "manifest.jsonl").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_train_loss_csv_written(workspace):
     lines = (workspace / "loss.csv").read_text().strip().splitlines()
     assert lines[0].startswith("step,loss_gaze")
     assert len(lines) == 1 + 2 * 3  # 2 epochs x ceil(30/10) steps
+
+
+def test_train_checkpoint_that_cannot_be_written_leaves_no_loss_csv(workspace, tmp_path, capsys):
+    """The checkpoint is written before the loss CSV: an ``--out`` that names
+    a directory ends in one error line and leaves neither file."""
+    (tmp_path / "outdir").mkdir()
+    capsys.readouterr()
+    assert main(["train", "--config", str(workspace / "run.cfg"),
+                 "--data", str(workspace / "data"), "--out", str(tmp_path / "outdir")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["outdir"] and os.listdir(tmp_path / "outdir") == []
 
 
 def test_train_resume_determinism(workspace, tmp_path):

@@ -131,7 +131,7 @@ def test_variant_matrix_smoke(variant, tiny_sets):
     cfg = small_cfg(variant)
     if variant == "privacy":
         plain = without_raw(plain)  # the privacy variant never needs the raw image
-    model = train_model(cfg, plain)
+    model, _ = train_model(cfg, plain)
     batch = build_batch(plain[:4], cfg)
     with T.no_grad():
         result = model(batch)
@@ -147,7 +147,7 @@ def test_variant_matrix_smoke(variant, tiny_sets):
 def test_inout_variant_trains(tiny_sets):
     _, with_out = tiny_sets
     cfg = small_cfg("multimodal", inout_head=True)
-    model = train_model(cfg, with_out)
+    model, _ = train_model(cfg, with_out)
     report, dumps = evaluate_model(model, with_out, cfg)
     assert report.ap is not None
     assert all(d.inout is not None for d in dumps)
@@ -185,8 +185,8 @@ def test_eval_results_repeat_exactly(tiny_sets):
 def test_training_is_deterministic(tiny_sets):
     plain, _ = tiny_sets
     cfg = small_cfg("multimodal", epochs=2)
-    state_a = train_model(cfg, plain).state_dict()
-    state_b = train_model(cfg, plain).state_dict()
+    state_a = train_model(cfg, plain)[0].state_dict()
+    state_b = train_model(cfg, plain)[0].state_dict()
     assert list(state_a) == list(state_b)
     for k in state_a:
         np.testing.assert_array_equal(state_a[k], state_b[k])
@@ -194,7 +194,7 @@ def test_training_is_deterministic(tiny_sets):
 
 def test_init_from_single_modality_checkpoint(tiny_sets):
     plain, _ = tiny_sets
-    single = train_model(small_cfg("image_only"), plain)
+    single, _ = train_model(small_cfg("image_only"), plain)
     single_state = single.state_dict()
 
     cfg = small_cfg("multimodal")
@@ -249,7 +249,7 @@ def test_loss_decreases_over_training(tiny_sets):
     batch = build_batch(plain, cfg)
     with T.no_grad():
         before = compute_losses(fresh(batch), batch, cfg).total_value
-    model = train_model(cfg, plain)
+    model, _ = train_model(cfg, plain)
     with T.no_grad():
         after = compute_losses(model(batch), batch, cfg).total_value
     assert after < before
@@ -270,11 +270,10 @@ def test_gradient_reaches_gaze_subnet_through_cone(tiny_sets):
     assert grads and max(grads) > 0.0
 
 
-def test_loss_csv_format(tiny_sets, tmp_path):
+def test_loss_csv_format(tiny_sets):
     plain, _ = tiny_sets
-    csv_path = tmp_path / "loss.csv"
-    train_model(small_cfg("multimodal"), plain, csv_path=csv_path)
-    lines = csv_path.read_text().strip().splitlines()
+    _, loss_csv = train_model(small_cfg("multimodal"), plain)
+    lines = loss_csv.strip().splitlines()
     assert lines[0] == "step,loss_gaze,loss_dir,loss_io,loss_att,loss_total"
     assert len(lines) == 1 + 2  # 20 samples / batch 10 = 2 steps
     parts = lines[1].split(",")
