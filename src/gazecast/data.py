@@ -663,13 +663,9 @@ def _generate_share(spec: SceneSpec, ids: range, path) -> tuple[list[str], dict]
 def _share_payload(spec: SceneSpec, ids: range, path) -> bytes:
     """A child's answer: its share's result, or the error it raised."""
     try:
-        result = _generate_share(spec, ids, path)
+        return pickle.dumps(_generate_share(spec, ids, path))
     except BaseException as exc:   # an interrupt too: the parent re-raises it
-        result = exc
-    try:
-        return pickle.dumps(result)
-    except Exception:   # an error that does not pickle keeps its message
-        return pickle.dumps(GazecastError(f"{type(result).__name__}: {result}"))
+        return pickle.dumps(exc)
 
 
 def _write_sample(s: SceneSample, path) -> str:

@@ -159,6 +159,24 @@ def test_gen_failing_scene_reaps_every_child(tmp_path, monkeypatch, capsys, fail
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_gen_child_that_ends_without_an_answer_is_an_error(tmp_path, monkeypatch, capsys):
+    """A child that dies before it answers (killed, say) fails ``gen`` with
+    one error line and no manifest."""
+    generate_scene = D.generate_scene
+
+    def dying(spec, sample_id=0):
+        if sample_id == 3:
+            os._exit(1)
+        return generate_scene(spec, sample_id)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(D, "generate_scene", dying)
+    assert main(["gen", "--out", str(tmp_path / "data"), "--count", "6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ended without a result" in err and err.count("\n") == 1
+    assert not (tmp_path / "data" / "manifest.jsonl").exists()
+
+
 def test_train_loss_csv_written(workspace):
     lines = (workspace / "loss.csv").read_text().strip().splitlines()
     assert lines[0].startswith("step,loss_gaze")
