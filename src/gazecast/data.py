@@ -592,8 +592,8 @@ def write_generated(spec: SceneSpec, count: int, path) -> dict:
     on, at most ``count``. This process runs share 0 and a forked child runs
     each other one. A share generates, writes and checks one scene at a time,
     so no process holds more than one scene. Each scene depends on
-    ``(spec.seed, sample_id)`` alone, so the bytes written do not depend on
-    the number of shares. The manifest is written last, as by
+    ``(spec, sample_id)`` alone, so the bytes written do not depend on the
+    number of shares. The manifest is written last, as by
     ``write_dataset``. An error in a child is raised here as the same typed
     error; every child is reaped before this returns or raises.
 
