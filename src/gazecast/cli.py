@@ -22,6 +22,7 @@ from .evaluate import evaluate_model
 from .geometry import containing_pixel, write_pgm
 from .heads import argmax_point
 from .model import GazeTargetModel, build_batch
+from .parallel import set_blas_threads
 from .serialization import atomic_write, load_checkpoint, save_checkpoint
 from .train import TrainingDivergedError, train_model
 
@@ -237,6 +238,9 @@ def _keep_heap_mapped() -> None:
 
 def main(argv=None) -> int:
     _keep_heap_mapped()
+    # one BLAS thread per process: train and eval run their shards on one
+    # thread per CPU instead, and the bytes do not depend on either count
+    set_blas_threads(1)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import DatasetError, DomainError, GazecastError
 from .geometry import EyePoint, GazeVector2D, HeadBox, pixel_centers
+from .parallel import usable_cpus
 from .serialization import atomic_write
 from .tensor import read_tensor, write_tensor
 
@@ -644,9 +645,9 @@ def write_generated(spec: SceneSpec, count: int, path) -> dict:
 
 
 def _share_count(count: int) -> int:
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    if not hasattr(os, "fork"):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), count))
+    return max(1, min(usable_cpus(), count))
 
 
 def _generate_share(spec: SceneSpec, ids: range, path) -> tuple[list[str], dict]:

@@ -8,24 +8,26 @@ from .data import SceneSample
 from .heads import argmax_point
 from .metrics import MetricsReport, SampleDump, aggregate, auc_score, distance_scores
 from .model import GazeTargetModel, build_batch
-
-BATCH_SIZE = 32
+from .parallel import run_shards
 
 
 def evaluate_model(model: GazeTargetModel, samples: list[SceneSample], cfg: RunConfig,
                    oracle_heatmaps: bool = False) -> tuple[MetricsReport, list[SampleDump]]:
     """Run the model over ``samples`` and aggregate metrics.
 
-    ``oracle_heatmaps`` substitutes the ground-truth heatmap for the
-    prediction (upper-bound sanity: AUC 1, distances 0).
+    The samples run in fixed shards (``parallel``); each thread builds,
+    runs and scores one shard at a time, so memory does not grow with the
+    number of samples beyond their dumps. ``oracle_heatmaps`` substitutes
+    the ground-truth heatmap for the prediction (upper-bound sanity: AUC 1,
+    distances 0).
     """
     config_hash = cfg.config_hash()
-    dumps = []
-    for start in range(0, len(samples), BATCH_SIZE):
-        chunk = samples[start : start + BATCH_SIZE]
+
+    def shard(worker: int, sl: slice) -> list[SampleDump]:
+        chunk = samples[sl]
         batch = build_batch(chunk, cfg)
-        with T.no_grad():
-            result = model(batch)
+        result = model(batch)
+        dumps = []
         for k, sample in enumerate(chunk):
             if oracle_heatmaps:
                 pred_map = batch.gt_heatmaps[k, 0]
@@ -45,4 +47,8 @@ def evaluate_model(model: GazeTargetModel, samples: list[SceneSample], cfg: RunC
                 weights=weights, inout=io_score,
                 config_hash=config_hash,
             ))
+        return dumps
+
+    with T.no_grad():
+        dumps = [d for part in run_shards(shard, len(samples)) for d in part]
     return aggregate(dumps, cfg.binarization_radius, config_hash), dumps

@@ -63,7 +63,7 @@ class GazeVector2D:
 
     def __post_init__(self):
         n = math.hypot(self.x, self.y)
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:   # written so that a NaN norm fails too
             raise DomainError(f"gaze vector ({self.x},{self.y}) has norm {n}, expected 1")
 
     @classmethod

@@ -152,3 +152,12 @@ def total_loss(gaze: Tensor, direction: Tensor, inout: Tensor, attention: Tensor
         inout=float(inout.data), attention=float(attention.data),
         total=total,
     )
+
+
+def sum_losses(parts: list[LossBreakdown], cfg: RunConfig) -> LossBreakdown:
+    """One breakdown from the weighted breakdowns of a batch's shards: each
+    component summed in shard order, the total combined from the sums as
+    ``total_loss`` combines. Its total is a value on no tape."""
+    sums = [sum(getattr(p, name) for p in parts)
+            for name in ("gaze", "direction", "inout", "attention")]
+    return total_loss(*(Tensor(np.asarray(v)) for v in sums), cfg)

@@ -7,11 +7,12 @@ for late fusion, the optional in/out head) and which modalities are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nn
+from . import tensor as T
 from .config import RunConfig
 from .data import SceneSample, crop_head, resize_nearest
 from .encoders import GazeSubnet, SceneExtractor, concat_modality_inputs
@@ -31,6 +32,15 @@ class Batch:
     gt_heatmaps: np.ndarray                  # (N, 1, hm, hm); zeros when out-of-frame
     gt_dirs: np.ndarray                      # (N, 2)
     in_frame: np.ndarray                     # (N,) 0/1
+
+    def shard(self, sl: slice) -> "Batch":
+        """The samples ``sl`` of this batch, as views."""
+        return Batch(
+            modality_images={m: a[sl] for m, a in self.modality_images.items()},
+            head_crops=self.head_crops[sl], eyes=self.eyes[sl],
+            head_masks=self.head_masks[sl], gt_heatmaps=self.gt_heatmaps[sl],
+            gt_dirs=self.gt_dirs[sl], in_frame=self.in_frame[sl],
+        )
 
 
 @dataclass
@@ -82,6 +92,16 @@ def build_batch(samples: list[SceneSample], cfg: RunConfig,
     )
 
 
+def drop_modalities(batch: Batch, plan: DropoutPlan) -> Batch:
+    """``batch`` with the images of every modality the plan drops replaced
+    by its noise. The noise is drawn for the whole batch, so a shard of the
+    result holds the same noise however the batch is cut."""
+    if not plan.dropped:
+        return batch
+    return replace(batch, modality_images={
+        m: apply_dropout(Tensor(img), plan, m).data for m, img in batch.modality_images.items()})
+
+
 class GazeTargetModel(nn.Module):
     def __init__(self, cfg: RunConfig, state: dict[str, np.ndarray] | None = None):
         """A model with freshly drawn weights or, given a checkpoint's
@@ -106,7 +126,7 @@ class GazeTargetModel(nn.Module):
         if state is not None:
             self.load_state_dict(state)
 
-    def forward(self, batch: Batch, plan: DropoutPlan = EMPTY_PLAN) -> ForwardResult:
+    def forward(self, batch: Batch) -> ForwardResult:
         cfg = self.cfg
         subnet_out = self.gaze_subnet(Tensor(batch.head_crops))
         cone = cone_batch(subnet_out.direction, batch.eyes,
@@ -115,7 +135,7 @@ class GazeTargetModel(nn.Module):
 
         feature_maps = {}
         for m in cfg.modalities:
-            img = apply_dropout(Tensor(batch.modality_images[m]), plan, m)
+            img = Tensor(batch.modality_images[m])
             if cfg.late_fusion:
                 fmap = self.extractors[m](img)
                 fmap = self.injectors[m](fmap, cone, mask)
@@ -140,11 +160,21 @@ class GazeTargetModel(nn.Module):
 
 
 def compute_losses(result: ForwardResult, batch: Batch, cfg: RunConfig,
-                   plan: DropoutPlan = EMPTY_PLAN) -> LossBreakdown:
+                   plan: DropoutPlan = EMPTY_PLAN, whole: Batch | None = None) -> LossBreakdown:
+    """The losses of ``batch``. When it is a shard of ``whole``, each
+    component is weighted by the shard's share of ``whole``'s samples, its
+    in-frame ones for gaze and direction, so that the shards' components
+    add up to ``whole``'s (``heads.sum_losses``)."""
     mask = batch.in_frame
     gaze_l = loss_gaze(result.heatmap, Tensor(batch.gt_heatmaps), mask)
     dir_l = loss_dir(result.direction, Tensor(batch.gt_dirs), mask)
     io_l = loss_io(result.inout, batch.in_frame) if result.inout is not None \
         else Tensor(np.zeros((), dtype=cfg.dtype))
     att_l = loss_att(result.weights, plan, cfg.modalities)
+    if whole is not None:
+        in_frame = whole.in_frame.sum()
+        frame_share = float(mask.sum() / in_frame) if in_frame else 0.0
+        sample_share = len(mask) / len(whole.in_frame)
+        gaze_l, dir_l = T.scale(gaze_l, frame_share), T.scale(dir_l, frame_share)
+        io_l, att_l = T.scale(io_l, sample_share), T.scale(att_l, sample_share)
     return total_loss(gaze_l, dir_l, io_l, att_l, cfg)

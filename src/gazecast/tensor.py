@@ -417,7 +417,8 @@ def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
 # makes 36 phase taps at the input resolution instead of 9 taps at f*f times
 # as many pixels. All kernels are folded at once, by one GEMM with the 0/1
 # (offset, phase) x tap matrix, and their gradients go back to the taps
-# through its transpose. The gradients embed the output gradient at the
+# through its transpose; at f = 1 that matrix is the identity, and both
+# GEMMs are skipped. The gradients embed the output gradient at the
 # pitch Wp with zero junk columns and use the same slices. The offsets run
 # over blocks of images whose per-image working set fits in about
 # _CONV_BLOCK_BYTES, so that all offsets of a block read it from cache.
@@ -575,19 +576,20 @@ def conv2d(
     return _op(y, fn, x, weight, bias)
 
 
-def _axis_phases(k: int, factor: int, padding: int) -> tuple[list, list[list[int]]]:
+@lru_cache(maxsize=256)
+def _axis_phases(k: int, factor: int, padding: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
     """One axis of an upsample-then-conv. Returns, for each input offset d in
     increasing order, (d, the slice of phases that read it, the slice of its
     rows), and the 0/1 (offset, phase) x tap matrix of the taps that land on
-    d, as nested lists."""
+    d, as nested tuples."""
     d = [[(a + i - padding) // factor for i in range(k)] for a in range(factor)]
     offsets, taps = [], []
     for off in range(d[0][0], d[-1][-1] + 1):
         phases = [a for a in range(factor) if off in d[a]]
         offsets.append((off, slice(phases[0], phases[-1] + 1),
                         slice(len(taps), len(taps) + len(phases))))
-        taps += [[int(t == off) for t in d[a]] for a in phases]
-    return offsets, taps
+        taps += [tuple(int(t == off) for t in d[a]) for a in phases]
+    return tuple(offsets), tuple(taps)
 
 
 def upsample_conv2d(
@@ -625,12 +627,17 @@ def upsample_conv2d(
                for dy, pa, ra in rows for dx, pb, rb in cols]
     # ws[ra, rb] stacks the folded (K, C) kernels of the phases that read an
     # offset. fold has one row per (row phase, column phase) pair of every
-    # offset, with a 1 for each tap that lands there
-    fold = (np.array(row_taps, dtype=xp.dtype)[:, None, :, None]
-            * np.array(col_taps, dtype=xp.dtype)[None, :, None, :]).reshape(-1, kh * kw)
-    wt = weight.data.astype(xp.dtype, copy=False)
-    ws = _mm(fold, wt.transpose(2, 3, 0, 1).reshape(kh * kw, k * c))
-    ws = ws.reshape(len(row_taps), len(col_taps), k, c)
+    # offset, with a 1 for each tap that lands there; at factor 1 it is the
+    # identity, and each offset reads one tap's kernel as it is
+    wt = weight.data.astype(xp.dtype, copy=False).transpose(2, 3, 0, 1)
+    if f == 1:
+        fold = None
+        ws = np.ascontiguousarray(wt)
+    else:
+        fold = (np.array(row_taps, dtype=xp.dtype)[:, None, :, None]
+                * np.array(col_taps, dtype=xp.dtype)[None, :, None, :]).reshape(-1, kh * kw)
+        ws = _mm(fold, wt.reshape(kh * kw, k * c))
+        ws = ws.reshape(len(row_taps), len(col_taps), k, c)
     blocks = _image_blocks(n, max(c * hp, f * f * k * hq) * wp * xp.itemsize)
 
     y6 = np.empty((n, k, hq, f, wq, f), dtype=xp.dtype)
@@ -671,7 +678,7 @@ def upsample_conv2d(
                     dxf[blk, :, s : s + span] += _mm(ws[ra, rb].reshape(-1, c).T, gs)
         if weight.requires_grad:
             # each folded kernel's gradient goes back to the taps it sums
-            dw = _mm(fold.T, dws.reshape(len(fold), k * c))
+            dw = dws if fold is None else _mm(fold.T, dws.reshape(len(fold), k * c))
             _accum(weight, dw.reshape(kh, kw, k, c).transpose(2, 3, 0, 1))
         if x.requires_grad:
             dxp = dxf.reshape(n, c, hp, wp)

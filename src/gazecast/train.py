@@ -1,6 +1,7 @@
 """Training loop: deterministic shuffling, per-batch dropout plans, AdamW
 steps, and a plain-text loss CSV (step, components, total), returned when
-training completes."""
+training completes. Each batch's forward and backward run in fixed shards
+(``parallel``)."""
 
 from __future__ import annotations
 
@@ -13,8 +14,11 @@ from . import tensor as T
 from .config import RunConfig
 from .data import SceneSample
 from .errors import GazecastError
-from .fusion import sample_dropout_plan
-from .model import GazeTargetModel, build_batch, compute_losses, sample_features
+from .fusion import DropoutPlan, sample_dropout_plan
+from .heads import LossBreakdown, sum_losses
+from .model import (Batch, GazeTargetModel, build_batch, compute_losses, drop_modalities,
+                    sample_features)
+from .parallel import run_shards
 
 CSV_HEADER = "step,loss_gaze,loss_dir,loss_io,loss_att,loss_total"
 
@@ -42,6 +46,7 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
 
     feature_cache = [sample_features(s, cfg) for s in samples]
     csv_rows = [CSV_HEADER]
+    replicas: dict[int, GazeTargetModel] = {0: model}
 
     step = 0
     # a diverging run overflows inside numpy; the checks on the loss, the
@@ -54,14 +59,12 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
                     idx = order[start : start + cfg.batch_size]
                     batch = build_batch(None, cfg, cache=[feature_cache[i] for i in idx])
                     plan = sample_dropout_plan(cfg.modalities, cfg.effective_p_drop, plan_rng)
-                    result = model(batch, plan)
-                    losses = compute_losses(result, batch, cfg, plan)
+                    losses = sharded_backward(replicas, drop_modalities(batch, plan), plan)
                     total = losses.total_value
                     if not math.isfinite(total):
                         raise TrainingDivergedError(
                             f"non-finite loss {total} at step {step} (epoch {epoch})"
                         )
-                    T.backward(losses.total)
                     optimizer.step()
                     model.zero_grad()
                     step += 1
@@ -76,3 +79,44 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
             # the last step's update overflowed: no later loss shows it
             raise TrainingDivergedError(f"non-finite weights in {name} after step {step}")
     return model, "\n".join(csv_rows) + "\n"
+
+
+def sharded_backward(replicas: dict[int, GazeTargetModel], batch: Batch,
+                     plan: DropoutPlan) -> LossBreakdown:
+    """Forward and backward of ``batch`` in shards; returns the batch's loss
+    breakdown and leaves its gradient in the ``.grad`` of ``replicas[0]``,
+    the model being trained: each parameter's shard gradients summed in
+    shard order.
+
+    Worker thread ``w`` runs its shards on ``replicas[w]``, built here on
+    first use: a model that draws nothing and shares the trained model's
+    parameter arrays, so that threads never add into one gradient at once.
+    """
+    model = replicas[0]
+    cfg = model.cfg
+    state = {name: p.data for name, p in model.named_parameters()}
+
+    def shard(worker: int, sl: slice):
+        replica = replicas.get(worker)
+        if replica is None:
+            replica = replicas[worker] = GazeTargetModel(cfg, state)
+        elif worker:
+            replica.load_state_dict(state)   # AdamW rebinds the model's arrays
+        part = batch.shard(sl)
+        losses = compute_losses(replica(part), part, cfg, plan, whole=batch)
+        T.backward(losses.total)
+        grads = [p.grad for p in replica.parameters()]
+        replica.zero_grad()
+        return losses, grads
+
+    parts = run_shards(shard, len(batch.in_frame))
+    params = model.parameters()
+    for _, grads in parts:
+        for p, g in zip(params, grads):
+            if g is None:
+                continue
+            if p.grad is None:
+                p.grad = g
+            else:
+                p.grad += g
+    return sum_losses([losses for losses, _ in parts], cfg)

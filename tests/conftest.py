@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +26,16 @@ def no_child_process_left():
         return
     pytest.fail("the test left a child process " +
                 ("running" if pid == 0 else f"{pid} exited but unreaped"))
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """No test leaves a thread behind: as many run after it as before."""
+    before = threading.active_count()
+    yield
+    after = threading.active_count()
+    if after != before:
+        pytest.fail(f"the test left {after - before} thread(s) running")
 
 
 def read_pgm(path) -> np.ndarray:

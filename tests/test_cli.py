@@ -644,6 +644,7 @@ MALFORMED_RECORDS = [
     pytest.param("gaze_points", [[0.5, -0.01]], id="gaze-point-negative"),
     pytest.param("gaze_points", [[float("nan"), 0.2]], id="gaze-point-nan"),
     pytest.param("gaze_points", [], id="in-frame-without-points"),
+    pytest.param("oracle_gaze_dir", [float("nan"), 0.0], id="gaze-dir-nan"),
     pytest.param("in_frame", 2, id="in-frame-2"),
     pytest.param("files", {"raw": "../other/tensors/x.gzt"}, id="path-outside-dataset"),
     pytest.param("eye", b"\xff", id="not-utf8"),
