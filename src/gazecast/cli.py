@@ -20,7 +20,7 @@ from .config import RunConfig, config_from_text, load_config, read_settings, set
 from .errors import CheckpointError, ConfigError, DatasetError, GazecastError, ModelOutputError
 from .evaluate import evaluate_model
 from .geometry import containing_pixel, write_pgm
-from .heads import argmax_point
+from .heads import argmax_point, check_heatmaps
 from .model import GazeTargetModel, build_batch
 from .parallel import set_blas_threads
 from .serialization import atomic_write, load_checkpoint, save_checkpoint
@@ -118,6 +118,7 @@ def cmd_infer(args) -> int:
     batch = build_batch([sample], cfg)
     with T.no_grad():
         result = model(batch)
+    check_heatmaps(result.heatmap.data)
     os.makedirs(args.render, exist_ok=True)
     cone = result.cone.data[0, 0]
     heatmap = result.heatmap.data[0, 0]

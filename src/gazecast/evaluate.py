@@ -5,7 +5,7 @@ from __future__ import annotations
 from . import tensor as T
 from .config import RunConfig
 from .data import SceneSample
-from .heads import argmax_point
+from .heads import argmax_point, check_heatmaps
 from .metrics import MetricsReport, SampleDump, aggregate, auc_score, distance_scores
 from .model import GazeTargetModel, build_batch
 from .parallel import run_shards
@@ -27,6 +27,7 @@ def evaluate_model(model: GazeTargetModel, samples: list[SceneSample], cfg: RunC
         chunk = samples[sl]
         batch = build_batch(chunk, cfg)
         result = model(batch)
+        check_heatmaps(result.heatmap.data)
         dumps = []
         for k, sample in enumerate(chunk):
             if oracle_heatmaps:

@@ -44,14 +44,20 @@ def binarize_gt(gt_points: list[tuple[float, float]], h: int, w: int,
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Exact ROC area via a sweep over distinct score thresholds."""
+    """Exact ROC area via a sweep over distinct score thresholds.
+
+    The ROC points sit at the last entry of each group of tied scores, so
+    the order within a group, which the unstable sort leaves open, cannot
+    change them. That needs scores without NaN, each of which is a group
+    of its own; callers reject non-finite predictions first.
+    """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels, dtype=bool).ravel()
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DomainError("ROC undefined: ground-truth mask is all one class")
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores)
     sorted_scores = scores[order]
     sorted_labels = labels[order]
     tp = np.cumsum(sorted_labels)

@@ -105,8 +105,9 @@ def drop_modalities(batch: Batch, plan: DropoutPlan) -> Batch:
 class GazeTargetModel(nn.Module):
     def __init__(self, cfg: RunConfig, state: dict[str, np.ndarray] | None = None):
         """A model with freshly drawn weights or, given a checkpoint's
-        ``state``, one whose layers draw nothing and whose every parameter
-        the strict ``load_state_dict`` fills."""
+        ``state``, one whose layers draw and allocate nothing and whose
+        parameters are the state's arrays, cast only where their dtype is
+        not the configured precision."""
         rng = None if state is not None else np.random.default_rng(
             np.random.SeedSequence((cfg.seed, 0xA11CE)))
         self.cfg = cfg
@@ -120,11 +121,12 @@ class GazeTargetModel(nn.Module):
         self.heatmap_head = HeatmapHead(cfg, rng)
         if cfg.inout_head:
             self.inout = InOutHead(cfg, rng)
-        # layers initialize in float64; precision is applied once, here
-        for p in self.parameters():
-            p.data = p.data.astype(cfg.dtype, copy=False)
-        if state is not None:
-            self.load_state_dict(state)
+        if state is None:
+            # layers initialize in float64; precision is applied once, here
+            for p in self.parameters():
+                p.data = p.data.astype(cfg.dtype, copy=False)
+        else:
+            self.load_state_dict(state, dtype=cfg.dtype)
 
     def forward(self, batch: Batch) -> ForwardResult:
         cfg = self.cfg

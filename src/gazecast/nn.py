@@ -50,9 +50,11 @@ class Module:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> list[str]:
-        """Set same-named parameters to the arrays; returns loaded names. An
-        array of the parameter's dtype is taken, not copied: the model owns it."""
+    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True,
+                        dtype=None) -> list[str]:
+        """Set same-named parameters to the arrays, cast to ``dtype`` (by
+        default each parameter's own); returns loaded names. An array of that
+        dtype is taken, not copied: the model owns it."""
         own = dict(self.named_parameters())
         if strict:
             missing = sorted(set(own) - set(state))
@@ -68,7 +70,7 @@ class Module:
                 raise CheckpointError(
                     f"shape mismatch for {name}: checkpoint {tuple(arr.shape)} vs model {p.shape}"
                 )
-            p.data = arr.astype(p.data.dtype, copy=False)
+            p.data = arr.astype(p.data.dtype if dtype is None else dtype, copy=False)
             loaded.append(name)
         return loaded
 
@@ -78,10 +80,11 @@ class Module:
 
 def kaiming_uniform(rng: np.random.Generator | None, shape: tuple[int, ...],
                     fan_in: int) -> np.ndarray:
-    """Uniform draws in +-sqrt(6 / fan_in); without ``rng``, zeros that a
-    checkpoint's state then fills, so no random number is drawn."""
+    """Uniform draws in +-sqrt(6 / fan_in); without ``rng``, a read-only zero
+    view of that shape that allocates nothing, for a checkpoint's state to
+    replace, so no random number is drawn."""
     if rng is None:
-        return np.zeros(shape)
+        return np.broadcast_to(0.0, shape)
     bound = math.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
@@ -125,7 +128,8 @@ class AdamW:
 
     Holds the optimizer state: first/second moment buffers per parameter,
     the step counter, and the hyperparameters. Updates are deterministic
-    given identical inputs.
+    given identical inputs, and are made in place: a parameter keeps its
+    array, so models that share it see every step.
     """
 
     def __init__(
@@ -154,12 +158,13 @@ class AdamW:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise GradError(f"parameter {i} has no gradient; run backward first")
-            g = p.grad
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
-            m_hat = self.m[i] / bias1
-            v_hat = self.v[i] / bias2
-            update = m_hat / (np.sqrt(v_hat) + self.epsilon)
+            g, m, v = p.grad, self.m[i], self.v[i]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            update = m / bias1
+            update /= np.sqrt(v / bias2) + self.epsilon
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
+                update += self.weight_decay * p.data
+            p.data -= self.lr * update

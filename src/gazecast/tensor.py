@@ -3,8 +3,9 @@
 Design: eager numpy forward passes; every differentiable op returns through
 ``_op``, which appends a node (output tensor, backward closure) to the
 calling thread's tape when an input needs a gradient.
-``backward(loss)`` seeds the loss gradient, replays that tape in reverse,
-visiting each node once, and empties it. Execution order is a valid
+``backward(loss)`` seeds the loss gradient and replays that tape in
+reverse, popping each node once: its closure and its output's gradient are
+freed as soon as the replay has passed it. Execution order is a valid
 topological order, so no sorting is needed.
 
 Precision comes from the data and the model config, never from process
@@ -37,8 +38,8 @@ class Tape(threading.local):
     current thread.
 
     Nodes are (output tensor, backward closure) pairs appended during the
-    forward pass while ``recording`` is on. ``backward`` replays and empties
-    the tape; ``reset()`` drops a graph that will not be replayed.
+    forward pass while ``recording`` is on. ``backward`` pops the nodes as it
+    replays them; ``reset()`` drops a graph that will not be replayed.
     """
 
     def __init__(self) -> None:
@@ -82,8 +83,9 @@ class Tensor:
     """A dense array plus optional gradient buffer.
 
     ``data`` is a contiguous numpy array (float64 or float32): float input
-    keeps its dtype, anything else becomes float64. ``grad`` has
-    the same shape as ``data`` once populated by ``backward``. Tensors are
+    keeps its dtype, anything else becomes float64. After ``backward`` a
+    leaf (a tensor no op produced) holds its gradient in ``grad``, of the
+    shape of ``data``; an op's output keeps none. Tensors are
     treated as immutable after the forward pass that produced them; only
     optimizers mutate ``data`` in place, between tapes.
     """
@@ -170,12 +172,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of every requires_grad tensor reachable from loss,
-    then empty the tape.
+    """Accumulate the gradient of loss into every requires_grad leaf that
+    reaches it, emptying the tape as it goes.
 
-    The loss must be a scalar recorded on the calling thread's tape. A loss
-    already replayed, built under ``no_grad`` or built on another thread is
-    not on it and raises TapeError.
+    Each node is popped, its output's gradient handed to its closure and
+    dropped, so closures, saved arrays and intermediate gradients are freed
+    once the replay has passed them; only leaves keep a ``grad``. The loss
+    must be a scalar recorded on the calling thread's tape. A loss already
+    replayed, built under ``no_grad`` or built on another thread is not on
+    it and raises TapeError.
     """
     if loss.size != 1:
         raise TapeError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -185,9 +190,11 @@ def backward(loss: Tensor) -> None:
                         "built under no_grad or built on another thread")
     loss.grad = np.ones_like(loss.data)
     try:
-        for out, fn in reversed(nodes):
-            if out.grad is not None:
-                fn(out.grad)
+        while nodes:
+            out, fn = nodes.pop()
+            g, out.grad = out.grad, None
+            if g is not None:
+                fn(g)
     finally:
         nodes.clear()
 
@@ -271,12 +278,14 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
+    y = np.maximum(a.data, 0.0)
 
     def fn(g):
-        _accum(a, g * mask)
+        # y > 0 exactly where a > 0; y is the output, which the tape holds
+        # anyway, so no mask is saved
+        _accum(a, g * (y > 0.0))
 
-    return _op(np.maximum(a.data, 0.0), fn, a)
+    return _op(y, fn, a)
 
 
 # sigmoid would round to exactly 0.0 / 1.0 once |x| exceeds the dtype's
@@ -429,10 +438,12 @@ def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
 # and ws = wo + (kw-1)//s, so tap (i, j) is the contiguous slice of phase
 # (i % s, j % s) at flat offset (i//s)*ws + j//s. Outputs at q >= ho or
 # r >= wo read past their image and are junk, dropped like the stride-1
-# junk columns. kh*kw slice copies build the column matrix, which the
-# backward pass keeps; forward, weight gradient and input gradient are one
-# 2-D GEMM each. The input gradient adds each tap's rows into its slice of
-# the phase buffer and takes the phases back to NCHW in one pass.
+# junk columns. kh*kw slice copies build the column matrix; forward, weight
+# gradient and input gradient are one 2-D GEMM each. The backward pass keeps
+# the phase images, about the size of the input, rather than the kh*kw/(s*s)
+# times larger columns, and rebuilds the columns for the weight gradient
+# with the same copies. The input gradient adds each tap's rows into its
+# slice of the phase buffer and takes the phases back to NCHW in one pass.
 #
 # A product whose contraction has length 1, such as the input gradient of a
 # conv with one output channel, runs as a broadcast multiply: the same
@@ -492,6 +503,17 @@ def _phase_plan(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
     return ho, wo, hs, ws, phases, taps
 
 
+def _tap_columns(xph: np.ndarray, taps: tuple, span: int) -> np.ndarray:
+    """The (C*kh*kw, span) column matrix of a strided conv: tap t's slice of
+    its phase of the (C, s, s, N*hs*ws) phase images ``xph`` as rows t of
+    each channel."""
+    c = xph.shape[0]
+    cols = np.empty((c, len(taps), span), dtype=xph.dtype)
+    for t, (a, b, o) in enumerate(taps):
+        cols[:, t] = xph[:, a, b, o : o + span]
+    return cols.reshape(c * len(taps), span)
+
+
 def _conv_shapes(op: str, x: Tensor, weight: Tensor, bias: Tensor | None):
     """(N, C, H, W, K, kh, kw) of a conv's NCHW input and [K, C, kh, kw]
     kernel, after checking that the operands fit together."""
@@ -538,14 +560,9 @@ def conv2d(
     for dst, src in phases:
         xph[dst] = xt[src]
     xph = xph.reshape(c, s, s, m)
-    cols = np.empty((c, kh * kw, span), dtype=dtype)
-    for t, (a, b, o) in enumerate(taps):
-        cols[:, t] = xph[:, a, b, o : o + span]
-    del xph
-    cols = cols.reshape(c * kh * kw, span)
     wm = weight.data.astype(dtype, copy=False).reshape(k, c * kh * kw)
     yk = np.empty((k, m), dtype=dtype)
-    _mm(wm, cols, out=yk[:, :span])
+    _mm(wm, _tap_columns(xph, taps, span), out=yk[:, :span])
     yv = yk.reshape(k, n, hs, ws)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
     y = np.empty((n, k, ho, wo), dtype=dtype)
     if bias is None:
@@ -560,7 +577,7 @@ def conv2d(
         gk[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
         gf = gk.reshape(k, m)[:, :span]
         if weight.requires_grad:
-            _accum(weight, _mm(gf, cols.T).reshape(k, c, kh, kw))
+            _accum(weight, _mm(gf, _tap_columns(xph, taps, span).T).reshape(k, c, kh, kw))
         if x.requires_grad:
             dcols = _mm(wm.T, gf).reshape(c, kh * kw, span)
             dxph = np.zeros((c, s, s, m), dtype=g.dtype)

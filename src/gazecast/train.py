@@ -90,18 +90,17 @@ def sharded_backward(replicas: dict[int, GazeTargetModel], batch: Batch,
 
     Worker thread ``w`` runs its shards on ``replicas[w]``, built here on
     first use: a model that draws nothing and shares the trained model's
-    parameter arrays, so that threads never add into one gradient at once.
+    parameter arrays, which AdamW updates in place, so that threads never
+    add into one gradient at once.
     """
     model = replicas[0]
     cfg = model.cfg
-    state = {name: p.data for name, p in model.named_parameters()}
 
     def shard(worker: int, sl: slice):
         replica = replicas.get(worker)
         if replica is None:
+            state = {name: p.data for name, p in model.named_parameters()}
             replica = replicas[worker] = GazeTargetModel(cfg, state)
-        elif worker:
-            replica.load_state_dict(state)   # AdamW rebinds the model's arrays
         part = batch.shard(sl)
         losses = compute_losses(replica(part), part, cfg, plan, whole=batch)
         T.backward(losses.total)

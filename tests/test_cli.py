@@ -8,6 +8,7 @@ import json
 import os
 import shutil
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -861,6 +862,43 @@ def test_eval_model_without_gaze_direction_exits_2(no_direction, tmp_path, capsy
                  "--data", str(no_direction / "data"), "--report", str(tmp_path / "r.json"),
                  "--dump", str(tmp_path / "d.jsonl")]) == 2
     assert "no gaze direction" in _one_line_failure(capsys, "eval")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def nan_heatmap(no_direction, tmp_path_factory):
+    """A checkpoint whose heatmap head emits NaN: a default-width image_only
+    model with a NaN bias on its last conv."""
+    tmp = tmp_path_factory.mktemp("nan_heatmap")
+    cfg = tmp / "nan.cfg"
+    cfg.write_text("model.variant = image_only\nmodel.input_resolution = 32\n"
+                   "model.heatmap_resolution = 32\ntrain.epochs = 0\n")
+    assert main(["train", "--config", str(cfg), "--data", str(no_direction / "data"),
+                 "--out", str(tmp / "fresh.ckpt")]) == 0
+    state, config_hash, config_text = load_checkpoint(tmp / "fresh.ckpt")
+    state["heatmap_head.conv3.bias"][:] = np.nan
+    save_checkpoint(tmp / "nan.ckpt", state, config_hash, config_text)
+    return tmp / "nan.ckpt"
+
+
+def test_infer_model_with_nan_heatmap_exits_2(nan_heatmap, no_direction, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["infer", "--ckpt", str(nan_heatmap), "--data", str(no_direction / "data"),
+                 "--sample", "1", "--render", str(tmp_path / "render")]) == 2
+    assert "non-finite heatmap" in _one_line_failure(capsys, "infer")
+    assert not (tmp_path / "render").exists()
+
+
+def test_eval_model_with_nan_heatmap_exits_2(nan_heatmap, no_direction, tmp_path, capsys):
+    """The error is raised before scoring, whose single-class handling would
+    otherwise count a NaN map as an excluded sample."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "--ckpt", str(nan_heatmap), "--data", str(no_direction / "data"),
+                     "--report", str(tmp_path / "r.json"),
+                     "--dump", str(tmp_path / "d.jsonl")]) == 2
+    assert "non-finite heatmap" in _one_line_failure(capsys, "eval")
     assert os.listdir(tmp_path) == []
 
 

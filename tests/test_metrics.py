@@ -41,6 +41,29 @@ def test_auc_degenerate_mask_excluded_with_warning():
         assert M.auc_score(img, [(0.5, 0.5)], radius=50.0) is None
 
 
+def _stable_roc_auc(scores, labels):
+    """The ROC sweep with a stable sort, as a reference."""
+    order = np.argsort(-scores, kind="stable")
+    s, lab = scores[order], labels[order]
+    last = np.append(s[1:] != s[:-1], True)
+    tpr = np.concatenate(([0.0], np.cumsum(lab)[last] / lab.sum()))
+    fpr = np.concatenate(([0.0], np.cumsum(~lab)[last] / (~lab).sum()))
+    return float(np.trapezoid(tpr, fpr))
+
+
+@pytest.mark.parametrize("levels", [2, 5, 40, None], ids=["2", "5", "40", "untied"])
+def test_roc_auc_on_tied_scores_equals_stable_sort(levels):
+    """The ROC points sit at the end of each tie group, so the unstable
+    sort gives the stable sort's area exactly."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        scores = rng.random(64 * 64)
+        if levels is not None:
+            scores = np.floor(scores * levels) / levels
+        labels = rng.random(64 * 64) < 0.1
+        assert M.roc_auc(scores, labels) == _stable_roc_auc(scores, labels)
+
+
 def test_distance_scores_basic():
     assert M.distance_scores((0.2, 0.4), [(0.2, 0.4)]) == (0.0, 0.0)
     mn, av = M.distance_scores((0.0, 0.0), [(1.0, 1.0)])

@@ -82,6 +82,28 @@ def test_adamw_moment_shapes_and_counter():
         assert m.shape == p.shape and v.shape == p.shape
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adamw_updates_in_place_with_out_of_place_bytes(dtype):
+    """Each parameter keeps its array through every step, and its values
+    are those of the update written out with fresh arrays."""
+    rng = np.random.default_rng(4)
+    p = Tensor(rng.normal(size=(3, 5)).astype(dtype), requires_grad=True)
+    arr, want = p.data, p.data.copy()
+    m, v = np.zeros_like(want), np.zeros_like(want)
+    lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.02
+    opt = nn.AdamW([p], lr=lr, betas=(b1, b2), epsilon=eps, weight_decay=wd)
+    for t in range(1, 6):
+        g = rng.normal(size=want.shape).astype(dtype)
+        p.grad = g
+        opt.step()
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        update = (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        want = want - lr * (update + wd * want)
+        assert p.data is arr
+        assert p.data.dtype == dtype and p.data.tobytes() == want.tobytes(), t
+
+
 def test_adamw_deterministic():
     def run():
         rng = np.random.default_rng(9)

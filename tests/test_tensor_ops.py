@@ -3,6 +3,7 @@
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -300,6 +301,30 @@ def test_backward_quadratic():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     T.backward(T.tsum(T.mul(x, x)))
     np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0])
+
+
+def test_backward_frees_each_node_as_it_replays():
+    """By the time the first op's node replays, the later nodes are gone:
+    an intermediate array that only the tape held is dead, and no op output
+    keeps a gradient after backward, while the leaf keeps its own."""
+    x = Tensor(np.array([-1.0, 2.0, 3.0]), requires_grad=True)
+    seen = []
+
+    def probe(g):
+        seen.append(mid_ref())
+        T._accum(x, g)
+
+    first = T._op(x.data.copy(), probe, x)
+    mid = T.relu(first)
+    mid_ref = weakref.ref(mid.data)
+    kept = T.scale(mid, 3.0)
+    del mid
+    loss = T.tsum(kept)
+    T.backward(loss)
+    assert seen == [None] and mid_ref() is None
+    assert first.grad is None and kept.grad is None and loss.grad is None
+    np.testing.assert_array_equal(x.grad, [0.0, 3.0, 3.0])
+    assert len(T.tape()) == 0
 
 
 def test_backward_rejects_nonscalar():
