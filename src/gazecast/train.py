@@ -34,7 +34,8 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
     its loss CSV text. Deterministic given (cfg, samples)."""
     model = GazeTargetModel(cfg)
     for state in init_states or []:
-        model.load_state_dict(state, strict=False)
+        # AdamW updates in place: the model trains copies, not the caller's arrays
+        model.load_state_dict({name: arr.copy() for name, arr in state.items()}, strict=False)
 
     optimizer = nn.AdamW(
         model.parameters(), lr=cfg.lr,

@@ -207,6 +207,19 @@ def test_init_from_single_modality_checkpoint(tiny_sets):
             np.testing.assert_array_equal(param.data, single_state[name])
 
 
+def test_training_leaves_init_states_unchanged(tiny_sets):
+    """AdamW updates the parameters in place; the arrays a run starts from
+    are the caller's and stay as they were."""
+    plain, _ = tiny_sets
+    state = GazeTargetModel(small_cfg("multimodal", seed=8)).state_dict()
+    before = {name: arr.copy() for name, arr in state.items()}
+    model, _ = train_model(small_cfg("multimodal"), plain[:10], init_states=[state])
+    params = dict(model.named_parameters())
+    for name, arr in state.items():
+        np.testing.assert_array_equal(arr, before[name], err_msg=name)
+        assert params[name].data is not arr, name
+
+
 @pytest.mark.parametrize("variant,precision", [("multimodal", "f32"), ("late_fusion", "f64")])
 def test_model_built_from_state_equals_fresh_model_loaded_with_it(variant, precision):
     """A state from a differently seeded f64 model, so that every weight
