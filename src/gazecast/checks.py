@@ -431,8 +431,5 @@ ORACLE_CASES = (
                _whole_frame_shape, tolerance=0.0),
 )
 
-def run_checks(suite: str) -> list[CheckResult]:
-    cases = {"grad": GRAD_CASES, "oracle": ORACLE_CASES, "all": GRAD_CASES + ORACLE_CASES}
-    if suite not in cases:
-        raise ValueError(f"unknown suite {suite!r}")
-    return [case.run() for case in cases[suite]]
+def run_checks() -> list[CheckResult]:
+    return [case.run() for case in GRAD_CASES + ORACLE_CASES]

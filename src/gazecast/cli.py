@@ -16,11 +16,11 @@ import numpy as np
 
 from . import data as D
 from . import tensor as T
-from .config import RunConfig, config_from_text, load_config, read_settings, settings_text
+from .config import config_from_text, load_config, read_settings, settings_text
 from .errors import CheckpointError, ConfigError, DatasetError, GazecastError, ModelOutputError
 from .evaluate import evaluate_model
 from .geometry import containing_pixel, write_pgm
-from .heads import argmax_point, check_heatmaps
+from .heads import argmax_point
 from .model import GazeTargetModel, build_batch
 from .parallel import set_blas_threads
 from .serialization import atomic_write, load_checkpoint, save_checkpoint
@@ -77,7 +77,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model(ckpt_path) -> tuple[GazeTargetModel, RunConfig]:
+def _load_model(ckpt_path) -> GazeTargetModel:
     state, config_hash, config_text = load_checkpoint(ckpt_path)
     try:
         cfg = config_from_text(config_text)
@@ -88,15 +88,15 @@ def _load_model(ckpt_path) -> tuple[GazeTargetModel, RunConfig]:
     if cfg.config_hash() != config_hash:
         raise CheckpointError(f"{ckpt_path}: config hash mismatch "
                               f"({config_hash} vs {cfg.config_hash()})")
-    return GazeTargetModel(cfg, state), cfg
+    return GazeTargetModel(cfg, state)
 
 
 def cmd_eval(args) -> int:
-    model, cfg = _load_model(args.ckpt)
+    model = _load_model(args.ckpt)
     samples = D.read_dataset(args.data)
     if not samples:
         raise DatasetError(f"{args.data}: dataset is empty")
-    report, dumps = evaluate_model(model, samples, cfg, oracle_heatmaps=args.oracle)
+    report, dumps = evaluate_model(model, samples, oracle_heatmaps=args.oracle)
     with atomic_write(args.report) as f:
         f.write(report.to_json() + "\n")
     if args.dump:
@@ -110,22 +110,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    model, cfg = _load_model(args.ckpt)
+    model = _load_model(args.ckpt)
     found = D.read_dataset(args.data, sample_id=args.sample)
     if not found:
         raise DatasetError(f"sample {args.sample} not in {args.data}")
     sample = found[-1]  # a repeated id resolves to its last record
-    batch = build_batch([sample], cfg)
+    batch = build_batch([sample], model.cfg)
     with T.no_grad():
         result = model(batch)
-    check_heatmaps(result.heatmap.data)
     os.makedirs(args.render, exist_ok=True)
     cone = result.cone.data[0, 0]
     heatmap = result.heatmap.data[0, 0]
     write_pgm(os.path.join(args.render, "cone.pgm"), cone)
     write_pgm(os.path.join(args.render, "heatmap.pgm"), heatmap)
 
-    overlay = sample.modality(cfg.modalities[0]).mean(axis=0)
+    overlay = sample.modality(model.cfg.modalities[0]).mean(axis=0)
     px, py = argmax_point(heatmap)
     res = overlay.shape[-1]
     _mark(overlay, px, py, res, 1.0)
@@ -151,7 +150,7 @@ def _mark(img: np.ndarray, x: float, y: float, res: int, value: float) -> None:
 def cmd_check(args) -> int:
     from .checks import run_checks
 
-    results = run_checks(args.suite)
+    results = run_checks()
     failures = 0
     for res in results:
         print(res.line())
@@ -200,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--render", required=True, help="output directory")
     p.set_defaults(fn=cmd_infer)
 
-    p = sub.add_parser("check", help="run verification suites")
-    p.add_argument("--suite", choices=("grad", "oracle", "all"), default="all")
+    p = sub.add_parser("check", help="run the gradient and oracle checks")
     p.set_defaults(fn=cmd_check)
     return parser
 

@@ -14,7 +14,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .data import MAX_RESOLUTION
 from .errors import ConfigError
+
+MAX_WIDTH = 1024   # bound on every layer width: 8x the widest default, stage_channels' 128
 
 _VARIANT_MODALITIES = {
     "multimodal": ("raw", "depth", "pose"),
@@ -99,23 +102,20 @@ class RunConfig:
         # climbs back two of them to quarter resolution
         if len(self.stage_channels) != 4:
             raise ConfigError(f"model.stage_channels needs 4 stages, got {len(self.stage_channels)}")
-        if self.input_resolution < 16 or self.input_resolution % 16:
-            raise ConfigError(
-                f"model.input_resolution {self.input_resolution} is not a positive multiple of 16"
-            )
-        if self.heatmap_resolution < 1 or self.heatmap_resolution % self.feature_resolution:
-            raise ConfigError(
-                f"model.heatmap_resolution {self.heatmap_resolution} is not a positive multiple "
-                f"of the feature resolution {self.feature_resolution}"
-            )
+        if not 16 <= self.input_resolution <= MAX_RESOLUTION or self.input_resolution % 16:
+            raise ConfigError(f"model.input_resolution {self.input_resolution} is not a "
+                              f"multiple of 16 in [16, {MAX_RESOLUTION}]")
+        hm, fr = self.heatmap_resolution, self.feature_resolution
+        if not 1 <= hm <= MAX_RESOLUTION or hm % fr:
+            raise ConfigError(f"model.heatmap_resolution {hm} is not a multiple of the "
+                              f"feature resolution {fr} in [{fr}, {MAX_RESOLUTION}]")
         # every layer needs a width of at least 1: the heatmap head narrows
         # the features to a quarter of feature_channels
-        if min(self.stage_channels) < 1:
-            raise ConfigError(f"model.stage_channels {self.stage_channels} has a width below 1")
-        if self.feature_channels < 4:
-            raise ConfigError(f"model.feature_channels {self.feature_channels} is below 4")
-        if self.embedding_size < 1:
-            raise ConfigError(f"model.embedding_size {self.embedding_size} is below 1")
+        for key, low in (("model.stage_channels", 1), ("model.feature_channels", 4),
+                         ("model.embedding_size", 1)):
+            value = getattr(self, key.partition(".")[2])
+            if not all(low <= width <= MAX_WIDTH for width in np.atleast_1d(value)):
+                raise ConfigError(f"{key} {value} has a width outside [{low}, {MAX_WIDTH}]")
         # the fusion and in/out embedders run three stride-2 convs on the
         # feature maps, which needs them at 8x8 or larger
         if (self.fusion_enabled or self.inout_head) and self.feature_resolution < 8:

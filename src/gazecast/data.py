@@ -48,6 +48,8 @@ MAX_RESOLUTION = 512     # one sample's three f64 modalities then take 18.9 MB
 MAX_DEPTH_LAYERS = 64    # neighbouring layers stay >= 0.01 apart in depth intensity
 MAX_ITEMS = 64           # bound on n_objects and on n_people
 
+_RULE_WEIGHTS = {"object": 0.3, "depth_distractor": 0.4, "person": 0.2, "hand": 0.1}
+
 
 @dataclass
 class SceneSpec:
@@ -65,7 +67,7 @@ class SceneSpec:
         if not 32 <= self.resolution <= MAX_RESOLUTION:
             raise DatasetError(
                 f"resolution must lie in [32, {MAX_RESOLUTION}], got {self.resolution}")
-        if self.target_rule not in ("object", "depth_distractor", "person", "hand", "mixed"):
+        if self.target_rule not in (*_RULE_WEIGHTS, "mixed"):
             raise DatasetError(f"unknown target rule {self.target_rule!r}")
         if self.target_rule == "person" and self.n_people < 2:
             raise DatasetError("person rule needs n_people >= 2")
@@ -305,7 +307,6 @@ def _render_pose(layout: SceneLayout, res: int) -> np.ndarray:
 # scene generation
 # ---------------------------------------------------------------------------
 
-_RULE_WEIGHTS = {"object": 0.3, "depth_distractor": 0.4, "person": 0.2, "hand": 0.1}
 _MAX_ATTEMPTS = 100
 
 
@@ -759,7 +760,9 @@ def _sample_from_record(rec: dict, tensor_dir, names: dict[str, str],
     """One checked manifest record, with its files already checked as
     ``names``. Every field is checked; the tensors are decoded and a sample
     returned only when ``sample_id`` is None or the record's id."""
-    rec_id = int(rec["sample_id"])
+    rec_id = rec["sample_id"]
+    if type(rec_id) is not int:   # also rejects true and false
+        raise ValueError(f"sample_id {rec_id!r} is not an integer")
     gaze_points = []
     for p in rec["gaze_points"]:   # NaN fails the range check too
         if len(p) != 2 or not (0.0 <= float(p[0]) <= 1.0 and 0.0 <= float(p[1]) <= 1.0):

@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 from . import tensor as T
-from .config import RunConfig
 from .data import SceneSample
-from .heads import argmax_point, check_heatmaps
+from .heads import argmax_point
 from .metrics import MetricsReport, SampleDump, aggregate, auc_score, distance_scores
 from .model import GazeTargetModel, build_batch
 from .parallel import run_shards
 
 
-def evaluate_model(model: GazeTargetModel, samples: list[SceneSample], cfg: RunConfig,
+def evaluate_model(model: GazeTargetModel, samples: list[SceneSample],
                    oracle_heatmaps: bool = False) -> tuple[MetricsReport, list[SampleDump]]:
-    """Run the model over ``samples`` and aggregate metrics.
+    """Run the model over ``samples`` and aggregate metrics under its config.
 
     The samples run in fixed shards (``parallel``); each thread builds,
     runs and scores one shard at a time, so memory does not grow with the
@@ -21,13 +20,13 @@ def evaluate_model(model: GazeTargetModel, samples: list[SceneSample], cfg: RunC
     the ground-truth heatmap for the prediction (upper-bound sanity: AUC 1,
     distances 0).
     """
+    cfg = model.cfg
     config_hash = cfg.config_hash()
 
     def shard(worker: int, sl: slice) -> list[SampleDump]:
         chunk = samples[sl]
         batch = build_batch(chunk, cfg)
         result = model(batch)
-        check_heatmaps(result.heatmap.data)
         dumps = []
         for k, sample in enumerate(chunk):
             if oracle_heatmaps:
@@ -37,7 +36,7 @@ def evaluate_model(model: GazeTargetModel, samples: list[SceneSample], cfg: RunC
             point = argmax_point(pred_map)
             weights = {m: float(w) for m, w in zip(cfg.modalities, result.weights.data[k])}
             io_score = float(result.inout.data[k]) if result.inout is not None else None
-            if sample.in_frame and sample.gaze_points:
+            if sample.in_frame:
                 mn, av = distance_scores(point, sample.gaze_points)
                 auc = auc_score(pred_map, sample.gaze_points, radius=cfg.binarization_radius)
             else:

@@ -152,13 +152,12 @@ def sample_dropout_plan(active: tuple[str, ...], p_drop: float,
     return DropoutPlan(subsets[int(rng.integers(0, len(subsets)))], seed)
 
 
-def apply_dropout(image: Tensor, plan: DropoutPlan, modality: str) -> Tensor:
+def apply_dropout(image: np.ndarray, plan: DropoutPlan, modality: str) -> np.ndarray:
     """Replace the image with seeded uniform [0,1) noise when dropped."""
     if modality not in plan.dropped:
         return image
     gen = np.random.default_rng(np.random.SeedSequence((plan.noise_seed, _stable_id(modality))))
-    noise = gen.random(image.shape, dtype=np.float64).astype(image.dtype)
-    return Tensor(noise)
+    return gen.random(image.shape, dtype=np.float64).astype(image.dtype)
 
 
 def _stable_id(modality: str) -> int:

@@ -10,7 +10,7 @@ from . import nn
 from . import tensor as T
 from .config import RunConfig
 from .fusion import DropoutPlan, ModalityEmbedder
-from .errors import ModelOutputError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .tensor import Tensor
 
 BCE_CLAMP = 1e-7
@@ -73,14 +73,6 @@ class InOutHead(nn.Module):
         joined = T.concat([scene, subnet_embedding], axis=1)
         logit = self.fc2(T.relu(self.fc1(joined)))
         return T.reshape(T.sigmoid(logit), (fmap.shape[0],))
-
-
-def check_heatmaps(heatmaps: np.ndarray) -> None:
-    """Raise ModelOutputError when a predicted (N, 1, h, w) heatmap holds a
-    value that is not finite: no point or AUC can be read from it."""
-    bad = np.flatnonzero(~np.isfinite(heatmaps.reshape(len(heatmaps), -1)).all(axis=1))
-    if bad.size:
-        raise ModelOutputError(f"heatmap head emitted a non-finite heatmap in batch row {bad[0]}")
 
 
 def argmax_point(heatmap: np.ndarray) -> tuple[float, float]:

@@ -49,7 +49,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     The ROC points sit at the last entry of each group of tied scores, so
     the order within a group, which the unstable sort leaves open, cannot
     change them. That needs scores without NaN, each of which is a group
-    of its own; callers reject non-finite predictions first.
+    of its own; the model's forward rejects non-finite predictions.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels, dtype=bool).ravel()

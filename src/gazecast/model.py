@@ -16,6 +16,7 @@ from . import tensor as T
 from .config import RunConfig
 from .data import SceneSample, crop_head, resize_nearest
 from .encoders import GazeSubnet, SceneExtractor, concat_modality_inputs
+from .errors import ModelOutputError
 from .fusion import (AttentionFusion, DropoutPlan, EMPTY_PLAN, LateFusionInject,
                      apply_dropout)
 from .geometry import cone_batch, make_gt_heatmap, render_head_mask
@@ -68,7 +69,7 @@ def sample_features(sample: SceneSample, cfg: RunConfig) -> dict:
                                  cfg.input_resolution)[None].astype(dt),
         "in_frame": float(sample.in_frame),
     }
-    if sample.in_frame and sample.gaze_points:
+    if sample.in_frame:
         feats["gt_heatmap"] = make_gt_heatmap(sample.gaze_points, cfg.heatmap_resolution,
                                               cfg.heatmap_resolution, cfg.sigma)[None].astype(dt)
         feats["gt_dir"] = sample.oracle_gaze_dir.xy.astype(dt)
@@ -99,15 +100,15 @@ def drop_modalities(batch: Batch, plan: DropoutPlan) -> Batch:
     if not plan.dropped:
         return batch
     return replace(batch, modality_images={
-        m: apply_dropout(Tensor(img), plan, m).data for m, img in batch.modality_images.items()})
+        m: apply_dropout(img, plan, m) for m, img in batch.modality_images.items()})
 
 
 class GazeTargetModel(nn.Module):
     def __init__(self, cfg: RunConfig, state: dict[str, np.ndarray] | None = None):
-        """A model with freshly drawn weights or, given a checkpoint's
-        ``state``, one whose layers draw and allocate nothing and whose
-        parameters are the state's arrays, cast only where their dtype is
-        not the configured precision."""
+        """A model with freshly drawn float64 weights or, given a checkpoint's
+        ``state``, one whose layers draw and allocate nothing; either way its
+        parameters are then loaded from the state, cast only where their dtype
+        is not the configured precision."""
         rng = None if state is not None else np.random.default_rng(
             np.random.SeedSequence((cfg.seed, 0xA11CE)))
         self.cfg = cfg
@@ -122,13 +123,12 @@ class GazeTargetModel(nn.Module):
         if cfg.inout_head:
             self.inout = InOutHead(cfg, rng)
         if state is None:
-            # layers initialize in float64; precision is applied once, here
-            for p in self.parameters():
-                p.data = p.data.astype(cfg.dtype, copy=False)
-        else:
-            self.load_state_dict(state, dtype=cfg.dtype)
+            state = {name: p.data for name, p in self.named_parameters()}
+        self.load_state_dict(state, dtype=cfg.dtype)
 
     def forward(self, batch: Batch) -> ForwardResult:
+        """The outputs for ``batch``. A row whose heatmap or in/out score is
+        not finite, from which no point, AUC or AP can be read, raises."""
         cfg = self.cfg
         subnet_out = self.gaze_subnet(Tensor(batch.head_crops))
         cone = cone_batch(subnet_out.direction, batch.eyes,
@@ -154,11 +154,21 @@ class GazeTargetModel(nn.Module):
             weights = Tensor(np.ones((combined.shape[0], 1), dtype=cfg.dtype))
 
         heatmap = self.heatmap_head(combined)
+        _check_finite(heatmap.data, "heatmap head emitted a non-finite heatmap")
         inout = self.inout(combined, subnet_out.embedding) if cfg.inout_head else None
+        if inout is not None:
+            _check_finite(inout.data, "in/out head emitted a non-finite score")
         return ForwardResult(
             heatmap=heatmap, direction=subnet_out.direction, cone=cone,
             weights=weights, inout=inout,
         )
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """Raise ModelOutputError naming the first batch row of ``values`` not all finite."""
+    bad = np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1))
+    if bad.size:
+        raise ModelOutputError(f"{what} in batch row {bad[0]}")
 
 
 def compute_losses(result: ForwardResult, batch: Batch, cfg: RunConfig,

@@ -78,38 +78,36 @@ def thread_count(shards: int) -> int:
 
 
 def run_shards(fn, n: int) -> list:
-    """``[fn(worker, sl) for sl in shard_slices(n)]``, the shards spread over
-    ``thread_count`` threads that each take the next shard when they finish
-    one, so that at most one shard per thread is in flight.
+    """``[fn(worker, sl) for sl in shard_slices(n)]``, the shards dealt
+    over ``thread_count`` threads: shard ``i`` runs on thread ``i mod
+    threads``, each thread taking its shards in order. The shards are equal
+    but the last, so the deal balances the load as well as a queue would.
 
     ``worker`` is the index of the running thread, 0 for the calling one,
     so ``fn`` can keep per-thread state such as a model replica. Worker
     threads start with the caller's context (``np.errstate`` among it) and
     its tape's ``no_grad`` switch, and they empty their tapes when they end.
-    A shard that raises stops the taking of new ones; once every thread is
-    joined, the calling thread's tape is emptied and the error of the first
-    failing shard in shard order is raised, the same one a serial run meets
-    first. With one thread no thread is started: the calling thread runs the
-    shards one after another, with the same bytes.
+    A shard that raises stops every thread from starting a later shard, and
+    earlier ones still run; once every thread is joined, the calling
+    thread's tape is emptied and the error of the first failing shard in
+    shard order is raised, the same one a serial run meets first. With one
+    thread no thread is started: the calling thread runs the shards one
+    after another, with the same bytes.
     """
     slices = shard_slices(n)
     results: list = [None] * len(slices)
-    errors: dict[int, Exception] = {}
-    stop = threading.Event()
-    lock = threading.Lock()
-    pending = iter(range(len(slices)))
+    # shard index -> its error; -1 marks an interrupt of the calling thread
+    errors: dict[int, BaseException] = {}
+    count = thread_count(len(slices))
 
     def drain(worker: int) -> None:
-        while not stop.is_set():
-            with lock:
-                i = next(pending, None)
-            if i is None:
+        for i in range(worker, len(slices), count):
+            if i > min(errors, default=i):
                 return
             try:
                 results[i] = fn(worker, slices[i])
             except Exception as exc:
                 errors[i] = exc
-                stop.set()
 
     def start(worker: int, recording: bool) -> None:
         T.tape().recording = recording
@@ -121,13 +119,15 @@ def run_shards(fn, n: int) -> list:
     recording = T.tape().recording
     threads = [threading.Thread(target=contextvars.copy_context().run,
                                 args=(start, worker, recording))
-               for worker in range(1, thread_count(len(slices)))]
+               for worker in range(1, count)]
     try:
         for t in threads:
             t.start()
         drain(0)
+    except BaseException as exc:
+        errors[-1] = exc   # after an interrupt here, no thread starts another shard
+        raise
     finally:
-        stop.set()   # after an interrupt here, no thread takes another shard
         for t in threads:
             if t.ident is not None:
                 t.join()

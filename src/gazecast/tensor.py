@@ -39,7 +39,7 @@ class Tape(threading.local):
 
     Nodes are (output tensor, backward closure) pairs appended during the
     forward pass while ``recording`` is on. ``backward`` pops the nodes as it
-    replays them; ``reset()`` drops a graph that will not be replayed.
+    replays them; ``fresh_tape()`` drops a graph that will not be replayed.
     """
 
     def __init__(self) -> None:
@@ -48,9 +48,6 @@ class Tape(threading.local):
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def reset(self) -> None:
-        self._nodes.clear()
 
 
 _TAPE = Tape()
@@ -63,7 +60,7 @@ def tape() -> Tape:
 
 def fresh_tape() -> Tape:
     """Empty the calling thread's tape and return it."""
-    _TAPE.reset()
+    _TAPE._nodes.clear()
     return _TAPE
 
 

@@ -50,8 +50,8 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
     replicas: dict[int, GazeTargetModel] = {0: model}
 
     step = 0
-    # a diverging run overflows inside numpy; the checks on the loss, the
-    # gaze direction and the final weights report it once, not numpy warnings
+    # a diverging run overflows inside numpy; the checks on the model's
+    # outputs, the loss and the final weights report it once, not numpy warnings
     try:
         with np.errstate(all="ignore"):
             for epoch in range(cfg.epochs):

@@ -467,8 +467,13 @@ def test_checkpoint_with_removed_upsample_key_is_data_error(workspace, tmp_path,
     ("model.input_resolution = 16", "model.input_resolution"),
     ("model.variant = image_only\nmodel.inout_head = true\nmodel.input_resolution = 16",
      "model.input_resolution"),
+    ("model.heatmap_resolution = 520", "model.heatmap_resolution"),
+    ("model.stage_channels = 100000,100000,100000,100000", "model.stage_channels"),
+    ("model.feature_channels = 1025", "model.feature_channels"),
+    ("model.embedding_size = 1025", "model.embedding_size"),
 ], ids=["2-stages", "3-stages", "5-stages", "input-40", "heatmap-20", "stage-width-0",
-        "features-3", "embedding-0", "fused-input-16", "inout-input-16"])
+        "features-3", "embedding-0", "fused-input-16", "inout-input-16", "heatmap-520",
+        "stage-width-100000", "features-1025", "embedding-1025"])
 def test_bad_model_shape_is_usage_error_before_reading_data(workspace, tmp_path, capsys,
                                                             monkeypatch, line, key):
     cfg = tmp_path / "bad.cfg"
@@ -552,10 +557,13 @@ def test_checkpoint_with_bad_model_shape_is_data_error(workspace, tmp_path, caps
 @pytest.mark.parametrize("line,key", [
     ("model.feature_channels = 2", "model.feature_channels"),
     ("model.embedding_size = 0", "model.embedding_size"),
-], ids=["features-2", "embedding-0"])
+    ("model.stage_channels = 16,32,64,1025", "model.stage_channels"),
+    ("model.feature_channels = 1025", "model.feature_channels"),
+    ("model.input_resolution = 528", "model.input_resolution"),
+], ids=["features-2", "embedding-0", "stage-width-1025", "features-1025", "input-528"])
 def test_checkpoint_with_zero_width_is_data_error(workspace, tmp_path, capsys, line, key):
     """A checkpoint whose embedded config names a width that builds no
-    layer, under a hash that matches that text."""
+    layer, or a size above its bound, under a hash that matches that text."""
     state, _, text = load_checkpoint(workspace / "model.ckpt")
     lines = [(line + "\n" if old.startswith(key + " ") else old)
              for old in text.splitlines(keepends=True)]
@@ -647,6 +655,9 @@ MALFORMED_RECORDS = [
     pytest.param("gaze_points", [], id="in-frame-without-points"),
     pytest.param("oracle_gaze_dir", [float("nan"), 0.0], id="gaze-dir-nan"),
     pytest.param("in_frame", 2, id="in-frame-2"),
+    pytest.param("sample_id", 1.5, id="sample-id-float"),
+    pytest.param("sample_id", "3", id="sample-id-string"),
+    pytest.param("sample_id", True, id="sample-id-bool"),
     pytest.param("files", {"raw": "../other/tensors/x.gzt"}, id="path-outside-dataset"),
     pytest.param("eye", b"\xff", id="not-utf8"),
     # record 0's raw file, while record 1's own stays in tensors/ as a stray
@@ -799,14 +810,13 @@ def _stub_check_rows(monkeypatch, failing: str | None = None) -> None:
                             lambda case: CheckResult(case.name, case.name != failing, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("suite", ["grad", "oracle", "all"])
-def test_check_suite_prints_its_table_in_order(capsys, monkeypatch, suite):
-    """Each suite prints one PASS line per row of its table, in table order
-    (``all``: ``GRAD_CASES``, then ``ORACLE_CASES``), then a summary."""
+def test_check_prints_its_table_in_order(capsys, monkeypatch):
+    """``check`` prints one PASS line per row of ``GRAD_CASES``, then of
+    ``ORACLE_CASES``, in table order, then a summary."""
     _stub_check_rows(monkeypatch)
-    assert main(["check", "--suite", suite]) == 0
+    assert main(["check"]) == 0
     *results, summary = capsys.readouterr().out.splitlines()
-    table = {"grad": GRAD_CASES, "oracle": ORACLE_CASES, "all": GRAD_CASES + ORACLE_CASES}[suite]
+    table = GRAD_CASES + ORACLE_CASES
     assert [line.split()[1].rstrip(":") for line in results] == [case.name for case in table]
     assert all(line.startswith("[PASS] ") for line in results)
     assert summary == f"all {len(table)} checks passed"
@@ -815,7 +825,7 @@ def test_check_suite_prints_its_table_in_order(capsys, monkeypatch, suite):
 def test_check_failing_row_exits_2(capsys, monkeypatch):
     failing = ORACLE_CASES[0].name
     _stub_check_rows(monkeypatch, failing)
-    assert main(["check", "--suite", "all"]) == 2
+    assert main(["check"]) == 2
     *results, summary = capsys.readouterr().out.splitlines()
     assert [line for line in results if line.startswith("[FAIL] ")] == \
         [f"[FAIL] {failing}: max err 0.000e+00 (tol 0e+00)"]
@@ -899,6 +909,34 @@ def test_eval_model_with_nan_heatmap_exits_2(nan_heatmap, no_direction, tmp_path
                      "--report", str(tmp_path / "r.json"),
                      "--dump", str(tmp_path / "d.jsonl")]) == 2
     assert "non-finite heatmap" in _one_line_failure(capsys, "eval")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def nan_inout(no_direction, tmp_path_factory):
+    """A checkpoint whose in/out head emits NaN and whose heatmap head does
+    not: an image_only model with the in/out head and a NaN bias on its
+    last linear layer."""
+    tmp = tmp_path_factory.mktemp("nan_inout")
+    cfg = tmp / "nan.cfg"
+    cfg.write_text("model.variant = image_only\nmodel.inout_head = true\n"
+                   "model.input_resolution = 32\nmodel.heatmap_resolution = 32\n"
+                   "train.epochs = 0\n")
+    assert main(["train", "--config", str(cfg), "--data", str(no_direction / "data"),
+                 "--out", str(tmp / "fresh.ckpt")]) == 0
+    state, config_hash, config_text = load_checkpoint(tmp / "fresh.ckpt")
+    state["inout.fc2.bias"][:] = np.nan
+    save_checkpoint(tmp / "nan.ckpt", state, config_hash, config_text)
+    return tmp / "nan.ckpt"
+
+
+def test_eval_model_with_nan_inout_score_exits_2(nan_inout, no_direction, tmp_path, capsys):
+    """A NaN in/out score would otherwise be dumped as ``NaN``, which is not
+    JSON, and ranked into the AP."""
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(nan_inout), "--data", str(no_direction / "data"),
+                 "--report", str(tmp_path / "r.json"), "--dump", str(tmp_path / "d.jsonl")]) == 2
+    assert "non-finite score" in _one_line_failure(capsys, "eval")
     assert os.listdir(tmp_path) == []
 
 

@@ -159,20 +159,20 @@ def test_dropout_plan_covers_all_strict_subsets():
 
 
 def test_apply_dropout_passthrough_and_noise():
-    img = Tensor(np.random.default_rng(16).random((3, 8, 8)))
+    img = np.random.default_rng(16).random((3, 8, 8))
     clean = F.apply_dropout(img, F.DropoutPlan(frozenset(), 42), "raw")
     assert clean is img
 
     plan = F.DropoutPlan(frozenset({"raw"}), 1234)
     noisy1 = F.apply_dropout(img, plan, "raw")
     noisy2 = F.apply_dropout(img, plan, "raw")
-    assert noisy1.data.min() >= 0.0 and noisy1.data.max() < 1.0
-    np.testing.assert_array_equal(noisy1.data, noisy2.data)
-    assert np.abs(noisy1.data - img.data).max() > 0.0
+    assert noisy1.min() >= 0.0 and noisy1.max() < 1.0
+    np.testing.assert_array_equal(noisy1, noisy2)
+    assert np.abs(noisy1 - img).max() > 0.0
     # different modality id under the same seed gives different noise
     plan2 = F.DropoutPlan(frozenset({"raw", "pose"}), 1234)
     other = F.apply_dropout(img, plan2, "pose")
-    assert np.abs(other.data - noisy1.data).max() > 0.0
+    assert np.abs(other - noisy1).max() > 0.0
 
 
 def test_full_forward_weights_and_recombination():

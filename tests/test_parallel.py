@@ -2,12 +2,15 @@
 bytes that do not depend on how many threads run the shards."""
 
 import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gazecast
 from gazecast import data as D
 from gazecast import parallel
 from gazecast import tensor as T
@@ -212,7 +215,7 @@ def _run(scenes, cpus, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     cfg = cfg32(precision="f32", batch_size=13, epochs=2, p_drop=0.5, inout_head=True)
     model, csv = train_model(cfg, scenes[:29])
-    _, dumps = evaluate_model(model, scenes, cfg)
+    _, dumps = evaluate_model(model, scenes)
     state = b"".join(a.tobytes() for a in model.state_dict().values())
     return state, csv, [d.to_json() for d in dumps]
 
@@ -226,6 +229,39 @@ def test_train_and_eval_bytes_do_not_depend_on_the_thread_count(scenes, one_blas
     for cpus in ({0, 1}, {0, 1, 2}):
         assert _run(scenes, cpus, monkeypatch) == one
     assert thread_tapes and set(thread_tapes) == {0}
+
+
+# train, then eval, in one process: ``python -c _TRAIN_THEN_EVAL <train args> -- <eval args>``
+_TRAIN_THEN_EVAL = ("import sys\nfrom gazecast.cli import main\nsep = sys.argv.index('--')\n"
+                    "sys.exit(main(sys.argv[1:sep]) or main(sys.argv[sep + 1:]))")
+
+
+def test_cli_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
+    """``train`` and ``eval --dump`` in processes started with OpenBLAS at 1
+    and at 2 threads write the same checkpoint, loss CSV, report and dump."""
+    (tmp_path / "scene.cfg").write_text("scene.seed = 41\nscene.resolution = 32\n")
+    assert main(["gen", "--spec", str(tmp_path / "scene.cfg"), "--out", str(tmp_path / "data"),
+                 "--count", "29"]) == 0
+    (tmp_path / "run.cfg").write_text(
+        "model.input_resolution = 32\nmodel.heatmap_resolution = 32\nmodel.precision = f32\n"
+        "train.batch_size = 13\ntrain.epochs = 1\ntrain.p_drop = 0.5\n")
+    src = str(Path(gazecast.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run(
+            [sys.executable, "-c", _TRAIN_THEN_EVAL,
+             "train", "--config", str(tmp_path / "run.cfg"), "--data", str(tmp_path / "data"),
+             "--out", str(out / "m.ckpt"), "--", "eval", "--ckpt", str(out / "m.ckpt"),
+             "--data", str(tmp_path / "data"), "--report", str(out / "r.json"),
+             "--dump", str(out / "d.jsonl")],
+            env=env, check=True, capture_output=True)
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("m.ckpt", "m_loss.csv", "r.json", "d.jsonl")})
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_workers_record_no_tape_nodes(scenes, one_blas_thread, monkeypatch):
@@ -243,7 +279,7 @@ def test_eval_workers_record_no_tape_nodes(scenes, one_blas_thread, monkeypatch)
         return out
 
     monkeypatch.setattr(GazeTargetModel, "forward", watched)
-    evaluate_model(GazeTargetModel(cfg32()), scenes[:16], cfg32())
+    evaluate_model(GazeTargetModel(cfg32()), scenes[:16])
     assert len({ident for ident, _ in seen}) == 2
     assert [n for _, n in seen] == [0, 0]
 

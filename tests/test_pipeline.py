@@ -149,7 +149,7 @@ def test_inout_variant_trains(tiny_sets):
     _, with_out = tiny_sets
     cfg = small_cfg("multimodal", inout_head=True)
     model, _ = train_model(cfg, with_out)
-    report, dumps = evaluate_model(model, with_out, cfg)
+    report, dumps = evaluate_model(model, with_out)
     assert report.ap is not None
     assert all(d.inout is not None for d in dumps)
 
@@ -176,7 +176,7 @@ def test_eval_results_repeat_exactly(tiny_sets):
     model = GazeTargetModel(cfg)
     runs = []
     for _ in range(2):
-        report, dumps = evaluate_model(model, plain + with_out, cfg)
+        report, dumps = evaluate_model(model, plain + with_out)
         runs.append((report.to_json(), [d.to_json() for d in dumps]))
     assert len(runs[0][1]) == 40  # two batches: 32 + 8
     assert runs[0] == runs[1]
