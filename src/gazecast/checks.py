@@ -115,6 +115,17 @@ def _away_from_zero(*shape: int) -> Draw:
     return lambda rng: rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.5, 2.0, shape)
 
 
+def _uniform(*shape: int, bound: float = 1.0) -> Draw:
+    return lambda rng: rng.uniform(-bound, bound, size=shape)
+
+
+def _off_kink_bias(k: int) -> Draw:
+    """Biases of alternating sign and magnitude in [1.5, 2.5). With inputs
+    in [-1, 1] and kernels whose absolute sum is below 1, every
+    pre-activation keeps its channel's sign, at least 0.5 from a ReLU kink."""
+    return lambda rng: np.resize([1.0, -1.0], k) * rng.uniform(1.5, 2.5, size=k)
+
+
 def _distinct(*shape: int) -> Draw:
     """Increasing values plus small noise: every channel has a unique max."""
     def draw(rng: np.random.Generator) -> np.ndarray:
@@ -217,6 +228,14 @@ GRAD_CASES = (
              (_normal(2, 2, 8, 7), _normal(3, 2, 5, 5, scale=0.3), _normal(3))),
     GradCase("upsample_conv2d", lambda x, w, b: T.upsample_conv2d(x, w, b, factor=2, padding=1),
              (_normal(1, 2, 3, 3), _normal(3, 2, 3, 3, scale=0.5), _normal(3))),
+    GradCase("conv2d_relu", lambda x, w, b: T.conv2d(x, w, b, padding=1, relu=True),
+             (_uniform(2, 3, 6, 6), _uniform(4, 3, 3, 3, bound=1 / 27), _off_kink_bias(4))),
+    GradCase("conv2d_strided_relu",
+             lambda x, w, b: T.conv2d(x, w, b, stride=2, padding=1, relu=True),
+             (_uniform(2, 2, 7, 6), _uniform(3, 2, 3, 3, bound=1 / 18), _off_kink_bias(3))),
+    GradCase("upsample_conv2d_relu",
+             lambda x, w, b: T.upsample_conv2d(x, w, b, factor=2, padding=1, relu=True),
+             (_uniform(1, 2, 3, 3), _uniform(3, 2, 3, 3, bound=1 / 18), _off_kink_bias(3))),
     GradCase("upsample_nearest", lambda x: T.upsample_nearest(x, 2), (_normal(1, 2, 3, 3),)),
     GradCase("avg_pool", lambda x: T.avg_pool2d(x, 4), (_normal(2, 2, 8, 8),)),
     GradCase("avg_pool_4x4", lambda x: T.avg_pool2d(x, 2), (_normal(1, 2, 4, 4),)),

@@ -56,7 +56,7 @@ class GazeSubnet(nn.Module):
             raise ShapeMismatchError(f"gaze subnet expects [N,3,H,W], got {crop.shape}")
         x = crop
         for stage in self.stages:
-            x = T.relu(stage(x))
+            x = stage(x, relu=True)
         pooled = T.global_max_pool(x)
         emb = T.relu(self.embed(pooled))
         raw_dir = self.head(emb)
@@ -101,14 +101,14 @@ class SceneExtractor(nn.Module):
             )
         feats = []
         for stage in self.stages:
-            x = T.relu(stage(x))
+            x = stage(x, relu=True)
             feats.append(x)
         top = self.bottleneck_proj(feats[-1])
         up_mid = T.upsample_nearest(top, 2)
         if self.skip_connections:
             up_mid = T.add(up_mid, self.lateral_mid(feats[-2]))
-        mid = T.relu(self.smooth_mid(up_mid))
+        mid = self.smooth_mid(up_mid, relu=True)
         up_q = T.upsample_nearest(mid, 2)
         if self.skip_connections:
             up_q = T.add(up_q, self.lateral_quarter(feats[-3]))
-        return T.relu(self.smooth_quarter(up_q))
+        return self.smooth_quarter(up_q, relu=True)

@@ -57,7 +57,7 @@ class ModalityEmbedder(nn.Module):
             )
         x = fmap
         for conv in self.convs:
-            x = T.relu(conv(x))
+            x = conv(x, relu=True)
         return self.project(T.global_max_pool(x))
 
 

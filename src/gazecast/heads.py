@@ -53,8 +53,8 @@ class HeatmapHead(nn.Module):
 
     def forward(self, fmap: Tensor) -> Tensor:
         c1 = self.conv1
-        x = T.relu(T.upsample_conv2d(fmap, c1.weight, c1.bias, self.factor, c1.padding))
-        x = T.relu(self.conv2(x))
+        x = T.upsample_conv2d(fmap, c1.weight, c1.bias, self.factor, c1.padding, relu=True)
+        x = self.conv2(x, relu=True)
         x = self.conv3(x)
         return T.sigmoid(x) if self.bounded else x
 

@@ -108,8 +108,9 @@ class Conv2d(Module):
         self.stride = stride
         self.padding = padding
 
-    def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
+        return T.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding,
+                        relu=relu)
 
 
 class Linear(Module):

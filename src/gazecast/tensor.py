@@ -428,6 +428,10 @@ def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
 # pitch Wp with zero junk columns and use the same slices. The offsets run
 # over blocks of images whose per-image working set fits in about
 # _CONV_BLOCK_BYTES, so that all offsets of a block read it from cache.
+# Each block is padded inside that loop, into one buffer whose zero border
+# is written once, so no padded copy of the batch exists. The backward pass
+# pads each block again for the weight gradient and builds the input
+# gradient block by block: it keeps only the unpadded input.
 #
 # A stride-s conv works on the s*s phase images of its padded input: padded
 # row s*q + a is row q of phase a, per axis. They are stored channel-major
@@ -436,11 +440,20 @@ def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
 # (i % s, j % s) at flat offset (i//s)*ws + j//s. Outputs at q >= ho or
 # r >= wo read past their image and are junk, dropped like the stride-1
 # junk columns. kh*kw slice copies build the column matrix; forward, weight
-# gradient and input gradient are one 2-D GEMM each. The backward pass keeps
+# gradient and input gradient are one 2-D GEMM each. The weight gradient is
+# (cols @ gf.T).T, which BLAS runs faster than gf @ cols.T; on one BLAS
+# thread, as the CLI runs, it gives the same bits on the model's shapes.
+# The backward pass keeps
 # the phase images, about the size of the input, rather than the kh*kw/(s*s)
 # times larger columns, and rebuilds the columns for the weight gradient
 # with the same copies. The input gradient adds each tap's rows into its
 # slice of the phase buffer and takes the phases back to NCHW in one pass.
+#
+# Both kernels take ``relu``, a fused ReLU epilogue: after the bias add it
+# runs in place on the kernel's own fresh output, and the backward pass first
+# masks the output gradient by y > 0, the mask ``relu`` uses. A conv and its
+# ReLU are then one tape node that keeps one output, not two, with the same
+# bits as ``relu(conv(...))``.
 #
 # A product whose contraction has length 1, such as the input gradient of a
 # conv with one output channel, runs as a broadcast multiply: the same
@@ -458,7 +471,7 @@ def _image_blocks(n: int, image_bytes: int) -> list[slice]:
     """Runs of consecutive images whose working sets of ``image_bytes``
     each fit in about _CONV_BLOCK_BYTES together (at least one image)."""
     nb = max(1, _CONV_BLOCK_BYTES // image_bytes)
-    return [slice(b, b + nb) for b in range(0, n, nb)]
+    return [slice(b, min(b + nb, n)) for b in range(0, n, nb)]
 
 
 def _zero_pad(a: np.ndarray, top: int, left: int, hp: int, wp: int) -> np.ndarray:
@@ -470,6 +483,24 @@ def _zero_pad(a: np.ndarray, top: int, left: int, hp: int, wp: int) -> np.ndarra
     out = np.zeros(a.shape[:2] + (hp, wp), dtype=a.dtype)
     out[:, :, top : top + a.shape[2], left : left + a.shape[3]] = a
     return out
+
+
+def _padded_blocks(a: np.ndarray, blocks: list[slice], top: int, left: int, hp: int,
+                   wp: int):
+    """(block, its images of NCHW ``a`` placed at (top, left) in zeros of
+    spatial size (hp, wp), as (images, C, hp*wp)) for each block. Without
+    padding these are views of ``a``; with it, one buffer serves every
+    block and only its interior is rewritten, so each is valid until the
+    next is drawn."""
+    n, c, h, w = a.shape
+    buf = None if (h, w) == (hp, wp) else np.zeros((blocks[0].stop, c, hp, wp), dtype=a.dtype)
+    for blk in blocks:
+        if buf is None:
+            xb = a[blk]
+        else:
+            xb = buf[: blk.stop - blk.start]
+            xb[:, :, top : top + h, left : left + w] = a[blk]
+        yield blk, xb.reshape(len(xb), c, hp * wp)
 
 
 @lru_cache(maxsize=256)
@@ -533,8 +564,10 @@ def conv2d(
     bias: Tensor | None = None,
     stride: int = 1,
     padding: int = 0,
+    relu: bool = False,
 ) -> Tensor:
-    """2-D cross-correlation over NCHW input with an [K, C, kh, kw] kernel."""
+    """2-D cross-correlation over NCHW input with an [K, C, kh, kw] kernel,
+    followed by a ReLU when ``relu`` is set."""
     n, c, h, w, k, kh, kw = _conv_shapes("conv2d", x, weight, bias)
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise ShapeMismatchError(
@@ -543,7 +576,7 @@ def conv2d(
     if stride < 1:
         raise ValueError("conv2d: stride must be >= 1")
     if stride == 1:
-        return upsample_conv2d(x, weight, bias, 1, padding)
+        return upsample_conv2d(x, weight, bias, 1, padding, relu)
 
     s = int(stride)
     ho, wo, hs, ws, phases, taps = _phase_plan(h, w, kh, kw, s, padding)
@@ -566,15 +599,20 @@ def conv2d(
         y[...] = yv
     else:
         np.add(yv, bias.data[:, None, None], out=y)
+    if relu:
+        np.maximum(y, 0.0, out=y)
 
     def fn(g):
+        if relu:
+            g = g * (y > 0.0)
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         gk = np.zeros((k, n, hs, ws), dtype=g.dtype)
         gk[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
         gf = gk.reshape(k, m)[:, :span]
         if weight.requires_grad:
-            _accum(weight, _mm(gf, _tap_columns(xph, taps, span).T).reshape(k, c, kh, kw))
+            dw = _mm(_tap_columns(xph, taps, span), gf.T).T
+            _accum(weight, dw.reshape(k, c, kh, kw))
         if x.requires_grad:
             dcols = _mm(wm.T, gf).reshape(c, kh * kw, span)
             dxph = np.zeros((c, s, s, m), dtype=g.dtype)
@@ -612,9 +650,11 @@ def upsample_conv2d(
     bias: Tensor | None = None,
     factor: int = 1,
     padding: int = 0,
+    relu: bool = False,
 ) -> Tensor:
     """``conv2d(upsample_nearest(x, factor), weight, bias, padding=padding)``
-    computed at the input resolution, without the upsampled tensor."""
+    computed at the input resolution, without the upsampled tensor, and
+    followed by a ReLU when ``relu`` is set."""
     n, c, h, w, k, kh, kw = _conv_shapes("upsample_conv2d", x, weight, bias)
     if factor < 1:
         raise ValueError("upsample factor must be >= 1")
@@ -632,71 +672,76 @@ def upsample_conv2d(
     cols, col_taps = _axis_phases(kw, f, padding)
     top, left = max(0, -rows[0][0]), max(0, -cols[0][0])
     hp, wp = top + max(h, hq + rows[-1][0]), left + max(w, wq + cols[-1][0])
-    xp = _zero_pad(x.data, top, left, hp, wp)
-    # offset (dy, dx) reads xf[:, :, s : s + span] with s = (dy + top) * wp +
-    # dx + left; the last offset's slice ends exactly at the last padded pixel
+    # offset (dy, dx) reads a padded block's [:, :, s : s + span] with s =
+    # (dy + top) * wp + dx + left; the last offset's slice ends exactly at
+    # the last padded pixel
     span = (hq - 1) * wp + wq
-    xf = xp.reshape(n, c, hp * wp)
     offsets = [((dy + top) * wp + dx + left, pa, pb, ra, rb)
                for dy, pa, ra in rows for dx, pb, rb in cols]
+    dtype = x.data.dtype
     # ws[ra, rb] stacks the folded (K, C) kernels of the phases that read an
     # offset. fold has one row per (row phase, column phase) pair of every
     # offset, with a 1 for each tap that lands there; at factor 1 it is the
     # identity, and each offset reads one tap's kernel as it is
-    wt = weight.data.astype(xp.dtype, copy=False).transpose(2, 3, 0, 1)
+    wt = weight.data.astype(dtype, copy=False).transpose(2, 3, 0, 1)
     if f == 1:
         fold = None
         ws = np.ascontiguousarray(wt)
     else:
-        fold = (np.array(row_taps, dtype=xp.dtype)[:, None, :, None]
-                * np.array(col_taps, dtype=xp.dtype)[None, :, None, :]).reshape(-1, kh * kw)
+        fold = (np.array(row_taps, dtype=dtype)[:, None, :, None]
+                * np.array(col_taps, dtype=dtype)[None, :, None, :]).reshape(-1, kh * kw)
         ws = _mm(fold, wt.reshape(kh * kw, k * c))
         ws = ws.reshape(len(row_taps), len(col_taps), k, c)
-    blocks = _image_blocks(n, max(c * hp, f * f * k * hq) * wp * xp.itemsize)
+    blocks = _image_blocks(n, max(c * hp, f * f * k * hq) * wp * dtype.itemsize)
 
-    y6 = np.empty((n, k, hq, f, wq, f), dtype=xp.dtype)
-    for blk in blocks:
-        nb = min(blk.stop, n) - blk.start
-        acc = np.zeros((nb, f, f, k, hq * wp), dtype=xp.dtype)
+    y6 = np.empty((n, k, hq, f, wq, f), dtype=dtype)
+    for blk, xb in _padded_blocks(x.data, blocks, top, left, hp, wp):
+        nb = len(xb)
+        acc = np.zeros((nb, f, f, k, hq * wp), dtype=dtype)
         for s, pa, pb, ra, rb in offsets:
             phases = acc[:, pa, pb, :, :span]
-            phases += _mm(ws[ra, rb].reshape(-1, c), xf[blk, :, s : s + span]).reshape(phases.shape)
+            phases += _mm(ws[ra, rb].reshape(-1, c), xb[:, :, s : s + span]).reshape(phases.shape)
         y6[blk] = acc.reshape(nb, f, f, k, hq, wp)[..., :wq].transpose(0, 3, 4, 1, 5, 2)
     y = y6.reshape(n, k, hq * f, wq * f)
     if (hq * f, wq * f) != (ho, wo):
         y = np.ascontiguousarray(y[:, :, :ho, :wo])
     if bias is not None:
         y += bias.data[:, None, None]
+    if relu:
+        np.maximum(y, 0.0, out=y)
 
     def fn(g):
+        if relu:
+            g = g * (y > 0.0)
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         g6 = _zero_pad(g, 0, 0, hq * f, wq * f).reshape(n, k, hq, f, wq, f)
         dws = np.zeros_like(ws) if weight.requires_grad else None
-        dxf = np.zeros((n, c, hp * wp), dtype=g.dtype) if x.requires_grad else None
-        for blk in blocks:
-            nb = min(blk.stop, n) - blk.start
+        dx = np.empty((n, c, h, w), dtype=g.dtype) if x.requires_grad else None
+        for blk, xb in _padded_blocks(x.data, blocks, top, left, hp, wp):
+            nb = len(xb)
             gp = np.zeros((nb, f, f, k, hq, wp), dtype=g.dtype)
             gp[..., :wq] = g6[blk].transpose(0, 3, 5, 1, 2, 4)
             gp = gp.reshape(nb, f, f, k, hq * wp)
             gss = [gp[:, pa, pb].reshape(nb, -1, hq * wp)[..., :span]
                    for _, pa, pb, _, _ in offsets]
             # one loop per gradient, so that the dw products keep the
-            # block's input in cache
+            # block's padded input in cache
             if weight.requires_grad:
                 for (s, _, _, ra, rb), gs in zip(offsets, gss):
-                    dw = _mm(xf[blk, :, s : s + span], gs.transpose(0, 2, 1)).sum(axis=0).T
+                    dw = _mm(xb[:, :, s : s + span], gs.transpose(0, 2, 1)).sum(axis=0).T
                     dws[ra, rb] += dw.reshape(dws[ra, rb].shape)
             if x.requires_grad:
+                dxb = np.zeros((nb, c, hp * wp), dtype=g.dtype)
                 for (s, _, _, ra, rb), gs in zip(offsets, gss):
-                    dxf[blk, :, s : s + span] += _mm(ws[ra, rb].reshape(-1, c).T, gs)
+                    dxb[:, :, s : s + span] += _mm(ws[ra, rb].reshape(-1, c).T, gs)
+                dx[blk] = dxb.reshape(nb, c, hp, wp)[:, :, top : top + h, left : left + w]
         if weight.requires_grad:
             # each folded kernel's gradient goes back to the taps it sums
             dw = dws if fold is None else _mm(fold.T, dws.reshape(len(fold), k * c))
             _accum(weight, dw.reshape(kh, kw, k, c).transpose(2, 3, 0, 1))
         if x.requires_grad:
-            dxp = dxf.reshape(n, c, hp, wp)
-            _accum(x, dxp[:, :, top : top + h, left : left + w])
+            _accum(x, dx)
 
     return _op(y, fn, x, weight, bias)
 

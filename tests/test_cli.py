@@ -476,8 +476,11 @@ def test_checkpoint_with_removed_upsample_key_is_data_error(workspace, tmp_path,
         "stage-width-100000", "features-1025", "embedding-1025"])
 def test_bad_model_shape_is_usage_error_before_reading_data(workspace, tmp_path, capsys,
                                                             monkeypatch, line, key):
+    # a row that sets the resolution itself must fail on its value, not on
+    # a key set twice
+    template = "" if "model.input_resolution" in line else "model.input_resolution = 32\n"
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"model.input_resolution = 32\n{line}\ntrain.epochs = 0\n")
+    cfg.write_text(f"{template}{line}\ntrain.epochs = 0\n")
 
     def read_dataset(*args, **kwargs):
         raise AssertionError("dataset read before the config was checked")
@@ -487,6 +490,7 @@ def test_bad_model_shape_is_usage_error_before_reading_data(workspace, tmp_path,
                  "--out", str(tmp_path / "x.ckpt")]) == 1
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    assert "set a second time" not in err
 
 
 @pytest.mark.parametrize("line,key", [

@@ -278,20 +278,25 @@ def test_model_built_from_state_takes_its_arrays(precision):
 
 def test_train_shard_backward_peak_memory():
     """One b8 f32 multimodal forward and backward at 64x64, the unit a train
-    worker runs, peaks below 55 MB: the replay frees each node once passed,
-    and the strided convs keep their phase images, not their columns."""
+    worker runs, keeps below 30 MB after its forward and peaks below 40 MB:
+    each conv and its ReLU keep one output, the stride-1 convs keep no
+    padded copy of their input, the strided convs keep their phase images,
+    not their columns, and the replay frees each node once passed."""
     cfg = RunConfig(variant="multimodal", precision="f32")
     model = GazeTargetModel(cfg)
     batch = build_batch(D.generate_dataset(D.SceneSpec(seed=3), 8), cfg)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        T.backward(compute_losses(model(batch), batch, cfg).total)
+        loss = compute_losses(model(batch), batch, cfg).total
+        kept = tracemalloc.get_traced_memory()[0] - base
+        T.backward(loss)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert all(p.grad is not None for p in model.parameters())
-    assert peak < 55e6, peak / 1e6
+    assert kept < 30e6, kept / 1e6
+    assert peak < 40e6, peak / 1e6
 
 
 def test_loss_decreases_over_training(tiny_sets):

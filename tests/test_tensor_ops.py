@@ -137,17 +137,19 @@ def _no_grad_peak(op):
 
 
 def test_conv2d_forward_peak_memory_stays_near_its_arrays():
-    """No_grad 3x3 forwards at b16, 64x64, f32 allocate less than twice their
-    input plus output bytes: 32->16, HeatmapHead.conv1 applied to an
-    upsampled map (the model folds that upsample into conv1 instead), and
-    16->8, HeatmapHead.conv2's shape."""
+    """No_grad 3x3 forwards with a fused ReLU at b16, 64x64, f32 allocate
+    less than 0.8 times their input plus output bytes: the output and one
+    padded block of images, with no padded copy of the batch and no second
+    output for the ReLU. The shapes are 32->16, HeatmapHead.conv1 applied
+    to an upsampled map (the model folds that upsample into conv1 instead),
+    and 16->8, HeatmapHead.conv2's shape."""
     rng = np.random.default_rng(5)
     for c, k in ((32, 16), (16, 8)):
         x = Tensor(rng.normal(size=(16, c, 64, 64)).astype(np.float32))
         w = Tensor(rng.normal(size=(k, c, 3, 3)).astype(np.float32))
         b = Tensor(np.zeros(k, dtype=np.float32))
-        out, peak = _no_grad_peak(lambda: T.conv2d(x, w, b, padding=1))
-        assert peak < 2 * (x.data.nbytes + out.data.nbytes), (c, k)
+        out, peak = _no_grad_peak(lambda: T.conv2d(x, w, b, padding=1, relu=True))
+        assert peak < 0.8 * (x.data.nbytes + out.data.nbytes), (c, k, peak)
 
 
 def test_strided_conv2d_forward_peak_memory_stays_near_its_arrays():
@@ -203,6 +205,46 @@ def test_upsample_conv2d_forward_peak_memory_stays_near_its_arrays():
     out, peak = _no_grad_peak(lambda: T.upsample_conv2d(x, w, b, factor=4, padding=1))
     assert out.shape == (16, 16, 64, 64)
     assert peak < 2 * (x.data.nbytes + out.data.nbytes)
+
+
+# The model's 16 conv shapes at its default 64x64 input: (C, K, kernel,
+# input size, stride, upsample factor). A 3x3 kernel is padded by 1.
+_MODEL_CONVS = [
+    (3, 16, 3, 64, 2, 1), (5, 16, 3, 64, 2, 1), (16, 32, 3, 32, 2, 1), (32, 64, 3, 16, 2, 1),
+    (64, 128, 3, 8, 2, 1), (32, 32, 3, 16, 2, 1), (32, 32, 3, 8, 2, 1), (32, 32, 3, 4, 2, 1),
+    (128, 32, 1, 4, 1, 1), (64, 32, 1, 8, 1, 1), (32, 32, 1, 16, 1, 1), (32, 32, 3, 8, 1, 1),
+    (32, 32, 3, 16, 1, 1), (16, 8, 3, 64, 1, 1), (8, 1, 3, 64, 1, 1), (32, 16, 3, 16, 1, 4),
+]
+
+
+@pytest.mark.parametrize("dtype,batch", [(np.float32, 8), (np.float64, 32)],
+                         ids=["b8-f32", "b32-f64"])
+@pytest.mark.parametrize("c,k,kernel,h,stride,factor", _MODEL_CONVS,
+                         ids=[f"{c}-{k}-{kn}x{kn}-at{h}-s{s}-f{f}"
+                              for c, k, kn, h, s, f in _MODEL_CONVS])
+def test_fused_relu_is_bitwise_relu_of_conv(c, k, kernel, h, stride, factor, dtype, batch):
+    """``relu=True`` gives the bytes of ``relu(conv(...))``: the output and
+    the gradients of x, w and b."""
+    rng = np.random.default_rng(c * 1000 + k * 10 + h)
+    x = rng.normal(size=(batch, c, h, h)).astype(dtype)
+    w = (rng.normal(size=(k, c, kernel, kernel)) / np.sqrt(c * kernel * kernel)).astype(dtype)
+    b = rng.normal(size=k).astype(dtype)
+    ho = h * factor // stride
+    r = Tensor(rng.normal(size=(batch, k, ho, ho)).astype(dtype))
+
+    def run(fused):
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = T.upsample_conv2d(xt, wt, bt, factor, kernel // 2, relu=fused) if factor > 1 \
+            else T.conv2d(xt, wt, bt, stride, kernel // 2, relu=fused)
+        out = out if fused else T.relu(out)
+        T.backward(T.tsum(T.mul(out, r)))
+        return out.data, xt.grad, wt.grad, bt.grad
+
+    fused, plain = run(True), run(False)
+    assert 0.0 < (fused[0] > 0).mean() < 1.0   # the mask cuts somewhere
+    for name, got, want in zip(("out", "dx", "dw", "db"), fused, plain):
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_upsample_conv2d_rejects_bad_shapes():
