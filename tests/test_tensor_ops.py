@@ -234,9 +234,12 @@ def test_fused_relu_is_bitwise_relu_of_conv(c, k, kernel, h, stride, factor, dty
 
     def run(fused):
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-        out = T.upsample_conv2d(xt, wt, bt, factor, kernel // 2, relu=fused) if factor > 1 \
-            else T.conv2d(xt, wt, bt, stride, kernel // 2, relu=fused)
-        out = out if fused else T.relu(out)
+        if factor > 1:
+            out = T.upsample_conv2d(xt, wt, bt, factor, kernel // 2, relu=fused)
+        else:
+            out = T.conv2d(xt, wt, bt, stride, kernel // 2, relu=fused)
+        if not fused:
+            out = T.relu(out)
         T.backward(T.tsum(T.mul(out, r)))
         return out.data, xt.grad, wt.grad, bt.grad
 
