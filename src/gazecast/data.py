@@ -38,7 +38,7 @@ from .errors import DatasetError, DomainError, GazecastError
 from .geometry import EyePoint, GazeVector2D, HeadBox, pixel_centers
 from .parallel import usable_cpus
 from .serialization import atomic_write
-from .tensor import read_tensor, write_tensor
+from .tensor import read_tensor, resize_nearest, write_tensor
 
 IN_CONE_COS = 0.5          # checker threshold: candidate counts as "in cone"
 CLEAR_MARGIN_COS = 0.35    # generator keeps non-targets below this
@@ -326,6 +326,11 @@ def _far_from(point: np.ndarray, others: list[tuple[np.ndarray, float]],
     return True
 
 
+def _toward(eye: np.ndarray, point: np.ndarray) -> np.ndarray:
+    v = point - eye
+    return v / np.linalg.norm(v)
+
+
 def generate_scene(spec: SceneSpec, sample_id: int = 0) -> SceneSample:
     """Render one sample; bit-identical for identical (spec, sample_id)."""
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, sample_id)))
@@ -351,12 +356,7 @@ def generate_scene(spec: SceneSpec, sample_id: int = 0) -> SceneSample:
     target_person: PersonInfo | None = None
     extended_hand: np.ndarray | None = None
 
-    for attempt in range(_MAX_ATTEMPTS + 1):
-        if attempt == _MAX_ATTEMPTS:
-            raise DatasetError(
-                f"no feasible target placement after {_MAX_ATTEMPTS} attempts "
-                f"(rule={rule}, sample={sample_id})"
-            )
+    for _ in range(_MAX_ATTEMPTS):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         direction = np.array([math.cos(theta), math.sin(theta)])
         eye = subject_center + 0.35 * (head_r / res) * direction
@@ -364,7 +364,6 @@ def generate_scene(spec: SceneSpec, sample_id: int = 0) -> SceneSample:
         if out_of_frame:
             # gaze aims past the frame border; nothing is placed in the cone
             gaze_dir = direction
-            target_point = None
             break
 
         if rule in ("object", "depth_distractor"):
@@ -375,13 +374,12 @@ def generate_scene(spec: SceneSpec, sample_id: int = 0) -> SceneSample:
             obj_r = float(rng.uniform(2.5, 4.5)) * px_scale
             if not _far_from(candidate, placed, obj_r, res):
                 continue
-            gaze_dir = (candidate - eye) / np.linalg.norm(candidate - eye)
+            gaze_dir = _toward(eye, candidate)
             target_point = candidate
             objects.append(ObjectInfo(candidate, obj_r, subject_layer,
                                       rng.uniform(0.5, 1.0, size=3)))
             placed.append((candidate, obj_r))
             if rule == "depth_distractor":
-                ok = False
                 for _ in range(_MAX_ATTEMPTS):
                     # distance drawn from the same marginal as the target, so
                     # raw-image geometry carries no depth shortcut
@@ -397,9 +395,8 @@ def generate_scene(spec: SceneSpec, sample_id: int = 0) -> SceneSample:
                     objects.append(ObjectInfo(other, r2, layer2,
                                               rng.uniform(0.5, 1.0, size=3)))
                     placed.append((other, r2))
-                    ok = True
                     break
-                if not ok:
+                else:
                     objects.clear()
                     placed[:] = [(subject_center, 2.0 * head_r)]
                     continue
@@ -413,7 +410,7 @@ def generate_scene(spec: SceneSpec, sample_id: int = 0) -> SceneSample:
                 continue
             if not _far_from(head2, placed, 2.5 * r2, res):
                 continue
-            gaze_dir = (head2 - eye) / np.linalg.norm(head2 - eye)
+            gaze_dir = _toward(eye, head2)
             target_point = head2
             facing2 = _unit(rng.normal(size=2), rng)
             target_person = _build_person(head2, r2, subject_layer, facing2, res, rng)
@@ -425,10 +422,13 @@ def generate_scene(spec: SceneSpec, sample_id: int = 0) -> SceneSample:
             hand = eye + reach * direction
             if not np.all((hand > 0.05) & (hand < 0.95)):
                 continue
-            gaze_dir = (hand - eye) / np.linalg.norm(hand - eye)
+            gaze_dir = _toward(eye, hand)
             target_point = hand
             extended_hand = hand
             break
+    else:
+        raise DatasetError(f"no feasible target placement after {_MAX_ATTEMPTS} attempts "
+                           f"(rule={rule}, sample={sample_id})")
 
     # subject (built after gaze_dir is fixed so the facing encodes it)
     subject = _build_person(subject_center, head_r, subject_layer, gaze_dir, res, rng,
@@ -784,16 +784,6 @@ def _sample_from_record(rec: dict, tensor_dir, names: dict[str, str],
                        in_frame=int(in_frame), oracle_gaze_dir=gaze_dir, sample_id=rec_id)
 
 
-def resize_nearest(img: np.ndarray, out_res: int) -> np.ndarray:
-    """Nearest-neighbor resize of a (C, H, W) image to (C, out_res, out_res)."""
-    h, w = img.shape[-2:]
-    if (h, w) == (out_res, out_res):
-        return img
-    rows = np.floor((np.arange(out_res) + 0.5) * h / out_res).astype(int)
-    cols = np.floor((np.arange(out_res) + 0.5) * w / out_res).astype(int)
-    return img[:, rows][:, :, cols]
-
-
 def crop_head(sample: SceneSample, source: str = "raw", crop_resolution: int = 64) -> np.ndarray:
     """Axis-aligned head crop of a modality, nearest-resized to a square."""
     img = sample.modality(source)
@@ -803,4 +793,4 @@ def crop_head(sample: SceneSample, source: str = "raw", crop_resolution: int = 6
     x1 = max(x0 + 1, min(int(math.ceil(box.x_max * res)), res))
     y0 = max(0, min(int(math.floor(box.y_min * res)), res - 1))
     y1 = max(y0 + 1, min(int(math.ceil(box.y_max * res)), res))
-    return resize_nearest(img[:, y0:y1, x0:x1], crop_resolution)
+    return resize_nearest(img[:, y0:y1, x0:x1], crop_resolution, crop_resolution)

@@ -14,7 +14,7 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .config import RunConfig
-from .data import SceneSample, crop_head, resize_nearest
+from .data import SceneSample, crop_head
 from .encoders import GazeSubnet, SceneExtractor, concat_modality_inputs
 from .errors import ModelOutputError
 from .fusion import (AttentionFusion, DropoutPlan, EMPTY_PLAN, LateFusionInject,
@@ -59,14 +59,13 @@ def sample_features(sample: SceneSample, cfg: RunConfig) -> dict:
     Modality images are nearest-resized to the configured input resolution
     when the dataset was rendered at a different one.
     """
-    dt = cfg.dtype
+    dt, res = cfg.dtype, cfg.input_resolution
     feats = {
-        "images": {m: resize_nearest(sample.modality(m), cfg.input_resolution).astype(dt)
+        "images": {m: T.resize_nearest(sample.modality(m), res, res).astype(dt)
                    for m in cfg.modalities},
-        "crop": crop_head(sample, cfg.head_crop_source, cfg.input_resolution).astype(dt),
+        "crop": crop_head(sample, cfg.head_crop_source, res).astype(dt),
         "eye": np.array([sample.eye.x, sample.eye.y]),
-        "mask": render_head_mask(sample.head_box, cfg.input_resolution,
-                                 cfg.input_resolution)[None].astype(dt),
+        "mask": render_head_mask(sample.head_box, res, res)[None].astype(dt),
         "in_frame": float(sample.in_frame),
     }
     if sample.in_frame:

@@ -474,17 +474,6 @@ def _image_blocks(n: int, image_bytes: int) -> list[slice]:
     return [slice(b, min(b + nb, n)) for b in range(0, n, nb)]
 
 
-def _zero_pad(a: np.ndarray, top: int, left: int, hp: int, wp: int) -> np.ndarray:
-    """NCHW ``a`` placed at (top, left) in zeros of spatial size (hp, wp);
-    ``a`` itself when it already has that size. It avoids ``np.pad``, whose
-    fixed cost per call dominates on small maps."""
-    if a.shape[2:] == (hp, wp):
-        return a
-    out = np.zeros(a.shape[:2] + (hp, wp), dtype=a.dtype)
-    out[:, :, top : top + a.shape[2], left : left + a.shape[3]] = a
-    return out
-
-
 def _padded_blocks(a: np.ndarray, blocks: list[slice], top: int, left: int, hp: int,
                    wp: int):
     """(block, its images of NCHW ``a`` placed at (top, left) in zeros of
@@ -715,7 +704,9 @@ def upsample_conv2d(
             g = g * (y > 0.0)
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
-        g6 = _zero_pad(g, 0, 0, hq * f, wq * f).reshape(n, k, hq, f, wq, f)
+        # g with the rows and columns cut from y put back as zeros
+        (_, gz), = _padded_blocks(g, [slice(0, n)], 0, 0, hq * f, wq * f)
+        g6 = gz.reshape(n, k, hq, f, wq, f)
         dws = np.zeros_like(ws) if weight.requires_grad else None
         dx = np.empty((n, c, h, w), dtype=g.dtype) if x.requires_grad else None
         for blk, xb in _padded_blocks(x.data, blocks, top, left, hp, wp):
@@ -756,15 +747,17 @@ def _block_sum(a: np.ndarray, f: int) -> np.ndarray:
     return out
 
 
-def _block_repeat(a: np.ndarray, f: int) -> np.ndarray:
-    """NCHW ``a`` with each pixel copied into an f x f block: ``a`` written
-    into each of the f*f strided sub-grids of the result."""
-    n, c, h, w = a.shape
-    out = np.empty((n, c, h * f, w * f), dtype=a.dtype)
-    for i in range(f):
-        for j in range(f):
-            out[:, :, i::f, j::f] = a
-    return out
+def resize_nearest(a: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """``a`` nearest-resampled on its last two axes to (out_h, out_w): on an
+    axis of input length n and output length m, output pixel i copies input
+    pixel floor((i + 0.5) * n / m), so an integer upscale copies each pixel
+    into a block. ``a`` itself when it already has that size."""
+    h, w = a.shape[-2:]
+    if (h, w) == (out_h, out_w):
+        return a
+    rows = np.floor((np.arange(out_h) + 0.5) * h / out_h).astype(np.intp)
+    cols = np.floor((np.arange(out_w) + 0.5) * w / out_w).astype(np.intp)
+    return a[..., rows, :][..., cols]
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
@@ -776,7 +769,7 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     def fn(g):
         _accum(x, _block_sum(g, f))
 
-    return _op(_block_repeat(x.data, f), fn, x)
+    return _op(resize_nearest(x.data, x.shape[2] * f, x.shape[3] * f), fn, x)
 
 
 def avg_pool2d(x: Tensor, factor: int) -> Tensor:
@@ -789,7 +782,7 @@ def avg_pool2d(x: Tensor, factor: int) -> Tensor:
     y /= f * f
 
     def fn(g):
-        _accum(x, _block_repeat(g / (f * f), f))
+        _accum(x, resize_nearest(g / (f * f), h, w))
 
     return _op(y, fn, x)
 
