@@ -429,6 +429,34 @@ def _whole_frame_shape(kind: str, res: int, args: tuple) -> np.ndarray:
     return np.hypot(gx - (p0[0] + t * dx), gy - (p0[1] + t * dy)) * res <= thickness_px
 
 
+def _resize_draws(rng: np.random.Generator):
+    """Non-square images and batches resized up, down, by non-integer
+    ratios, to one pixel and to their own size."""
+    for shape in ((2, 5, 7), (1, 3, 4, 6), (3, 9, 4), (2, 1, 3)):
+        a = rng.normal(size=shape)
+        for out in ((10, 14), (15, 21), (2, 3), (1, 1), (7, 5), (4, 11), shape[-2:]):
+            yield a, *out
+
+
+def _loop_resize(a: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Each output pixel copies the input pixel whose cell holds its centre,
+    the cell found by an integer scan: input pixel k of n covers
+    [k/n, (k+1)/n), and output pixel i of m has its centre at (2i+1)/(2m)."""
+    def cell(i: int, m: int, n: int) -> int:
+        return max(k for k in range(n) if 2 * k * m <= (2 * i + 1) * n)
+
+    h, w = a.shape[-2:]
+    out = np.empty(a.shape[:-2] + (out_h, out_w))
+    for i in range(out_h):
+        for j in range(out_w):
+            out[..., i, j] = a[..., cell(i, out_h, h), cell(j, out_w, w)]
+    return out
+
+
+def _same_shape_err(a: np.ndarray, b: np.ndarray) -> float:
+    return _max_abs_err(a, b) if a.shape == b.shape else math.inf
+
+
 ORACLE_CASES = (
     OracleCase("cone_vs_bruteforce", _cone_draws,
                lambda g, eye, aperture: G.cone_batch(Tensor(g.reshape(1, 2)), eye.reshape(1, 2),
@@ -448,6 +476,8 @@ ORACLE_CASES = (
                _containment_mask, tolerance=0.0),
     OracleCase("raster_window_vs_frame", _raster_draws, _window_vs_frame,
                _whole_frame_shape, tolerance=0.0),
+    OracleCase("resize_nearest_vs_loop", _resize_draws, T.resize_nearest, _loop_resize,
+               tolerance=0.0, error=_same_shape_err),
 )
 
 def run_checks() -> list[CheckResult]:

@@ -72,7 +72,8 @@ class RunConfig:
         if not (0.0 <= self.p_drop < 1.0):
             raise ConfigError(f"p_drop {self.p_drop} outside [0,1)")
         if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+            raise ConfigError(f"train.batch_size {self.batch_size} must be >= 1 and "
+                              f"train.epochs {self.epochs} >= 0")
         # optimizer, loss and target constants that would crash training or
         # silently fill a checkpoint with non-finite weights; NaN fails every
         # comparison, so each check is written to reject it

@@ -580,7 +580,9 @@ def write_dataset(samples: list[SceneSample], path) -> None:
 
     The tensor files are written in place, then the manifest through
     ``atomic_write``: an interrupted write leaves the previous manifest, never
-    a new one that names tensors which were not written.
+    a new one that names tensors which were not written. Once the manifest
+    is in place, the regular files under ``tensors/`` that it does not name,
+    such as those of an earlier, larger dataset, are removed.
     """
     os.makedirs(os.path.join(path, TENSOR_DIR), exist_ok=True)
     _write_manifest(path, [_write_sample(s, path) for s in samples])
@@ -691,6 +693,11 @@ def _write_sample(s: SceneSample, path) -> str:
 def _write_manifest(path, lines: list[str]) -> None:
     with atomic_write(os.path.join(path, MANIFEST_NAME)) as f:
         f.write("\n".join(lines) + ("\n" if lines else ""))
+    named = {rel for line in lines for rel in json.loads(line)["files"].values()}
+    with os.scandir(os.path.join(path, TENSOR_DIR)) as entries:
+        for entry in entries:
+            if entry.is_file(follow_symlinks=False) and _TENSOR_PREFIX + entry.name not in named:
+                os.remove(entry.path)
 
 
 def read_dataset(path, sample_id: int | None = None) -> list[SceneSample]:
@@ -759,7 +766,8 @@ def _sample_from_record(rec: dict, tensor_dir, names: dict[str, str],
                         sample_id: int | None) -> SceneSample | None:
     """One checked manifest record, with its files already checked as
     ``names``. Every field is checked; the tensors are decoded and a sample
-    returned only when ``sample_id`` is None or the record's id."""
+    returned only when ``sample_id`` is None or the record's id. Decoded
+    images must share one (3, R, R) shape with R >= 1 and be finite."""
     rec_id = rec["sample_id"]
     if type(rec_id) is not int:   # also rejects true and false
         raise ValueError(f"sample_id {rec_id!r} is not an integer")
@@ -780,6 +788,9 @@ def _sample_from_record(rec: dict, tensor_dir, names: dict[str, str],
     shapes = {img.shape for img in images.values()}
     if len(shapes) > 1 or any(len(s) != 3 or s[0] != 3 or s[1] != s[2] for s in shapes):
         raise ValueError(f"modality images must share one (3, R, R) shape, got {sorted(shapes)}")
+    for m, img in images.items():
+        if img.size == 0 or not np.isfinite(img).all():
+            raise ValueError(f"image {TENSOR_DIR}/{names[m]} is not finite with sides >= 1")
     return SceneSample(images=images, head_box=head_box, eye=eye, gaze_points=gaze_points,
                        in_frame=int(in_frame), oracle_gaze_dir=gaze_dir, sample_id=rec_id)
 

@@ -25,7 +25,7 @@ from gazecast.evaluate import SampleDump
 from gazecast.errors import DatasetError
 from gazecast.model import GazeTargetModel
 from gazecast.serialization import load_checkpoint, save_checkpoint
-from gazecast.tensor import write_tensor
+from gazecast.tensor import read_tensor, write_tensor
 
 
 def dir_hash(path):
@@ -83,6 +83,16 @@ def test_gen_deterministic_hash(tmp_path):
     assert main(["gen", "--spec", str(scene), "--out", str(tmp_path / "b"), "--count", "10"]) == 0
     assert dir_hash(tmp_path / "a") == dir_hash(tmp_path / "b")
 
+
+
+def test_gen_over_a_larger_dataset_leaves_one_its_readers_accept(workspace, tmp_path):
+    out = tmp_path / "data"
+    for count in ("6", "3"):
+        assert main(["gen", "--spec", str(workspace / "scene.cfg"), "--out", str(out),
+                     "--count", count]) == 0
+    assert len(os.listdir(out / "tensors")) == 9
+    assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--data", str(out),
+                 "--report", str(tmp_path / "r.json")]) == 0
 
 def test_gen_negative_count_is_usage_error(tmp_path):
     assert main(["gen", "--out", str(tmp_path / "neg"), "--count", "-1"]) == 1
@@ -297,6 +307,33 @@ def test_eval_empty_dataset_is_data_error(workspace, tmp_path):
                  "--report", str(tmp_path / "r.json")]) == 3
 
 
+
+def test_train_empty_dataset_is_data_error(tmp_path, capsys):
+    assert main(["gen", "--out", str(tmp_path / "empty"), "--count", "0"]) == 0
+    assert main(["train", "--data", str(tmp_path / "empty"),
+                 "--out", str(tmp_path / "x.ckpt")]) == 3
+    assert "dataset is empty" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_eval_with_no_in_frame_sample_is_data_error_before_the_forward(workspace, tmp_path,
+                                                                      capsys, monkeypatch):
+    scene = tmp_path / "scene.cfg"
+    scene.write_text("scene.resolution = 32\nscene.p_out_of_frame = 1\n")
+    assert main(["gen", "--spec", str(scene), "--out", str(tmp_path / "data"),
+                 "--count", "4"]) == 0
+
+    def evaluate_model(*args, **kwargs):
+        raise AssertionError("the model ran on a dataset with nothing to score")
+
+    monkeypatch.setattr("gazecast.cli.evaluate_model", evaluate_model)
+    report = tmp_path / "r.json"
+    assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--data", str(tmp_path / "data"),
+                 "--report", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert "no in-frame samples" in err and "Traceback" not in err
+    assert not report.exists()
+
 def test_infer_missing_sample(workspace, tmp_path):
     assert main(["infer", "--ckpt", str(workspace / "model.ckpt"),
                  "--data", str(workspace / "data"),
@@ -510,13 +547,17 @@ def test_bad_model_shape_is_usage_error_before_reading_data(workspace, tmp_path,
     ("metrics.binarization_radius = 0", "metrics.binarization_radius"),
     ("model.aperture = 0", "model.aperture"),
     ("model.aperture = 7", "model.aperture"),
+    ("train.batch_size = 0", "train.batch_size 0"),
+    ("train.epochs = -1", "train.epochs -1"),
 ], ids=["seed-negative", "lr-0", "lr-nan", "lr-inf", "beta1-1", "beta1-negative", "beta2-1",
         "epsilon-0", "weight-decay-inf", "weight-decay-negative", "lambda-gaze-negative",
-        "lambda-att-nan", "sigma-0", "radius-0", "aperture-0", "aperture-7"])
+        "lambda-att-nan", "sigma-0", "radius-0", "aperture-0", "aperture-7", "batch-size-0",
+        "epochs-negative"])
 def test_bad_training_constant_is_usage_error_before_reading_data(workspace, tmp_path, capsys,
                                                                   monkeypatch, line, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"model.input_resolution = 32\n{line}\ntrain.epochs = 0\n")
+    epochs = "" if line.startswith("train.epochs") else "train.epochs = 0\n"
+    cfg.write_text(f"model.input_resolution = 32\n{line}\n{epochs}")
 
     def read_dataset(*args, **kwargs):
         raise AssertionError("dataset read before the config was checked")
@@ -526,6 +567,7 @@ def test_bad_training_constant_is_usage_error_before_reading_data(workspace, tmp
                  "--out", str(tmp_path / "x.ckpt")]) == 1
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    assert "set a second time" not in err
 
 
 def test_checkpoint_with_bad_training_constant_is_data_error(workspace, tmp_path, capsys):
@@ -753,6 +795,36 @@ def test_bad_modality_tensor_is_data_error(workspace, tmp_path, capsys, modality
     err = capsys.readouterr().err
     assert "manifest.jsonl:2:" in err and "(3, R, R)" in err
 
+
+
+@pytest.mark.parametrize("command", ["eval", "train", "infer"])
+@pytest.mark.parametrize("fault", ["nan", "inf", "zero-size"])
+def test_dataset_image_that_is_not_finite_or_is_empty_is_data_error(workspace, tmp_path, capsys,
+                                                                    fault, command):
+    """Each decoded image is finite with sides >= 1. Record 2 gets one NaN
+    or +inf pixel in its first file, or (3, 0, 0) images in all its files;
+    every command that decodes it, ``infer`` of that sample too, exits 3
+    naming the manifest line and the file, and writes nothing."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    rec = json.loads((data / "manifest.jsonl").read_text().splitlines()[1])
+    first = next(iter(rec["files"].values()))
+    for rel in rec["files"].values():
+        img = read_tensor(data / rel)
+        if fault == "zero-size":
+            img = np.zeros((3, 0, 0))
+        elif rel == first:
+            img[1, 5, 7] = np.nan if fault == "nan" else np.inf
+        write_tensor(data / rel, img)
+    out = tmp_path / "out"
+    args = {"eval": ["eval", "--ckpt", str(workspace / "model.ckpt"), "--report", str(out)],
+            "train": ["train", "--out", str(out)],
+            "infer": ["infer", "--ckpt", str(workspace / "model.ckpt"),
+                      "--sample", str(rec["sample_id"]), "--render", str(out)]}[command]
+    assert main(args + ["--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert "manifest.jsonl:2:" in err and first in err and "Traceback" not in err
+    assert not out.exists()
 
 def test_usage_error_exit_code(tmp_path):
     assert main(["train", "--config", str(tmp_path / "missing.cfg"),

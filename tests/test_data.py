@@ -262,6 +262,35 @@ def test_interrupted_write_keeps_previous_manifest(tmp_path, mixed_samples, monk
     assert sorted(os.listdir(tmp_path)) == sorted([D.MANIFEST_NAME, D.TENSOR_DIR])
 
 
+
+def test_write_dataset_removes_tensor_files_its_manifest_does_not_name(tmp_path, mixed_samples):
+    """A smaller dataset written over a larger one reads back as itself; a
+    directory under tensors/ is not a regular file and stays."""
+    D.write_dataset(mixed_samples[:6], tmp_path)
+    (tmp_path / D.TENSOR_DIR / "keep").mkdir()
+    D.write_dataset(mixed_samples[:3], tmp_path)
+    names = [f"{i:08d}_{m}.gzt" for i in range(3) for m in mixed_samples[0].images]
+    assert sorted(os.listdir(tmp_path / D.TENSOR_DIR)) == sorted(names + ["keep"])
+    (tmp_path / D.TENSOR_DIR / "keep").rmdir()
+    assert [s.sample_id for s in D.read_dataset(tmp_path)] == [0, 1, 2]
+
+
+def test_dataset_without_manifest_is_typed_error(tmp_path, mixed_samples):
+    D.write_dataset(mixed_samples[:2], tmp_path)
+    (tmp_path / D.MANIFEST_NAME).unlink()
+    with pytest.raises(DatasetError, match="missing manifest.jsonl"):
+        D.read_dataset(tmp_path)
+
+
+def test_manifest_line_that_is_not_json_is_typed_error(tmp_path, mixed_samples):
+    D.write_dataset(mixed_samples[:3], tmp_path)
+    manifest = tmp_path / D.MANIFEST_NAME
+    lines = manifest.read_text().splitlines()
+    lines[1] = lines[1][:-1]   # the closing brace cut off
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match="manifest.jsonl:2: invalid JSON"):
+        D.read_dataset(tmp_path)
+
 def test_tampered_magic_is_typed_error(tmp_path, mixed_samples):
     D.write_dataset(mixed_samples[:3], tmp_path)
     victim = next((tmp_path / "tensors").iterdir())

@@ -218,6 +218,22 @@ def test_checkpoint_corrupt_and_mismatch(tmp_path):
         net.load_state_dict(bad_state)
 
 
+
+@pytest.mark.parametrize("fault,error", [("repeated-name", "expected 2 records, decoded 1"),
+                                         ("trailing-byte", "1 trailing bytes")])
+def test_checkpoint_with_repeated_name_or_trailing_bytes_is_typed_error(tmp_path, fault, error):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"wa": np.zeros(2), "wb": np.ones(3)}, "h", "")
+    raw = path.read_bytes()
+    if fault == "repeated-name":
+        assert raw.count(b"\x02\x00\x00\x00wb") == 1
+        raw = raw.replace(b"\x02\x00\x00\x00wb", b"\x02\x00\x00\x00wa")
+    else:
+        raw += b"\x00"
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match=error):
+        load_checkpoint(path)
+
 def test_atomic_write_that_raises_keeps_previous_file(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, {}, "h", "old")

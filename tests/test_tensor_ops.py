@@ -272,6 +272,18 @@ def test_conv2d_kernel_too_large():
         T.conv2d(x, w)
 
 
+
+@pytest.mark.parametrize("op", [
+    lambda x, w: T.conv2d(x, w, stride=0),
+    lambda x, w: T.upsample_conv2d(x, w, factor=0),
+    lambda x, w: T.upsample_nearest(x, 0),
+], ids=["conv2d-stride-0", "upsample-conv2d-factor-0", "upsample-nearest-factor-0"])
+def test_zero_stride_or_factor_is_rejected(op):
+    x = Tensor(np.ones((1, 1, 4, 4)))
+    w = Tensor(np.ones((1, 1, 3, 3)))
+    with pytest.raises(ValueError, match="(stride|factor) must be >= 1"):
+        op(x, w)
+
 def test_upsample_nearest_values():
     x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
     out = T.upsample_nearest(x, 2)
