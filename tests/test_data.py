@@ -105,6 +105,20 @@ def test_infeasible_spec_raises():
         D.SceneSpec(resolution=16)
 
 
+
+@pytest.mark.parametrize("rule,far_from", [
+    ("object", lambda point, others, *rest: False),
+    ("person", lambda point, others, *rest: False),
+    ("depth_distractor", lambda point, others, *rest: False),
+    # the target fits every time, its distractor never does
+    ("depth_distractor", lambda point, others, *rest: len(others) == 1),
+], ids=["object", "person", "depth-distractor", "no-room-for-distractor"])
+def test_scene_with_no_feasible_target_is_typed_error(monkeypatch, rule, far_from):
+    monkeypatch.setattr(D, "_far_from", far_from)
+    with pytest.raises(DatasetError, match=rf"no feasible target placement after "
+                                           rf"{D._MAX_ATTEMPTS} attempts \(rule={rule}, sample=3\)"):
+        D.generate_scene(D.SceneSpec(target_rule=rule, seed=1), 3)
+
 @pytest.mark.parametrize("field,bound", [
     ("n_objects", D.MAX_ITEMS), ("n_people", D.MAX_ITEMS),
     ("depth_layers", D.MAX_DEPTH_LAYERS), ("resolution", D.MAX_RESOLUTION),
