@@ -94,10 +94,8 @@ def _load_model(ckpt_path) -> GazeTargetModel:
 def cmd_eval(args) -> int:
     model = _load_model(args.ckpt)
     samples = D.read_dataset(args.data)
-    if not samples:
-        raise DatasetError(f"{args.data}: dataset is empty")
     if not any(s.in_frame for s in samples):
-        raise DatasetError(f"{args.data}: no in-frame samples to score")
+        raise DatasetError(f"{args.data}: no in-frame sample to score")
     report, dumps = evaluate_model(model, samples, oracle_heatmaps=args.oracle)
     with atomic_write(args.report) as f:
         f.write(report.to_json() + "\n")

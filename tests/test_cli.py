@@ -331,7 +331,7 @@ def test_eval_with_no_in_frame_sample_is_data_error_before_the_forward(workspace
     assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--data", str(tmp_path / "data"),
                  "--report", str(report)]) == 3
     err = capsys.readouterr().err
-    assert "no in-frame samples" in err and "Traceback" not in err
+    assert "no in-frame sample to score" in err and "Traceback" not in err
     assert not report.exists()
 
 def test_infer_missing_sample(workspace, tmp_path):
