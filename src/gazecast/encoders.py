@@ -16,7 +16,7 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .config import RunConfig
-from .errors import ModelOutputError, ShapeMismatchError
+from .errors import ModelOutputError
 from .tensor import Tensor
 
 @dataclass
@@ -27,16 +27,7 @@ class GazeSubnetOutput:
 
 def concat_modality_inputs(modality: Tensor, cone: Tensor, mask: Tensor) -> Tensor:
     """Channel-stack [modality(3), cone(1), mask(1)]; early-fusion input."""
-    for name, t, ch in (("modality", modality, 3), ("cone", cone, 1), ("mask", mask, 1)):
-        if t.shape[-3] != ch:
-            raise ShapeMismatchError(f"{name} image has {t.shape[-3]} channels, expected {ch}")
-    if not (modality.shape[-2:] == cone.shape[-2:] == mask.shape[-2:]):
-        raise ShapeMismatchError(
-            f"spatial mismatch: modality {modality.shape[-2:]}, cone {cone.shape[-2:]}, "
-            f"mask {mask.shape[-2:]}"
-        )
-    axis = modality.ndim - 3
-    return T.concat([modality, cone, mask], axis=axis)
+    return T.concat([modality, cone, mask], axis=modality.ndim - 3)
 
 
 class GazeSubnet(nn.Module):
@@ -52,8 +43,6 @@ class GazeSubnet(nn.Module):
         self.head = nn.Linear(cfg.embedding_size, 2, rng)
 
     def forward(self, crop: Tensor) -> GazeSubnetOutput:
-        if crop.ndim != 4 or crop.shape[1] != 3:
-            raise ShapeMismatchError(f"gaze subnet expects [N,3,H,W], got {crop.shape}")
         x = crop
         for stage in self.stages:
             x = stage(x, relu=True)
@@ -95,10 +84,6 @@ class SceneExtractor(nn.Module):
         self.smooth_quarter = nn.Conv2d(d, d, 3, rng, padding=1)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeMismatchError(
-                f"extractor expects [N,{self.in_channels},H,W], got {x.shape}"
-            )
         feats = []
         for stage in self.stages:
             x = stage(x, relu=True)

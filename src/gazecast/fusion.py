@@ -51,10 +51,6 @@ class ModalityEmbedder(nn.Module):
         self.project = nn.Linear(d, cfg.embedding_size, rng)
 
     def forward(self, fmap: Tensor) -> Tensor:
-        if fmap.shape[-1] < 8 or fmap.shape[-2] < 8:
-            raise ShapeMismatchError(
-                f"embedder needs spatial size >= 8 for three stride-2 convs, got {fmap.shape}"
-            )
         x = fmap
         for conv in self.convs:
             x = conv(x, relu=True)
@@ -114,14 +110,9 @@ class LateFusionInject(nn.Module):
         self.project = nn.Conv2d(map_channels + 2, map_channels, 1, rng)
 
     def forward(self, fmap: Tensor, cone: Tensor, mask: Tensor) -> Tensor:
-        h, w = fmap.shape[-2:]
-        ch, cw = cone.shape[-2:]
-        if ch % h or cw % w:
-            raise ShapeMismatchError(
-                f"cone resolution {(ch, cw)} is not an integer multiple of map {(h, w)}"
-            )
-        cone_small = T.avg_pool2d(cone, ch // h)
-        mask_small = T.avg_pool2d(mask, ch // h)
+        factor = cone.shape[-2] // fmap.shape[-2]
+        cone_small = T.avg_pool2d(cone, factor)
+        mask_small = T.avg_pool2d(mask, factor)
         stacked = T.concat([fmap, cone_small, mask_small], axis=1)
         return self.project(stacked)
 

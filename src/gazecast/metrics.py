@@ -73,8 +73,6 @@ def auc_score(pred_heatmap: np.ndarray, gt_points: list[tuple[float, float]],
               radius: float) -> float | None:
     """Heatmap AUC against the binarized ground truth; None (with a warning)
     when the mask degenerates to a single class."""
-    if not gt_points:
-        raise DomainError("auc_score needs at least one ground-truth point")
     img = np.asarray(pred_heatmap, dtype=np.float64)
     img = img.reshape(img.shape[-2], img.shape[-1])
     mask = binarize_gt(gt_points, img.shape[0], img.shape[1], radius)

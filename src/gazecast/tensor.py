@@ -330,9 +330,12 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join along ``axis``; the operands must agree on every other axis."""
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat of zero tensors")
+    if len({t.shape[:axis] + t.shape[axis:][1:] for t in tensors}) > 1:
+        raise ShapeMismatchError(f"concat on axis {axis}: shapes {[t.shape for t in tensors]}")
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
