@@ -59,8 +59,6 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     samples = D.read_dataset(args.data)
-    if not samples:
-        raise DatasetError(f"{args.data}: dataset is empty")
     init_states = []
     for path in args.init or []:
         state, _, _ = load_checkpoint(path)

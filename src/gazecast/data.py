@@ -693,27 +693,36 @@ def _write_sample(s: SceneSample, path) -> str:
 def _write_manifest(path, lines: list[str]) -> None:
     with atomic_write(os.path.join(path, MANIFEST_NAME)) as f:
         f.write("\n".join(lines) + ("\n" if lines else ""))
-    named = {rel for line in lines for rel in json.loads(line)["files"].values()}
-    with os.scandir(os.path.join(path, TENSOR_DIR)) as entries:
-        for entry in entries:
-            if entry.is_file(follow_symlinks=False) and _TENSOR_PREFIX + entry.name not in named:
-                os.remove(entry.path)
+    named = {rel[len(_TENSOR_PREFIX):] for line in lines
+             for rel in json.loads(line)["files"].values()}
+    for name in _tensor_files(path) - named:
+        os.remove(os.path.join(path, TENSOR_DIR, name))
+
+
+def _tensor_files(path) -> set[str]:
+    """Names of the regular files under the dataset's ``tensors/``; a
+    directory or a symlink there is not a tensor file and is not followed."""
+    tensor_dir = os.path.join(path, TENSOR_DIR)
+    if not os.path.isdir(tensor_dir):
+        return set()
+    with os.scandir(tensor_dir) as entries:
+        return {e.name for e in entries if e.is_file(follow_symlinks=False)}
 
 
 def read_dataset(path, sample_id: int | None = None) -> list[SceneSample]:
     """Read a dataset directory written by ``write_dataset``.
 
     Every manifest record is parsed and field-checked. Every file it names
-    must exist and be named by no other record, and the tensor directory
-    must hold exactly the named files. All samples are returned with their
-    tensors decoded; given ``sample_id``, only the samples with that id are
-    decoded and returned.
+    must be a regular file, not a symlink, and be named by no other record,
+    and the tensor directory must hold no other regular file. All samples
+    are returned with their tensors decoded; given ``sample_id``, only the
+    samples with that id are decoded and returned.
     """
     manifest = os.path.join(path, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise DatasetError(f"{path}: missing {MANIFEST_NAME}")
     tensor_dir = os.path.join(path, TENSOR_DIR)
-    tensor_files = set(os.listdir(tensor_dir)) if os.path.isdir(tensor_dir) else set()
+    tensor_files = _tensor_files(path)
     samples = []
     named: set[str] = set()
     with open(manifest, "rb") as f:

@@ -37,18 +37,24 @@ def atomic_write(path, mode: str = "w"):
     normally; if the block raises, it is removed and ``path`` is untouched.
 
     This guards against a failed or interrupted process, not a power loss:
-    the data is not fsync'ed.
+    the data is not fsync'ed. An error in creating or renaming the temporary
+    file is raised as the same OSError on ``path``, the name the caller gave.
     """
     path = os.fspath(path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{secrets.token_hex(6)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, mode) as f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:   # os.replace failed
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

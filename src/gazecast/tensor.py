@@ -23,6 +23,7 @@ their own leaves.
 
 from __future__ import annotations
 
+import os
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
@@ -859,7 +860,9 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as f:
+    """Write one record to ``path``, never through a symlink there."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW, 0o666)
+    with open(fd, "wb") as f:
         f.write(tensor_to_bytes(arr))
 
 

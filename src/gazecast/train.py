@@ -13,7 +13,7 @@ from . import nn
 from . import tensor as T
 from .config import RunConfig
 from .data import SceneSample
-from .errors import GazecastError
+from .errors import DatasetError, GazecastError
 from .fusion import DropoutPlan, sample_dropout_plan
 from .heads import LossBreakdown, sum_losses
 from .model import (Batch, GazeTargetModel, build_batch, compute_losses, drop_modalities,
@@ -32,6 +32,8 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
                 log=None) -> tuple[GazeTargetModel, str]:
     """Train a fresh model on ``samples`` for cfg.epochs; return it with
     its loss CSV text. Deterministic given (cfg, samples)."""
+    if not samples:
+        raise DatasetError("dataset is empty")
     model = GazeTargetModel(cfg)
     for state in init_states or []:
         # AdamW updates in place: the model trains copies, not the caller's arrays

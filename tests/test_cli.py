@@ -94,6 +94,34 @@ def test_gen_over_a_larger_dataset_leaves_one_its_readers_accept(workspace, tmp_
     assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--data", str(out),
                  "--report", str(tmp_path / "r.json")]) == 0
 
+def test_gen_into_a_dataset_with_a_subdirectory_leaves_one_its_readers_accept(workspace,
+                                                                             tmp_path):
+    out = tmp_path / "data"
+    (out / "tensors" / "sub").mkdir(parents=True)
+    assert main(["gen", "--spec", str(workspace / "scene.cfg"), "--out", str(out),
+                 "--count", "3"]) == 0
+    assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--data", str(out),
+                 "--report", str(tmp_path / "r.json")]) == 0
+    assert (out / "tensors" / "sub").is_dir()
+
+
+def test_dataset_file_that_is_a_symlink_is_not_read_or_written_through(workspace, tmp_path,
+                                                                       capsys):
+    out = tmp_path / "data"
+    shutil.copytree(workspace / "data", out)
+    outside = tmp_path / "outside.gzt"
+    link = out / "tensors" / "00000001_raw.gzt"
+    link.rename(outside)
+    link.symlink_to(outside)
+    before = outside.read_bytes()
+    assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--data", str(out),
+                 "--report", str(tmp_path / "r.json")]) == 3
+    assert "missing file tensors/00000001_raw.gzt" in capsys.readouterr().err
+    assert main(["gen", "--spec", str(workspace / "scene.cfg"), "--out", str(out),
+                 "--count", "3", "--seed", "5"]) == 1
+    assert outside.read_bytes() == before
+
+
 def test_gen_negative_count_is_usage_error(tmp_path):
     assert main(["gen", "--out", str(tmp_path / "neg"), "--count", "-1"]) == 1
     assert not (tmp_path / "neg").exists()
@@ -306,6 +334,30 @@ def test_eval_empty_dataset_is_data_error(workspace, tmp_path):
     assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--data", str(tmp_path / "empty"),
                  "--report", str(tmp_path / "r.json")]) == 3
 
+
+
+@pytest.mark.parametrize("command", ["eval-report-is-a-directory", "train-out-dir-missing"])
+def test_output_that_cannot_be_written_names_the_users_path(workspace, tmp_path, capsys,
+                                                            command):
+    if command.startswith("eval"):
+        target = tmp_path / "report"
+        target.mkdir()
+        argv = ["eval", "--ckpt", str(workspace / "model.ckpt"), "--data",
+                str(workspace / "data"), "--report", str(target)]
+    else:
+        target = tmp_path / "missing" / "x.ckpt"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text((workspace / "run.cfg").read_text().replace("train.epochs = 2",
+                                                                   "train.epochs = 1"))
+        argv = ["train", "--config", str(cfg), "--data", str(workspace / "data"),
+                "--out", str(target)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(target) in err and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert not target.is_dir() or list(target.iterdir()) == []
 
 
 def test_train_empty_dataset_is_data_error(tmp_path, capsys):

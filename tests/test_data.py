@@ -279,14 +279,38 @@ def test_interrupted_write_keeps_previous_manifest(tmp_path, mixed_samples, monk
 
 def test_write_dataset_removes_tensor_files_its_manifest_does_not_name(tmp_path, mixed_samples):
     """A smaller dataset written over a larger one reads back as itself; a
-    directory under tensors/ is not a regular file and stays."""
+    directory under tensors/ is not a tensor file: it stays and is not read."""
     D.write_dataset(mixed_samples[:6], tmp_path)
     (tmp_path / D.TENSOR_DIR / "keep").mkdir()
     D.write_dataset(mixed_samples[:3], tmp_path)
     names = [f"{i:08d}_{m}.gzt" for i in range(3) for m in mixed_samples[0].images]
     assert sorted(os.listdir(tmp_path / D.TENSOR_DIR)) == sorted(names + ["keep"])
-    (tmp_path / D.TENSOR_DIR / "keep").rmdir()
     assert [s.sample_id for s in D.read_dataset(tmp_path)] == [0, 1, 2]
+
+
+def test_symlink_under_tensors_is_neither_read_nor_written_through(tmp_path, mixed_samples):
+    """A symlink under tensors/ is not a tensor file: an unnamed one is not
+    counted or swept, a named one reads as a missing file, and a write to
+    its name fails instead of changing the file it points to."""
+    data = tmp_path / "data"
+    D.write_dataset(mixed_samples[:3], data)
+    tensors = data / D.TENSOR_DIR
+    outside = tmp_path / "outside.gzt"
+    D.write_tensor(outside, np.zeros((3, 4, 4)))
+    before = outside.read_bytes()
+    (tensors / "extra.gzt").symlink_to(outside)
+    assert len(D.read_dataset(data)) == 3
+    D.write_dataset(mixed_samples[:2], data)
+    assert (tensors / "extra.gzt").is_symlink()
+
+    named = tensors / "00000001_raw.gzt"
+    named.unlink()
+    named.symlink_to(outside)
+    with pytest.raises(DatasetError, match="missing file tensors/00000001_raw.gzt"):
+        D.read_dataset(data)
+    with pytest.raises(OSError):
+        D.write_dataset(mixed_samples[:3], data)
+    assert outside.read_bytes() == before and named.is_symlink()
 
 
 def test_dataset_without_manifest_is_typed_error(tmp_path, mixed_samples):

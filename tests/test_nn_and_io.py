@@ -129,6 +129,17 @@ def test_tensor_roundtrip(tmp_path, dtype):
     np.testing.assert_array_equal(back, arr)
 
 
+def test_write_tensor_does_not_write_through_a_symlink(tmp_path):
+    target = tmp_path / "elsewhere.gzt"
+    T.write_tensor(target, np.ones((2, 2)))
+    before = target.read_bytes()
+    link = tmp_path / "t.gzt"
+    link.symlink_to(target)
+    with pytest.raises(OSError):
+        T.write_tensor(link, np.zeros((2, 2)))
+    assert target.read_bytes() == before and link.is_symlink()
+
+
 def test_tensor_bad_magic(tmp_path):
     path = tmp_path / "bad.gzt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -250,3 +261,16 @@ def test_atomic_write_that_raises_keeps_previous_file(tmp_path):
         f.write("new")
     assert path.read_text() == "new"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+def test_atomic_write_errors_name_the_callers_path(tmp_path):
+    """A temporary file that cannot be created, or renamed over ``path``,
+    fails as an OSError on ``path`` and leaves no temporary file."""
+    (tmp_path / "report").mkdir()
+    for path in (tmp_path / "report", tmp_path / "missing" / "x.ckpt"):
+        with pytest.raises(OSError) as info:
+            with atomic_write(path) as f:
+                f.write("x")
+        assert info.value.filename == str(path) and ".tmp" not in str(info.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["report"]
+    assert list((tmp_path / "report").iterdir()) == []

@@ -12,7 +12,7 @@ from gazecast import nn
 from gazecast import tensor as T
 from gazecast.cli import SCENE_KEYS, _load_scene_spec
 from gazecast.config import RUN_KEYS, VARIANTS, RunConfig, config_from_text, load_config
-from gazecast.errors import ConfigError
+from gazecast.errors import ConfigError, DatasetError
 from gazecast.evaluate import evaluate_model
 from gazecast.model import GazeTargetModel, build_batch, compute_losses
 from gazecast.train import train_model
@@ -122,6 +122,11 @@ def test_variant_constraints():
     assert RunConfig(variant="no_skip").skip_connections is False
     with pytest.raises(ConfigError):
         RunConfig(variant="imaginary")
+
+
+def test_train_model_on_no_samples_is_data_error():
+    with pytest.raises(DatasetError, match="dataset is empty"):
+        train_model(small_cfg("multimodal"), [], log=print)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -531,6 +531,17 @@ def test_concat_then_slice_roundtrip(sizes, axis):
         off += s
 
 
+@pytest.mark.parametrize("shapes,axis", [
+    ([(2, 3, 8, 8), (2, 1, 4, 4)], 1),          # spatial sides differ
+    ([(2, 3, 8, 8), (1, 1, 8, 8)], 1),          # batch differs
+    ([(3, 8, 8), (1, 8, 6)], -3),               # negative axis, one side differs
+    ([(2, 4), (3, 4), (2, 5)], 0),
+], ids=["spatial", "batch", "negative-axis", "three-operands"])
+def test_concat_of_operands_that_differ_off_the_axis_is_shape_error(shapes, axis):
+    with pytest.raises(ShapeMismatchError, match=f"concat on axis {axis}"):
+        T.concat([Tensor(np.zeros(s)) for s in shapes], axis=axis)
+
+
 def test_avg_pool_constant():
     x = Tensor(np.full((1, 2, 8, 8), 0.37))
     out = T.avg_pool2d(x, 4)
