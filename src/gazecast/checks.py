@@ -74,7 +74,6 @@ def central_difference(f: Callable[[], float], flat: np.ndarray, i: int) -> floa
 
 def autodiff_grads(forward: Callable[[], Tensor], inputs: list[Tensor]) -> list[np.ndarray]:
     """Gradients of scalar ``forward()`` via the tape."""
-    T.fresh_tape()
     for t in inputs:
         t.grad = None
     loss = forward()
@@ -195,7 +194,6 @@ def _pipeline_draws(rng: np.random.Generator):
     samples = D.generate_dataset(D.SceneSpec(seed=17, resolution=32, n_objects=2), 2)
     model = GazeTargetModel(cfg)
     batch = build_batch(samples, cfg)
-    T.fresh_tape()
     T.backward(compute_losses(model(batch), batch, cfg).total)
 
     def loss_value() -> float:

@@ -550,8 +550,6 @@ def self_check(samples: list[SceneSample]) -> dict:
     """Generator sanity over a batch: oracle-consistency plus cone containment."""
     checked = mismatches = cone_violations = 0
     for s in samples:
-        if s.layout is None:
-            continue
         eye = s.eye.xy
         gdir = s.oracle_gaze_dir.xy
         recomputed = expected_target(s.layout, eye, gdir)

@@ -69,8 +69,6 @@ class GazeVector2D:
     @classmethod
     def of(cls, vx: float, vy: float) -> "GazeVector2D":
         n = math.hypot(vx, vy)
-        if n < 1e-12:
-            raise DomainError("cannot normalize a zero gaze vector")
         return cls(vx / n, vy / n)
 
     @property
@@ -104,8 +102,6 @@ def cone_batch(gaze: Tensor, eyes: np.ndarray, h: int, w: int,
     whose angular offset exceeds aperture/2 are zeroed; the pixel containing
     the eye is assigned 1. Output is [N, 1, h, w].
     """
-    if gaze.ndim != 2 or gaze.shape[1] != 2:
-        raise DomainError(f"gaze must be [N,2], got {gaze.shape}")
     n = gaze.shape[0]
     norms = np.linalg.norm(gaze.data, axis=1)
     if not np.all(np.isfinite(norms) & (norms >= 1e-12)):
@@ -174,8 +170,6 @@ def write_pgm(path, image: np.ndarray) -> None:
     """Binary PGM (P5, maxval 255) from a 2D float image in [0,1], written
     atomically."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"PGM writer expects a 2D image, got shape {img.shape}")
     data = np.rint(255.0 * np.clip(img, 0.0, 1.0)).astype(np.uint8)
     h, w = data.shape
     with atomic_write(path, "wb") as f:

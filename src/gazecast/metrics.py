@@ -133,8 +133,6 @@ def aggregate(per_sample: list[SampleDump], binarization_radius: float,
               config_hash: str = "") -> MetricsReport:
     """AUC/distances averaged over in-frame samples; AP and the mean
     attention weight of each modality over all samples."""
-    if not per_sample:
-        raise DomainError("cannot aggregate an empty evaluation set")
     in_frame = [s for s in per_sample if s.in_frame]
     if not in_frame:
         raise DomainError("no in-frame samples: AUC and distances undefined")

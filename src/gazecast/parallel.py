@@ -85,14 +85,15 @@ def run_shards(fn, n: int) -> list:
 
     ``worker`` is the index of the running thread, 0 for the calling one,
     so ``fn`` can keep per-thread state such as a model replica. Worker
-    threads start with the caller's context (``np.errstate`` among it) and
-    its tape's ``no_grad`` switch, and they empty their tapes when they end.
+    threads start in a copy of the caller's context (``np.errstate`` and
+    ``no_grad`` among it), and they empty their tapes when they end.
     A shard that raises stops every thread from starting a later shard, and
     earlier ones still run; once every thread is joined, the calling
     thread's tape is emptied and the error of the first failing shard in
-    shard order is raised, the same one a serial run meets first. With one
-    thread no thread is started: the calling thread runs the shards one
-    after another, with the same bytes.
+    shard order is raised, the same one a serial run meets first. An
+    interrupt of the calling thread empties its tape too. With one thread
+    no thread is started: the calling thread runs the shards one after
+    another, with the same bytes.
     """
     slices = shard_slices(n)
     results: list = [None] * len(slices)
@@ -109,16 +110,13 @@ def run_shards(fn, n: int) -> list:
             except Exception as exc:
                 errors[i] = exc
 
-    def start(worker: int, recording: bool) -> None:
-        T.tape().recording = recording
+    def start(worker: int) -> None:
         try:
             drain(worker)
         finally:
             T.fresh_tape()   # nobody can replay it once the thread ends
 
-    recording = T.tape().recording
-    threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(start, worker, recording))
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(start, worker))
                for worker in range(1, count)]
     try:
         for t in threads:
@@ -131,7 +129,8 @@ def run_shards(fn, n: int) -> list:
         for t in threads:
             if t.ident is not None:
                 t.join()
+        if errors:
+            T.fresh_tape()
     if errors:
-        T.fresh_tape()
         raise errors[min(errors)]
     return results

@@ -13,8 +13,10 @@ state: a tensor keeps the float32 or float64 dtype of the array it wraps
 (anything else becomes float64, so finite-difference checks are
 meaningful), and a model casts its parameters to ``RunConfig.precision``.
 
-Each thread records onto its own tape and has its own ``no_grad`` switch,
-so threads may run forward and backward passes concurrently. A loss can
+Each thread records onto its own tape, so threads may run forward and
+backward passes concurrently. ``no_grad`` holds for the context it is
+entered in: a thread started inside the block records unless it runs in a
+copy of that context, as ``parallel.run_shards``' workers do. A loss can
 only be backpropagated on the thread that built it. Tensors are safe to
 share across threads once produced, but gradients accumulate into leaf
 tensors without locking: threads that run backward at the same time need
@@ -23,6 +25,7 @@ their own leaves.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from contextlib import contextmanager
@@ -39,19 +42,19 @@ class Tape(threading.local):
     current thread.
 
     Nodes are (output tensor, backward closure) pairs appended during the
-    forward pass while ``recording`` is on. ``backward`` pops the nodes as it
+    forward pass outside ``no_grad``. ``backward`` pops the nodes as it
     replays them; ``fresh_tape()`` drops a graph that will not be replayed.
     """
 
     def __init__(self) -> None:
         self._nodes: list[tuple[Tensor, object]] = []
-        self.recording = True
 
     def __len__(self) -> int:
         return len(self._nodes)
 
 
 _TAPE = Tape()
+_RECORDING = contextvars.ContextVar("gazecast_recording", default=True)
 
 
 def tape() -> Tape:
@@ -67,14 +70,13 @@ def fresh_tape() -> Tape:
 
 @contextmanager
 def no_grad():
-    """Disable tape recording on the calling thread inside the block
+    """Disable tape recording in the current context inside the block
     (evaluation-only forwards)."""
-    prev = _TAPE.recording
-    _TAPE.recording = False
+    token = _RECORDING.set(False)
     try:
         yield
     finally:
-        _TAPE.recording = prev
+        _RECORDING.reset(token)
 
 
 class Tensor:
@@ -132,7 +134,7 @@ class Tensor:
 def _op(data: np.ndarray, fn, *inputs: Tensor | None) -> Tensor:
     """An op's output wrapping ``data``. It requires a gradient when an input
     does (``None`` inputs, such as an absent bias, are skipped), and then,
-    while the calling thread's tape records, ``(out, fn)`` is appended to it:
+    outside ``no_grad``, ``(out, fn)`` is appended to the calling thread's tape:
     ``fn(g)`` takes the gradient of ``out`` and accumulates into the inputs."""
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -141,7 +143,7 @@ def _op(data: np.ndarray, fn, *inputs: Tensor | None) -> Tensor:
     for t in inputs:
         if t is not None and t.requires_grad:
             out.requires_grad = True
-            if _TAPE.recording:
+            if _RECORDING.get():
                 _TAPE._nodes.append((out, fn))
             break
     return out
@@ -822,8 +824,6 @@ def tensor_to_bytes(arr: np.ndarray) -> bytes:
     arr = np.ascontiguousarray(arr)
     if arr.dtype not in _CODE_FOR:
         raise ValueError(f"unsupported dtype {arr.dtype}")
-    if arr.ndim > 255:
-        raise ValueError("rank exceeds u8")
     head = _MAGIC + bytes([_CODE_FOR[arr.dtype], arr.ndim])
     dims = np.asarray(arr.shape, dtype="<u4").tobytes()
     body = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()

@@ -54,29 +54,26 @@ def train_model(cfg: RunConfig, samples: list[SceneSample],
     step = 0
     # a diverging run overflows inside numpy; the checks on the model's
     # outputs, the loss and the final weights report it once, not numpy warnings
-    try:
-        with np.errstate(all="ignore"):
-            for epoch in range(cfg.epochs):
-                order = shuffle_rng.permutation(len(samples))
-                for start in range(0, len(samples), cfg.batch_size):
-                    idx = order[start : start + cfg.batch_size]
-                    batch = build_batch(None, cfg, cache=[feature_cache[i] for i in idx])
-                    plan = sample_dropout_plan(cfg.modalities, cfg.effective_p_drop, plan_rng)
-                    losses = sharded_backward(replicas, drop_modalities(batch, plan), plan)
-                    total = losses.total_value
-                    if not math.isfinite(total):
-                        raise TrainingDivergedError(
-                            f"non-finite loss {total} at step {step} (epoch {epoch})"
-                        )
-                    optimizer.step()
-                    model.zero_grad()
-                    step += 1
-                    csv_rows.append(f"{step},{losses.gaze!r},{losses.direction!r},"
-                                    f"{losses.inout!r},{losses.attention!r},{total!r}")
-                if log:
-                    log(f"epoch {epoch + 1}/{cfg.epochs}: loss {total:.6f}")
-    finally:
-        T.fresh_tape()
+    with np.errstate(all="ignore"):
+        for epoch in range(cfg.epochs):
+            order = shuffle_rng.permutation(len(samples))
+            for start in range(0, len(samples), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                batch = build_batch(None, cfg, cache=[feature_cache[i] for i in idx])
+                plan = sample_dropout_plan(cfg.modalities, cfg.effective_p_drop, plan_rng)
+                losses = sharded_backward(replicas, drop_modalities(batch, plan), plan)
+                total = losses.total_value
+                if not math.isfinite(total):
+                    raise TrainingDivergedError(
+                        f"non-finite loss {total} at step {step} (epoch {epoch})"
+                    )
+                optimizer.step()
+                model.zero_grad()
+                step += 1
+                csv_rows.append(f"{step},{losses.gaze!r},{losses.direction!r},"
+                                f"{losses.inout!r},{losses.attention!r},{total!r}")
+            if log:
+                log(f"epoch {epoch + 1}/{cfg.epochs}: loss {total:.6f}")
     for name, p in model.named_parameters():
         if not np.isfinite(p.data).all():
             # the last step's update overflowed: no later loss shows it
@@ -115,8 +112,6 @@ def sharded_backward(replicas: dict[int, GazeTargetModel], batch: Batch,
     params = model.parameters()
     for _, grads in parts:
         for p, g in zip(params, grads):
-            if g is None:
-                continue
             if p.grad is None:
                 p.grad = g
             else:

@@ -15,11 +15,11 @@ from gazecast import data as D
 from gazecast import parallel
 from gazecast import tensor as T
 from gazecast.cli import main
-from gazecast.config import RunConfig
+from gazecast.config import VARIANTS, RunConfig
 from gazecast.encoders import GazeSubnet
 from gazecast.errors import DatasetError, ModelOutputError
 from gazecast.evaluate import evaluate_model
-from gazecast.fusion import DropoutPlan
+from gazecast.fusion import EMPTY_PLAN, DropoutPlan
 from gazecast.model import GazeTargetModel, build_batch, compute_losses, drop_modalities
 from gazecast.train import sharded_backward, train_model
 
@@ -156,15 +156,52 @@ def test_interrupt_of_the_calling_thread_joins_every_thread(one_blas_thread, mon
 def test_workers_carry_errstate_and_no_grad(one_blas_thread, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     both_running = threading.Barrier(2, timeout=30)
+    leaf = T.Tensor(np.ones(3), requires_grad=True)
     seen = []
 
     def fn(worker, sl):
         both_running.wait()   # one shard per thread
-        seen.append((worker, np.geterr()["divide"], T.tape().recording))
+        T.scale(leaf, 2.0)    # recorded unless no_grad holds on this thread
+        seen.append((worker, np.geterr()["divide"], len(T.tape())))
 
     with np.errstate(divide="ignore"), T.no_grad():
         parallel.run_shards(fn, 16)
-    assert sorted(seen) == [(0, "ignore", False), (1, "ignore", False)]
+    assert sorted(seen) == [(0, "ignore", 0), (1, "ignore", 0)]
+
+
+def test_no_grad_does_not_reach_a_thread_started_without_its_context():
+    leaf = T.Tensor(np.ones(3), requires_grad=True)
+    seen = []
+
+    def record():
+        T.scale(leaf, 2.0)
+        seen.append(len(T.tape()))
+        T.fresh_tape()
+
+    with T.no_grad():
+        thread = threading.Thread(target=record)
+        thread.start()
+        thread.join()
+        T.scale(leaf, 2.0)
+    assert seen == [1] and len(T.tape()) == 0
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1", "2"])
+def test_interrupt_of_the_calling_thread_empties_its_tape(one_blas_thread, monkeypatch,
+                                                          thread_tapes, cpus):
+    """The calling thread records a node, then is interrupted: run_shards
+    leaves its tape empty, as it does for a failing shard."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    leaf = T.Tensor(np.ones(3), requires_grad=True)
+
+    def fn(worker, sl):
+        T.scale(leaf, 2.0)
+        if worker == 0:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        parallel.run_shards(fn, 2 * parallel.SHARD)
+    assert len(T.tape()) == 0 and set(thread_tapes) <= {0}
 
 
 @pytest.mark.parametrize("dropped,first_out", [(frozenset(), False),
@@ -198,6 +235,16 @@ def test_sharded_loss_and_gradient_match_the_whole_batch(scenes, dropped, first_
     assert recomputed == got.total_value   # the logged components give the total exactly
     for (name, a), b in zip(whole.named_parameters(), model.parameters()):
         np.testing.assert_allclose(b.grad, a.grad, rtol=1e-9, atol=1e-15, err_msg=name)
+
+
+@pytest.mark.parametrize("inout_head", [False, True], ids=["no-inout", "inout"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_sharded_step_leaves_a_gradient_on_every_parameter(scenes, variant, inout_head):
+    cfg = cfg32(variant=variant, inout_head=inout_head)
+    model = GazeTargetModel(cfg)
+    sharded_backward({0: model}, build_batch(scenes[:13], cfg), EMPTY_PLAN)
+    missing = [name for name, p in model.named_parameters() if p.grad is None]
+    assert missing == []
 
 
 def test_dropout_noise_does_not_depend_on_the_shards(scenes):
