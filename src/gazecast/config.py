@@ -127,6 +127,12 @@ class RunConfig:
             )
         if self.binarization_radius is None:
             object.__setattr__(self, "binarization_radius", 3.0 * self.sigma)
+        # pixels lie at most sqrt(2) * (hm - 1) apart: a radius that reaches
+        # that far makes every AUC mask single-class, whatever the labels
+        if self.binarization_radius * self.binarization_radius >= 2 * (hm - 1) ** 2:
+            raise ConfigError(f"metrics.binarization_radius {self.binarization_radius} (default "
+                              f"3 * data.sigma) must be below sqrt(2) * (model.heatmap_resolution"
+                              f" - 1) = {math.sqrt(2) * (hm - 1):.4g}")
 
     @property
     def dtype(self) -> np.dtype:

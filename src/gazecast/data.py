@@ -25,6 +25,7 @@ independently of depth layer, so raw carries no depth shortcut.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -582,7 +583,7 @@ def write_dataset(samples: list[SceneSample], path) -> None:
     is in place, the regular files under ``tensors/`` that it does not name,
     such as those of an earlier, larger dataset, are removed.
     """
-    os.makedirs(os.path.join(path, TENSOR_DIR), exist_ok=True)
+    _make_tensor_dir(path)
     _write_manifest(path, [_write_sample(s, path) for s in samples])
 
 
@@ -604,7 +605,7 @@ def write_generated(spec: SceneSpec, count: int, path) -> dict:
     takes longer than a typical request. They use no thread of the parent;
     OpenBLAS stops its thread pool around a fork itself.
     """
-    os.makedirs(os.path.join(path, TENSOR_DIR), exist_ok=True)
+    _make_tensor_dir(path)
     n = _share_count(count)
     children: dict[int, int] = {}   # pid -> read end of the pipe it answers on
     try:
@@ -697,11 +698,19 @@ def _write_manifest(path, lines: list[str]) -> None:
         os.remove(os.path.join(path, TENSOR_DIR, name))
 
 
+def _make_tensor_dir(path) -> None:
+    """Create the dataset's ``tensors/``; a symlink there is refused."""
+    tensor_dir = os.path.join(path, TENSOR_DIR)
+    if os.path.islink(tensor_dir):
+        raise OSError(errno.ELOOP, "refusing to write through a symlink", tensor_dir)
+    os.makedirs(tensor_dir, exist_ok=True)
+
+
 def _tensor_files(path) -> set[str]:
     """Names of the regular files under the dataset's ``tensors/``; a
-    directory or a symlink there is not a tensor file and is not followed."""
+    symlink or directory, there or as ``tensors`` itself, is not followed."""
     tensor_dir = os.path.join(path, TENSOR_DIR)
-    if not os.path.isdir(tensor_dir):
+    if os.path.islink(tensor_dir) or not os.path.isdir(tensor_dir):
         return set()
     with os.scandir(tensor_dir) as entries:
         return {e.name for e in entries if e.is_file(follow_symlinks=False)}

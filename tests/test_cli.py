@@ -2,6 +2,7 @@
 
 import contextlib
 import ctypes
+import dataclasses
 import hashlib
 import io
 import json
@@ -21,11 +22,12 @@ from gazecast.checks import GRAD_CASES, ORACLE_CASES, CheckResult, GradCase, Ora
 from gazecast.cli import main
 from gazecast.config import RunConfig
 from gazecast.data import read_dataset, write_dataset
-from gazecast.evaluate import SampleDump
 from gazecast.errors import DatasetError
+from gazecast.evaluate import SampleDump
+from gazecast.heads import sum_losses
 from gazecast.model import GazeTargetModel
 from gazecast.serialization import load_checkpoint, save_checkpoint
-from gazecast.tensor import read_tensor, write_tensor
+from gazecast.tensor import Tensor, read_tensor, write_tensor
 
 
 def dir_hash(path):
@@ -113,6 +115,31 @@ def test_dataset_file_that_is_a_symlink_is_not_read_or_written_through(workspace
     assert main(["gen", "--spec", str(workspace / "scene.cfg"), "--out", str(out),
                  "--count", "3", "--seed", "5"]) == 1
     assert outside.read_bytes() == before
+
+
+def test_symlinked_tensor_directory_is_neither_read_nor_written_through(workspace, tmp_path,
+                                                                         capsys):
+    """``data/tensors`` links to another dataset's tensors: readers find no
+    tensor file there, and ``gen`` refuses it before writing anything."""
+    other = tmp_path / "other"
+    shutil.copytree(workspace / "data", other)
+    before = dir_hash(other)
+    out = tmp_path / "data"
+    out.mkdir()
+    shutil.copy(other / "manifest.jsonl", out / "manifest.jsonl")
+    (out / "tensors").symlink_to(os.path.join("..", "other", "tensors"))
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--data", str(out),
+                 "--report", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "missing file tensors/00000000_" in err
+    assert err.count("\n") == 1
+    assert main(["gen", "--out", str(out), "--count", "2", "--seed", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / "tensors") in err and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert dir_hash(other) == before
+    assert (out / "manifest.jsonl").read_bytes() == (other / "manifest.jsonl").read_bytes()
 
 
 def test_gen_negative_count_is_usage_error(tmp_path):
@@ -589,13 +616,17 @@ def test_bad_model_shape_is_usage_error_before_reading_data(workspace, tmp_path,
     ("loss.lambda_att = nan", "loss.lambda_att"),
     ("data.sigma = 0", "data.sigma"),
     ("metrics.binarization_radius = 0", "metrics.binarization_radius"),
+    ("metrics.binarization_radius = 100", "metrics.binarization_radius"),
+    ("metrics.binarization_radius = inf", "metrics.binarization_radius"),
+    ("data.sigma = 30", "data.sigma"),
     ("model.aperture = 0", "model.aperture"),
     ("model.aperture = 7", "model.aperture"),
     ("train.batch_size = 0", "train.batch_size 0"),
     ("train.epochs = -1", "train.epochs -1"),
 ], ids=["seed-negative", "lr-0", "lr-nan", "lr-inf", "beta1-1", "beta1-negative", "beta2-1",
         "epsilon-0", "weight-decay-inf", "weight-decay-negative", "lambda-gaze-negative",
-        "lambda-att-nan", "sigma-0", "radius-0", "aperture-0", "aperture-7", "batch-size-0",
+        "lambda-att-nan", "sigma-0", "radius-0", "radius-covers-heatmap", "radius-inf",
+        "sigma-radius-covers-heatmap", "aperture-0", "aperture-7", "batch-size-0",
         "epochs-negative"])
 def test_bad_training_constant_is_usage_error_before_reading_data(workspace, tmp_path, capsys,
                                                                   monkeypatch, line, key):
@@ -650,7 +681,9 @@ def test_checkpoint_with_bad_model_shape_is_data_error(workspace, tmp_path, caps
     ("model.stage_channels = 16,32,64,1025", "model.stage_channels"),
     ("model.feature_channels = 1025", "model.feature_channels"),
     ("model.input_resolution = 528", "model.input_resolution"),
-], ids=["features-2", "embedding-0", "stage-width-1025", "features-1025", "input-528"])
+    ("metrics.binarization_radius = 43.9", "metrics.binarization_radius"),
+], ids=["features-2", "embedding-0", "stage-width-1025", "features-1025", "input-528",
+        "radius-covers-heatmap"])
 def test_checkpoint_with_zero_width_is_data_error(workspace, tmp_path, capsys, line, key):
     """A checkpoint whose embedded config names a width that builds no
     layer, or a size above its bound, under a hash that matches that text."""
@@ -1079,3 +1112,124 @@ def test_diverging_train_exits_2(no_direction, tmp_path, capsys, lr, precision,
                  "--out", str(tmp_path / "model.ckpt")]) == 2
     _one_line_failure(capsys, "train")
     assert os.listdir(tmp_path) == ["lr.cfg"]
+
+
+# -- input boundaries: each exits with its code and at most one stderr line --
+
+
+def _one_error_line(capsys, prefix) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def _eval(ckpt, data, tmp_path) -> int:
+    return main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                 "--report", str(tmp_path / "r.json")])
+
+
+def test_blank_manifest_lines_are_skipped(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    lines = (data / "manifest.jsonl").read_text().splitlines(keepends=True)
+    (data / "manifest.jsonl").write_text("\n" + "".join(lines[:3]) + "  \n" + "".join(lines[3:]))
+    assert _eval(workspace / "model.ckpt", workspace / "data", tmp_path) == 0
+    want = (tmp_path / "r.json").read_bytes()
+    capsys.readouterr()
+    assert _eval(workspace / "model.ckpt", data, tmp_path) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "r.json").read_bytes() == want
+
+
+def test_manifest_without_tensor_directory_is_data_error(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    shutil.rmtree(data / "tensors")
+    capsys.readouterr()
+    assert _eval(workspace / "model.ckpt", data, tmp_path) == 3
+    assert "missing file tensors/00000000_raw.gzt" in _one_error_line(capsys, "data error: ")
+
+
+def test_tensor_record_with_unknown_dtype_code_is_data_error(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    raw = bytearray((data / "tensors" / "00000000_raw.gzt").read_bytes())
+    raw[4] = 7   # the dtype code follows the 4-byte magic
+    (data / "tensors" / "00000000_raw.gzt").write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert _eval(workspace / "model.ckpt", data, tmp_path) == 3
+    assert "unknown dtype code 7" in _one_error_line(capsys, "data error: ")
+
+
+def test_checkpoint_cut_inside_its_header_is_data_error(workspace, tmp_path, capsys):
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes((workspace / "model.ckpt").read_bytes()[:9])
+    capsys.readouterr()
+    assert _eval(cut, workspace / "data", tmp_path) == 3
+    assert "truncated header" in _one_error_line(capsys, "data error: ")
+
+
+def test_gen_with_unknown_target_rule_is_usage_error(tmp_path, capsys):
+    (tmp_path / "scene.cfg").write_text("scene.target_rule = bogus\n")
+    assert main(["gen", "--spec", str(tmp_path / "scene.cfg"), "--out", str(tmp_path / "x"),
+                 "--count", "1"]) == 1
+    assert "unknown target rule 'bogus'" in _one_error_line(capsys, "error: ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_init_from_a_checkpoint_with_inout_head_skips_its_head(workspace, tmp_path, capsys):
+    """The shared names load; ``inout.*`` has no place in the model."""
+    common = ("model.variant = image_only\nmodel.input_resolution = 32\n"
+              "model.heatmap_resolution = 32\nmodel.precision = f32\ntrain.epochs = 0\n")
+    (tmp_path / "head.cfg").write_text(common + "model.inout_head = true\ntrain.seed = 1\n")
+    (tmp_path / "plain.cfg").write_text(common)
+    for name, init in (("head", []), ("plain", ["--init", str(tmp_path / "head.ckpt")])):
+        assert main(["train", "--config", str(tmp_path / f"{name}.cfg"),
+                     "--data", str(workspace / "data"), "--out", str(tmp_path / f"{name}.ckpt"),
+                     *init]) == 0
+    assert capsys.readouterr().err == ""
+    head, _, _ = load_checkpoint(tmp_path / "head.ckpt")
+    plain, _, _ = load_checkpoint(tmp_path / "plain.ckpt")
+    assert any(name.startswith("inout.") for name in head)
+    assert sorted(plain) == sorted(name for name in head if not name.startswith("inout."))
+    for name, arr in plain.items():
+        np.testing.assert_array_equal(arr, head[name], err_msg=name)
+
+
+def test_gen_places_fewer_people_where_the_scene_has_no_room(tmp_path, capsys):
+    (tmp_path / "scene.cfg").write_text("scene.n_people = 64\nscene.resolution = 32\n")
+    assert main(["gen", "--spec", str(tmp_path / "scene.cfg"), "--out", str(tmp_path / "data"),
+                 "--count", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    spec = D.SceneSpec(n_people=64, resolution=32)
+    assert all(len(D.generate_scene(spec, i).layout.persons) < 64 for i in range(3))
+    assert len(read_dataset(tmp_path / "data")) == 3
+
+
+@pytest.mark.parametrize("p_out,recomputed", [(0.0, None), (1.0, np.array([0.5, 0.5]))],
+                         ids=["in-frame", "out-of-frame"])
+def test_gen_self_check_mismatch_exits_2(tmp_path, capsys, monkeypatch, p_out, recomputed):
+    """The oracle disagrees with every scene: ``gen`` reports the
+    mismatches and exits 2."""
+    monkeypatch.setattr(D, "expected_target", lambda layout, eye, gaze_dir: recomputed)
+    (tmp_path / "scene.cfg").write_text(
+        f"scene.resolution = 32\nscene.p_out_of_frame = {p_out}\n")
+    assert main(["gen", "--spec", str(tmp_path / "scene.cfg"), "--out", str(tmp_path / "data"),
+                 "--count", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert "3 oracle mismatches" in out and err == ""
+
+
+def test_non_finite_total_loss_exits_2_without_checkpoint(workspace, tmp_path, capsys,
+                                                          monkeypatch):
+    def nan_total(parts, cfg):
+        return dataclasses.replace(sum_losses(parts, cfg), total=Tensor(np.array(np.nan)))
+
+    monkeypatch.setattr("gazecast.train.sum_losses", nan_total)
+    (tmp_path / "run.cfg").write_text("model.variant = image_only\nmodel.input_resolution = 32\n"
+                                      "model.heatmap_resolution = 32\ntrain.epochs = 1\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path / "run.cfg"), "--data",
+                 str(workspace / "data"), "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert "non-finite loss nan at step 0" in _one_line_failure(capsys, "train")
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]

@@ -1,5 +1,6 @@
 """Scene generator oracle consistency, dataset round-trips, and head crops."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -94,6 +95,13 @@ def test_out_of_frame_mode():
         assert s.gaze_points == []
         assert D.expected_target(s.layout, s.eye.xy, s.oracle_gaze_dir.xy) is None
     assert D.self_check(samples)["mismatches"] == 0
+
+
+def test_self_check_counts_a_target_behind_the_eye(mixed_samples):
+    s = next(s for s in mixed_samples if s.in_frame)
+    behind = s.eye.xy - 0.1 * s.oracle_gaze_dir.xy
+    moved = dataclasses.replace(s, gaze_points=[(float(behind[0]), float(behind[1]))])
+    assert D.self_check([s, moved]) == {"checked": 2, "mismatches": 1, "cone_violations": 1}
 
 
 def test_infeasible_spec_raises():
@@ -311,6 +319,22 @@ def test_symlink_under_tensors_is_neither_read_nor_written_through(tmp_path, mix
     with pytest.raises(OSError):
         D.write_dataset(mixed_samples[:3], data)
     assert outside.read_bytes() == before and named.is_symlink()
+
+
+def test_symlinked_tensor_directory_is_neither_read_nor_written_through(tmp_path,
+                                                                         mixed_samples):
+    other = tmp_path / "other"
+    D.write_dataset(mixed_samples[:2], other)
+    before = {p.name: p.read_bytes() for p in (other / D.TENSOR_DIR).iterdir()}
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / D.MANIFEST_NAME).write_bytes((other / D.MANIFEST_NAME).read_bytes())
+    (data / D.TENSOR_DIR).symlink_to(other / D.TENSOR_DIR)
+    with pytest.raises(DatasetError, match="missing file tensors/00000000_"):
+        D.read_dataset(data)
+    with pytest.raises(OSError, match="symlink"):
+        D.write_dataset(mixed_samples[2:4], data)
+    assert {p.name: p.read_bytes() for p in (other / D.TENSOR_DIR).iterdir()} == before
 
 
 def test_dataset_without_manifest_is_typed_error(tmp_path, mixed_samples):

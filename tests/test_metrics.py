@@ -137,6 +137,13 @@ def test_aggregate_out_of_frame_contract():
     assert M.average_precision([0.3, 0.9, 0.7], [0, 0, 1]) > 0.0
 
 
+@pytest.mark.parametrize("per_sample", [[], [dump(in_frame=True, min_dist=0.1, avg_dist=0.1)]],
+                         ids=["empty", "every-auc-excluded"])
+def test_aggregate_without_a_scored_sample_is_domain_error(per_sample):
+    with pytest.raises(DomainError, match="no in-frame samples|excluded from AUC"):
+        M.aggregate(per_sample, 9.0)
+
+
 def test_aggregate_ap_over_all_samples():
     samples = [
         dump(in_frame=True, auc=0.8, min_dist=0.1, avg_dist=0.1, inout=0.9),

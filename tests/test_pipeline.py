@@ -8,6 +8,7 @@ import pytest
 
 from conftest import without_raw
 from gazecast import data as D
+from gazecast import metrics as M
 from gazecast import nn
 from gazecast import tensor as T
 from gazecast.cli import SCENE_KEYS, _load_scene_spec
@@ -111,6 +112,25 @@ def test_binarization_radius_follows_sigma_unless_set(tmp_path):
     cfg = load_config(p)
     assert cfg.binarization_radius == 6.0
     assert config_from_text(cfg.to_text()) == cfg
+
+
+@pytest.mark.parametrize("hm,inp", [(4, 16), (32, 32), (64, 64)])
+def test_radius_that_reaches_every_pixel_is_rejected(hm, inp):
+    """From the bound up every pixel lies within the radius of any point,
+    so every mask is single-class; just below it a corner point's mask is
+    not."""
+    bound = np.sqrt(2.0) * (hm - 1)
+    below, above = bound - 1e-9, bound + 1e-9
+    cfg = dict(variant="image_only", input_resolution=inp, heatmap_resolution=hm)
+    assert RunConfig(**cfg, binarization_radius=below).binarization_radius == below
+    assert not M.binarize_gt([(0.0, 0.0)], hm, hm, below).all()
+    for point in [(0.0, 0.0), (0.5, 0.5), (1.0, 0.3)]:
+        assert M.binarize_gt([point], hm, hm, above).all()
+    with pytest.raises(ConfigError, match="metrics.binarization_radius .*data.sigma"):
+        RunConfig(**cfg, binarization_radius=above)
+    if hm == 4:   # the default radius of 3 * sigma = 9 covers a 4x4 heatmap
+        with pytest.raises(ConfigError, match="model.heatmap_resolution"):
+            RunConfig(**cfg)
 
 
 def test_variant_constraints():

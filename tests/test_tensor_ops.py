@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gazecast import metrics as M
 from gazecast import tensor as T
 from gazecast.checks import GRAD_CASES, GradCase
 from gazecast.errors import DomainError, ShapeMismatchError, TapeError
@@ -283,6 +284,31 @@ def test_zero_stride_or_factor_is_rejected(op):
     w = Tensor(np.ones((1, 1, 3, 3)))
     with pytest.raises(ValueError, match="(stride|factor) must be >= 1"):
         op(x, w)
+
+_X4 = Tensor(np.ones((1, 1, 4, 4)))
+_W3 = Tensor(np.ones((1, 1, 3, 3)))
+
+
+@pytest.mark.parametrize("op,error,match", [
+    (lambda: Tensor(np.ones(2)).item(), ValueError, "non-scalar"),
+    (lambda: T.tlog(Tensor(np.array([1.0, 0.0]))), DomainError, "strictly positive"),
+    (lambda: T.tsqrt(Tensor(np.array([1.0, -1e-300]))), DomainError, "non-negative"),
+    (lambda: T.concat([]), ValueError, "zero tensors"),
+    (lambda: T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5)))), ShapeMismatchError,
+     r"\[N, 5\]"),
+    (lambda: T.linear(Tensor(np.ones(5)), Tensor(np.ones((4, 5)))), ShapeMismatchError,
+     r"\[N, 5\]"),
+    (lambda: T.conv2d(Tensor(np.ones((1, 4, 4))), _W3), ShapeMismatchError, "input rank 3"),
+    (lambda: T.conv2d(_X4, _W3, Tensor(np.ones(2))), ShapeMismatchError, "bias shape"),
+    (lambda: T.tensor_to_bytes(np.arange(3)), ValueError, "unsupported dtype int64"),
+    (lambda: M.average_precision([0.5, 0.2], [1]), DomainError, "equal-length"),
+], ids=["item-non-scalar", "log-zero", "sqrt-negative", "concat-empty", "linear-in-features",
+        "linear-rank-1", "conv2d-rank-3", "conv2d-bias", "tensor-to-bytes-int",
+        "average-precision-lengths"])
+def test_typed_operand_errors(op, error, match):
+    with pytest.raises(error, match=match):
+        op()
+
 
 def test_upsample_nearest_values():
     x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
