@@ -235,6 +235,8 @@ GRAD_CASES = (
              lambda x, w, b: T.upsample_conv2d(x, w, b, factor=2, padding=1, relu=True),
              (_uniform(1, 2, 3, 3), _uniform(3, 2, 3, 3, bound=1 / 18), _off_kink_bias(3))),
     GradCase("upsample_nearest", lambda x: T.upsample_nearest(x, 2), (_normal(1, 2, 3, 3),)),
+    GradCase("upsample_add", lambda x, lateral: T.upsample_add(x, lateral, 2),
+             (_normal(1, 2, 3, 3), _normal(1, 2, 6, 6))),
     GradCase("avg_pool", lambda x: T.avg_pool2d(x, 4), (_normal(2, 2, 8, 8),)),
     GradCase("avg_pool_4x4", lambda x: T.avg_pool2d(x, 2), (_normal(1, 2, 4, 4),)),
     GradCase("global_max_pool", T.global_max_pool, (_distinct(1, 2, 5, 5),)),

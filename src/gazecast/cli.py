@@ -52,6 +52,8 @@ def cmd_gen(args) -> int:
           f"{summary['mismatches']} oracle mismatches, "
           f"{summary['cone_violations']} cone violations")
     if summary["mismatches"] or summary["cone_violations"]:
+        print(f"gen failed: {summary['mismatches']} oracle mismatches, "
+              f"{summary['cone_violations']} cone violations", file=sys.stderr)
         return EXIT_CHECK
     return EXIT_OK
 
@@ -101,6 +103,11 @@ def cmd_eval(args) -> int:
         with atomic_write(args.dump) as f:
             for d in dumps:
                 f.write(d.to_json() + "\n")
+    in_frame = [d for d in dumps if d.in_frame]
+    excluded = sum(d.auc is None for d in in_frame)
+    if excluded:
+        print(f"warning: {excluded} of {len(in_frame)} in-frame samples excluded from AUC "
+              "(single-class mask)", file=sys.stderr)
     print(f"evaluated {report.n_samples} samples: AUC {report.auc:.4f}, "
           f"AvgDist {report.avg_dist:.4f}, MinDist {report.min_dist:.4f}, "
           f"AP {report.ap if report.ap is None else round(report.ap, 4)}")

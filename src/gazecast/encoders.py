@@ -89,11 +89,13 @@ class SceneExtractor(nn.Module):
             x = stage(x, relu=True)
             feats.append(x)
         top = self.bottleneck_proj(feats[-1])
-        up_mid = T.upsample_nearest(top, 2)
         if self.skip_connections:
-            up_mid = T.add(up_mid, self.lateral_mid(feats[-2]))
+            up_mid = T.upsample_add(top, self.lateral_mid(feats[-2]), 2)
+        else:
+            up_mid = T.upsample_nearest(top, 2)
         mid = self.smooth_mid(up_mid, relu=True)
-        up_q = T.upsample_nearest(mid, 2)
         if self.skip_connections:
-            up_q = T.add(up_q, self.lateral_quarter(feats[-3]))
+            up_q = T.upsample_add(mid, self.lateral_quarter(feats[-3]), 2)
+        else:
+            up_q = T.upsample_nearest(mid, 2)
         return self.smooth_quarter(up_q, relu=True)

@@ -11,7 +11,6 @@ with descending scores, ties broken by original index.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -71,15 +70,14 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def auc_score(pred_heatmap: np.ndarray, gt_points: list[tuple[float, float]],
               radius: float) -> float | None:
-    """Heatmap AUC against the binarized ground truth; None (with a warning)
-    when the mask degenerates to a single class."""
+    """Heatmap AUC against the binarized ground truth; None when the mask
+    degenerates to a single class (``eval`` counts such samples)."""
     img = np.asarray(pred_heatmap, dtype=np.float64)
     img = img.reshape(img.shape[-2], img.shape[-1])
     mask = binarize_gt(gt_points, img.shape[0], img.shape[1], radius)
     try:
         return roc_auc(img.ravel(), mask.ravel())
     except DomainError:
-        warnings.warn("sample excluded from AUC: binarized mask is single-class")
         return None
 
 

@@ -449,11 +449,11 @@ def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
 # gradient and input gradient are one 2-D GEMM each. The weight gradient is
 # (cols @ gf.T).T, which BLAS runs faster than gf @ cols.T; on one BLAS
 # thread, as the CLI runs, it gives the same bits on the model's shapes.
-# The backward pass keeps
-# the phase images, about the size of the input, rather than the kh*kw/(s*s)
-# times larger columns, and rebuilds the columns for the weight gradient
-# with the same copies. The input gradient adds each tap's rows into its
-# slice of the phase buffer and takes the phases back to NCHW in one pass.
+# The backward pass keeps only the input, which its producer or the batch
+# holds anyway, and rebuilds the phase images and then the columns from it
+# for the weight gradient, with the forward's own copies. The input
+# gradient reads neither: it adds each tap's rows into its slice of a
+# zeroed phase buffer and takes the phases back to NCHW in one pass.
 #
 # Both kernels take ``relu``, a fused ReLU epilogue: after the bias add it
 # runs in place on the kernel's own fresh output, and the backward pass first
@@ -580,14 +580,17 @@ def conv2d(
     m = n * hs * ws
     span = m - (hs - ho) * ws - (ws - wo)
     dtype = x.data.dtype
-    xph = np.zeros((c, s, s, n, hs, ws), dtype=dtype)
-    xt = x.data.transpose(1, 0, 2, 3)
-    for dst, src in phases:
-        xph[dst] = xt[src]
-    xph = xph.reshape(c, s, s, m)
+
+    def phase_images() -> np.ndarray:
+        xph = np.zeros((c, s, s, n, hs, ws), dtype=dtype)
+        xt = x.data.transpose(1, 0, 2, 3)
+        for dst, src in phases:
+            xph[dst] = xt[src]
+        return xph.reshape(c, s, s, m)
+
     wm = weight.data.astype(dtype, copy=False).reshape(k, c * kh * kw)
     yk = np.empty((k, m), dtype=dtype)
-    _mm(wm, _tap_columns(xph, taps, span), out=yk[:, :span])
+    _mm(wm, _tap_columns(phase_images(), taps, span), out=yk[:, :span])
     yv = yk.reshape(k, n, hs, ws)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
     y = np.empty((n, k, ho, wo), dtype=dtype)
     if bias is None:
@@ -606,7 +609,7 @@ def conv2d(
         gk[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
         gf = gk.reshape(k, m)[:, :span]
         if weight.requires_grad:
-            dw = _mm(_tap_columns(xph, taps, span), gf.T).T
+            dw = _mm(_tap_columns(phase_images(), taps, span), gf.T).T
             _accum(weight, dw.reshape(k, c, kh, kw))
         if x.requires_grad:
             dcols = _mm(wm.T, gf).reshape(c, kh * kw, span)
@@ -776,6 +779,28 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
         _accum(x, _block_sum(g, f))
 
     return _op(resize_nearest(x.data, x.shape[2] * f, x.shape[3] * f), fn, x)
+
+
+def upsample_add(x: Tensor, lateral: Tensor, factor: int) -> Tensor:
+    """``add(upsample_nearest(x, factor), lateral)`` with the same bits, as
+    ``lateral`` plus ``x`` broadcast over factor x factor blocks, without
+    the upsampled tensor."""
+    if factor < 1:
+        raise ValueError("upsample factor must be >= 1")
+    f = int(factor)
+    n, c, h, w = x.shape
+    if lateral.shape != (n, c, h * f, w * f):
+        raise ShapeMismatchError(f"upsample_add: lateral shape {lateral.shape} is not "
+                                 f"{(n, c, h * f, w * f)}, input {x.shape} upsampled by {f}")
+    y = np.empty(lateral.shape, dtype=np.result_type(x.data, lateral.data))
+    np.add(lateral.data.reshape(n, c, h, f, w, f), x.data[:, :, :, None, :, None],
+           out=y.reshape(n, c, h, f, w, f))
+
+    def fn(g):
+        _accum(x, _block_sum(g, f))
+        _accum(lateral, g)
+
+    return _op(y, fn, x, lateral)
 
 
 def avg_pool2d(x: Tensor, factor: int) -> Tensor:

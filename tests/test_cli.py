@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import read_pgm, without_raw
 from gazecast import data as D
+from gazecast import metrics as M
 from gazecast.checks import GRAD_CASES, ORACLE_CASES, CheckResult, GradCase, OracleCase
 from gazecast.cli import main
 from gazecast.config import RunConfig
@@ -723,6 +724,34 @@ def test_eval_reports_radius_derived_from_sigma(workspace, tmp_path):
     assert json.loads(report.read_text())["binarization_radius"] == 6.0
 
 
+def test_eval_names_samples_excluded_from_auc_in_one_line(workspace, tmp_path, capsys):
+    """At a radius that makes some masks single-class, ``eval`` exits 0,
+    dumps those samples with ``"auc": null``, raises no Python warning and
+    prints one stderr line counting them."""
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("model.variant = image_only\nmodel.input_resolution = 32\n"
+                   "model.heatmap_resolution = 32\ntrain.epochs = 0\n"
+                   "metrics.binarization_radius = 30\n")
+    ckpt = tmp_path / "wide.ckpt"
+    assert main(["train", "--config", str(cfg), "--data", str(workspace / "data"),
+                 "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "data"),
+                     "--report", str(tmp_path / "r.json"),
+                     "--dump", str(tmp_path / "d.jsonl")]) == 0
+    err = capsys.readouterr().err
+    in_frame = [s for s in read_dataset(workspace / "data") if s.in_frame]
+    single = [s.sample_id for s in in_frame
+              if M.binarize_gt(s.gaze_points, 32, 32, 30.0).all()]
+    assert 0 < len(single) < len(in_frame)
+    assert err == (f"warning: {len(single)} of {len(in_frame)} in-frame samples excluded "
+                   "from AUC (single-class mask)\n")
+    dumps = [json.loads(line) for line in (tmp_path / "d.jsonl").read_text().splitlines()]
+    assert [d["sample_id"] for d in dumps if d["in_frame"] and d["auc"] is None] == single
+
+
 def test_eval_dump_that_fails_midway_keeps_previous_dump(workspace, tmp_path, monkeypatch):
     dump = tmp_path / "d.jsonl"
     dump.write_text("previous\n")
@@ -1209,15 +1238,15 @@ def test_gen_places_fewer_people_where_the_scene_has_no_room(tmp_path, capsys):
 @pytest.mark.parametrize("p_out,recomputed", [(0.0, None), (1.0, np.array([0.5, 0.5]))],
                          ids=["in-frame", "out-of-frame"])
 def test_gen_self_check_mismatch_exits_2(tmp_path, capsys, monkeypatch, p_out, recomputed):
-    """The oracle disagrees with every scene: ``gen`` reports the
-    mismatches and exits 2."""
+    """The oracle disagrees with every scene: ``gen`` exits 2 and names the
+    mismatches in one stderr line, as every exit-2 failure does."""
     monkeypatch.setattr(D, "expected_target", lambda layout, eye, gaze_dir: recomputed)
     (tmp_path / "scene.cfg").write_text(
         f"scene.resolution = 32\nscene.p_out_of_frame = {p_out}\n")
     assert main(["gen", "--spec", str(tmp_path / "scene.cfg"), "--out", str(tmp_path / "data"),
                  "--count", "3"]) == 2
-    out, err = capsys.readouterr()
-    assert "3 oracle mismatches" in out and err == ""
+    err = _one_line_failure(capsys, "gen")
+    assert err == "gen failed: 3 oracle mismatches, 0 cone violations\n"
 
 
 def test_non_finite_total_loss_exits_2_without_checkpoint(workspace, tmp_path, capsys,

@@ -303,10 +303,11 @@ def test_model_built_from_state_takes_its_arrays(precision):
 
 def test_train_shard_backward_peak_memory():
     """One b8 f32 multimodal forward and backward at 64x64, the unit a train
-    worker runs, keeps below 30 MB after its forward and peaks below 40 MB:
+    worker runs, keeps below 20 MB after its forward and peaks below 28 MB:
     each conv and its ReLU keep one output, the stride-1 convs keep no
-    padded copy of their input, the strided convs keep their phase images,
-    not their columns, and the replay frees each node once passed."""
+    padded copy of their input, the strided convs keep neither phase images
+    nor columns but rebuild both from their input, each FPN join keeps one
+    sum and no upsampled map, and the replay frees each node once passed."""
     cfg = RunConfig(variant="multimodal", precision="f32")
     model = GazeTargetModel(cfg)
     batch = build_batch(D.generate_dataset(D.SceneSpec(seed=3), 8), cfg)
@@ -320,8 +321,8 @@ def test_train_shard_backward_peak_memory():
     finally:
         tracemalloc.stop()
     assert all(p.grad is not None for p in model.parameters())
-    assert kept < 30e6, kept / 1e6
-    assert peak < 40e6, peak / 1e6
+    assert kept < 20e6, kept / 1e6
+    assert peak < 28e6, peak / 1e6
 
 
 def test_loss_decreases_over_training(tiny_sets):
