@@ -1238,14 +1238,16 @@ def test_gen_places_fewer_people_where_the_scene_has_no_room(tmp_path, capsys):
 @pytest.mark.parametrize("p_out,recomputed", [(0.0, None), (1.0, np.array([0.5, 0.5]))],
                          ids=["in-frame", "out-of-frame"])
 def test_gen_self_check_mismatch_exits_2(tmp_path, capsys, monkeypatch, p_out, recomputed):
-    """The oracle disagrees with every scene: ``gen`` exits 2 and names the
-    mismatches in one stderr line, as every exit-2 failure does."""
+    """The oracle disagrees with every scene: ``gen`` exits 2, keeps the
+    counts on stdout and names the mismatches in one stderr line, as every
+    exit-2 failure does."""
     monkeypatch.setattr(D, "expected_target", lambda layout, eye, gaze_dir: recomputed)
     (tmp_path / "scene.cfg").write_text(
         f"scene.resolution = 32\nscene.p_out_of_frame = {p_out}\n")
     assert main(["gen", "--spec", str(tmp_path / "scene.cfg"), "--out", str(tmp_path / "data"),
                  "--count", "3"]) == 2
-    err = _one_line_failure(capsys, "gen")
+    out, err = capsys.readouterr()
+    assert "3 oracle mismatches, 0 cone violations" in out
     assert err == "gen failed: 3 oracle mismatches, 0 cone violations\n"
 
 
